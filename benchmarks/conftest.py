@@ -6,10 +6,9 @@ EXPERIMENTS.md.  ``REPRO_BENCH_SCALE`` (default 0.5) scales the
 programs' static/dynamic size; 1.0 reproduces Table 1's exact
 instruction counts at the cost of longer runs.
 
-``REPRO_BENCH_PARALLEL=1`` routes the figure sweeps through
-``repro.analysis.parallel`` -- the process-pool harness with the
-persistent on-disk cell cache -- instead of the serial drivers.  Rows
-are identical either way.
+The figure sweeps run through ``repro.analysis.parallel`` with its
+defaults: a supervised process pool and the persistent on-disk cell
+cache (``REPRO_CACHE_DIR``), so reruns recompute only changed cells.
 """
 
 from __future__ import annotations
@@ -44,19 +43,3 @@ def emit(name: str, text: str) -> None:
 @pytest.fixture(scope="session")
 def scale() -> float:
     return SCALE
-
-
-def experiment_module():
-    """The figure-sweep driver module.
-
-    Serial (``repro.analysis.experiments``) by default; the parallel
-    cached harness (``repro.analysis.parallel``) when
-    ``REPRO_BENCH_PARALLEL`` is set to anything but ``0``.
-    """
-    if _settings.current().bench_parallel:
-        from repro.analysis import parallel
-
-        return parallel
-    from repro.analysis import experiments
-
-    return experiments

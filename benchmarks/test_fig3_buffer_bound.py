@@ -6,14 +6,14 @@ code into many regions (entry stubs + offset-table entries), large
 bounds pay for a big runtime buffer.
 """
 
-from benchmarks.conftest import SCALE, SWEEP_NAMES, emit, experiment_module
+from benchmarks.conftest import SCALE, SWEEP_NAMES, emit
 from repro.analysis import ascii_table
 from repro.analysis.experiments import FIG3_BOUNDS, FIG3_THETAS
+from repro.analysis.parallel import fig3_rows
 from repro.analysis.stats import percent
 
 
 def test_fig3_buffer_bound(benchmark):
-    fig3_rows = experiment_module().fig3_rows
     rows = benchmark.pedantic(
         lambda: fig3_rows(
             names=SWEEP_NAMES,

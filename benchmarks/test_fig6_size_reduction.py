@@ -5,9 +5,10 @@ Paper: reductions grow from 9.0-22.1% (mean 13.7%) at θ=0 to
 low thresholds.
 """
 
-from benchmarks.conftest import ALL_NAMES, SCALE, emit, experiment_module
+from benchmarks.conftest import ALL_NAMES, SCALE, emit
 from repro.analysis import ascii_table, geometric_mean
 from repro.analysis.experiments import FIG6_THETAS
+from repro.analysis.parallel import fig6_rows
 from repro.analysis.stats import percent
 
 #: Paper's mean reductions at the Figure 6 thresholds.
@@ -16,7 +17,6 @@ PAPER_MEAN = {0.0: 0.137, 1e-5: 0.168, 1e-4: None, 1e-3: None,
 
 
 def test_fig6_size_reduction(benchmark):
-    fig6_rows = experiment_module().fig6_rows
     rows = benchmark.pedantic(
         lambda: fig6_rows(names=ALL_NAMES, scale=SCALE, thetas=FIG6_THETAS),
         rounds=1,

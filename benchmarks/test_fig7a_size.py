@@ -4,16 +4,16 @@ Paper: θ ∈ {0, 1e-5, 5e-5} gives mean reductions of 13.7% / 16.8% /
 18.8% relative to squeezed code.
 """
 
-from benchmarks.conftest import ALL_NAMES, SCALE, emit, experiment_module
+from benchmarks.conftest import ALL_NAMES, SCALE, emit
 from repro.analysis import ascii_table, geometric_mean
 from repro.analysis.experiments import FIG7_THETAS
+from repro.analysis.parallel import fig7_size_rows
 from repro.analysis.stats import percent
 
 PAPER_MEANS = {0.0: 0.137, 1e-5: 0.168, 5e-5: 0.188}
 
 
 def test_fig7a_size(benchmark):
-    fig7_size_rows = experiment_module().fig7_size_rows
     rows = benchmark.pedantic(
         lambda: fig7_size_rows(names=ALL_NAMES, scale=SCALE),
         rounds=1,

@@ -6,15 +6,15 @@ benchmarks vary widely because decompression cost depends on how often
 timing-input paths fall just under the profiling cutoff.
 """
 
-from benchmarks.conftest import ALL_NAMES, SCALE, emit, experiment_module
+from benchmarks.conftest import ALL_NAMES, SCALE, emit
 from repro.analysis import ascii_table, geometric_mean
 from repro.analysis.experiments import FIG7_THETAS
+from repro.analysis.parallel import fig7_time_rows
 
 PAPER_MEANS = {0.0: 1.00, 1e-5: 1.04, 5e-5: 1.24}
 
 
 def test_fig7b_time(benchmark):
-    fig7_time_rows = experiment_module().fig7_time_rows
     rows = benchmark.pedantic(
         lambda: fig7_time_rows(names=ALL_NAMES, scale=SCALE),
         rounds=1,

@@ -71,9 +71,6 @@ _EXPORTS = {
     "store_stats": ("repro.api", "store_stats"),
     "store_gc": ("repro.api", "store_gc"),
     "store_verify": ("repro.api", "store_verify"),
-    "submit": ("repro.api", "submit"),
-    "job_status": ("repro.api", "job_status"),
-    "job_result": ("repro.api", "job_result"),
     "JobSpec": ("repro.service.jobs", "JobSpec"),
     "JobEngine": ("repro.service.engine", "JobEngine"),
     "ServiceClient": ("repro.service.client", "ServiceClient"),

@@ -1,4 +1,7 @@
-"""Statistics, table rendering, and the paper's experiment drivers."""
+"""Statistics, table rendering, and the paper's experiment drivers.
+
+The θ-grid figure sweeps live in :mod:`repro.analysis.parallel`.
+"""
 
 from repro.analysis.stats import geometric_mean
 from repro.analysis.report import ascii_table, bar_chart
@@ -14,11 +17,7 @@ from repro.analysis.experiments import (
     FIG6_THETAS,
     FIG7_THETAS,
     table1_rows,
-    fig3_rows,
     fig4_rows,
-    fig6_rows,
-    fig7_size_rows,
-    fig7_time_rows,
     restore_stub_stats,
     compression_ratio_stats,
     buffer_safe_stats,
@@ -38,11 +37,7 @@ __all__ = [
     "FIG6_THETAS",
     "FIG7_THETAS",
     "table1_rows",
-    "fig3_rows",
     "fig4_rows",
-    "fig6_rows",
-    "fig7_size_rows",
-    "fig7_time_rows",
     "restore_stub_stats",
     "compression_ratio_stats",
     "buffer_safe_stats",

@@ -9,13 +9,10 @@ we evaluate each paper threshold θ_p at θ_ours = min(1, 100 · θ_p),
 and report both values.  θ = 0 and θ = 1 are fixed points of the
 mapping.  EXPERIMENTS.md discusses the effect.
 
-These drivers are strictly serial and memoise only per-process
-(``lru_cache``); :mod:`repro.analysis.parallel` provides row-identical
-equivalents with a supervised worker pool and a crash-safe on-disk
-cell cache.  ``repro chaossweep`` asserts the equivalence holds even
-under injected process faults — these serial rows are its ground
-truth, so changes here invalidate that gate's reference as well as the
-parallel cache salt.
+The θ-grid sweeps of Figures 3, 6 and 7 are driven by
+:mod:`repro.analysis.parallel` from the row types and grids declared
+here; the drivers below compute the remaining tables, Figure 4 and the
+in-text statistics directly, memoising per process (``lru_cache``).
 """
 
 from __future__ import annotations
@@ -142,34 +139,6 @@ class Fig3Row:
     relative_size: float
 
 
-def fig3_rows(
-    names: tuple[str, ...],
-    scale: float = 1.0,
-    bounds: tuple[int, ...] = FIG3_BOUNDS,
-    thetas: tuple[float, ...] = FIG3_THETAS,
-) -> list[Fig3Row]:
-    rows = []
-    for theta_paper in thetas:
-        for bound in bounds:
-            config = SquashConfig(theta=map_theta(theta_paper)).with_buffer_bound(
-                bound
-            )
-            ratios = []
-            for name in names:
-                result = squash_benchmark(name, scale, config)
-                ratios.append(
-                    result.footprint.total / result.baseline_words
-                )
-            rows.append(
-                Fig3Row(
-                    bound_bytes=bound,
-                    theta_paper=theta_paper,
-                    relative_size=geometric_mean(ratios),
-                )
-            )
-    return rows
-
-
 # -- Figure 4: cold and compressible code -------------------------------------
 
 
@@ -223,33 +192,6 @@ class SizeRow:
     reduction: float
 
 
-def fig6_rows(
-    names: tuple[str, ...] = MEDIABENCH,
-    scale: float = 1.0,
-    thetas: tuple[float, ...] = FIG6_THETAS,
-) -> list[SizeRow]:
-    rows = []
-    for name in names:
-        for theta_paper in thetas:
-            theta = map_theta(theta_paper)
-            result = squash_benchmark(name, scale, SquashConfig(theta=theta))
-            rows.append(
-                SizeRow(
-                    name=name,
-                    theta_paper=theta_paper,
-                    theta_ours=theta,
-                    reduction=result.reduction,
-                )
-            )
-    return rows
-
-
-def fig7_size_rows(
-    names: tuple[str, ...] = MEDIABENCH, scale: float = 1.0
-) -> list[SizeRow]:
-    return fig6_rows(names, scale=scale, thetas=FIG7_THETAS)
-
-
 # -- Figure 7(b): execution time -------------------------------------------------
 
 
@@ -260,32 +202,6 @@ class TimeRow:
     theta_ours: float
     #: Squashed cycles / squeezed cycles on the timing input.
     relative_time: float
-
-
-def fig7_time_rows(
-    names: tuple[str, ...] = MEDIABENCH,
-    scale: float = 1.0,
-    thetas: tuple[float, ...] = FIG7_THETAS,
-) -> list[TimeRow]:
-    rows = []
-    for name in names:
-        base = baseline_run(name, scale)
-        for theta_paper in thetas:
-            theta = map_theta(theta_paper)
-            run = squashed_run(name, scale, SquashConfig(theta=theta))
-            if run.output != base.output or run.exit_code != base.exit_code:
-                raise AssertionError(
-                    f"{name}: squashed output diverged at θ={theta}"
-                )
-            rows.append(
-                TimeRow(
-                    name=name,
-                    theta_paper=theta_paper,
-                    theta_ours=theta,
-                    relative_time=run.cycles / base.cycles,
-                )
-            )
-    return rows
 
 
 # -- In-text experiments ----------------------------------------------------------

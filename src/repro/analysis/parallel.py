@@ -1,13 +1,15 @@
-"""Parallel, persistently-cached experiment harness.
+"""The figure-sweep driver: the θ-grid rows of Figures 3, 6 and 7.
 
-The serial drivers in :mod:`repro.analysis.experiments` sweep
-(benchmark, θ, K) cells strictly one after another and remember results
-only in per-process ``lru_cache``s.  This module fans the independent
-cells of ``fig3_rows`` / ``fig6_rows`` / ``fig7_size_rows`` /
-``fig7_time_rows`` across a ``ProcessPoolExecutor`` and stores each
-cell's result in an on-disk content-addressed cache, so benchmark
-reruns are incremental: a cell recomputes only when the benchmark name,
-scale, configuration, or the pipeline itself changes.
+``fig3_rows`` / ``fig6_rows`` / ``fig7_size_rows`` / ``fig7_time_rows``
+list their (benchmark, θ, K) cells, resolve them through
+:func:`compute_cells`, and turn the results into rows.  With
+``parallel=True`` (the default) the misses fan out across a supervised
+process pool and each cell's result is stored in an on-disk
+content-addressed cache, so benchmark reruns are incremental: a cell
+recomputes only when the benchmark name, scale, configuration, or the
+pipeline itself changes.  ``parallel=False`` is the serial path: the
+supervisor runs the cells inline in this process and the cache is
+neither read nor written.
 
 Cache keys are the SHA-256 of (cell kind, spec name, scale, canonical
 config, :data:`PIPELINE_SALT`).  Bump the salt whenever a pipeline
@@ -27,9 +29,10 @@ discarded.  Knobs: ``REPRO_CELL_DEADLINE``, ``REPRO_CELL_RETRIES``,
 ``REPRO_CELL_BACKOFF``, ``REPRO_BREAKER_THRESHOLD`` (see
 :meth:`repro.resilience.SupervisorConfig.from_env`).
 
-The drivers here mirror the serial ones name-for-name and row-for-row;
-``benchmarks/conftest.py`` selects this module when
-``REPRO_BENCH_PARALLEL`` is set.
+:func:`sweep_grid`, :func:`grid_cells` and :func:`grid_rows` are the
+pieces of a size or time sweep; :func:`repro.api.sweep` and the
+service's fan-out sweeps (:mod:`repro.service.fanout`) build their
+rows from them.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ from repro.analysis.experiments import (
 from repro import settings as _settings
 from repro.analysis.stats import geometric_mean
 from repro.core.pipeline import SquashConfig
-from repro.errors import StoreDegraded
+from repro.errors import SpecError, StoreDegraded
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.pipeline.artifacts import canonical
@@ -80,8 +83,14 @@ __all__ = [
     "fig6_rows",
     "fig7_size_rows",
     "fig7_time_rows",
+    "grid_cells",
+    "grid_rows",
     "last_sweep_rollup",
+    "sweep_grid",
 ]
+
+#: One experiment cell: (kind, benchmark, scale, configuration).
+Cell = tuple[str, str, float, SquashConfig]
 
 #: Cache-invalidation salt: bump on any change that can alter measured
 #: sizes, ratios, or cycle counts.
@@ -331,9 +340,10 @@ def compute_cells(
     a process pool when *parallel*, inline otherwise) and every fresh
     result is persisted — sealed and atomically renamed — as soon as
     its future completes, so an interrupted sweep keeps its finished
-    cells.  Corrupt, torn, or key-deficient cache entries are detected
-    (tallied in *stats*) and recomputed.  When *strict*, a cell still
-    missing after bounded retries raises its typed
+    cells.  Without *cache* every cell is computed and nothing is
+    written to disk.  Corrupt, torn, or key-deficient cache entries
+    are detected (tallied in *stats*) and recomputed.  When *strict*, a
+    cell still missing after bounded retries raises its typed
     :class:`~repro.errors.CellFailure`; pass ``strict=False`` and a
     *report_sink* list to inspect failures instead.
     """
@@ -405,7 +415,92 @@ def compute_cells(
     return results
 
 
-# -- drivers (row-compatible with repro.analysis.experiments) ---------------
+# -- drivers ------------------------------------------------------------------
+
+
+def sweep_grid(
+    names: tuple[str, ...] = (),
+    kind: str = "size",
+    thetas: tuple[float, ...] | None = None,
+) -> tuple[tuple[str, ...], tuple[float, ...]]:
+    """Resolve the benchmarks and paper-nominal θ grid of a size or
+    time sweep.
+
+    Empty *names* means every MediaBench program; ``None`` *thetas*
+    the published grid of *kind* (Figure 6 for ``size``, Figure 7 for
+    ``time``).  Raises :class:`~repro.errors.SpecError` naming the
+    offending field.
+    """
+    names = tuple(names or ()) or MEDIABENCH
+    unknown = [name for name in names if name not in MEDIABENCH]
+    if unknown:
+        raise SpecError(
+            f"unknown benchmark(s) {', '.join(map(repr, unknown))} "
+            f"(expected among {', '.join(MEDIABENCH)})",
+            field="names",
+        )
+    if kind not in ("size", "time"):
+        raise SpecError(
+            f"unknown sweep kind {kind!r} (size|time)", field="kind"
+        )
+    if thetas is None:
+        return names, FIG6_THETAS if kind == "size" else FIG7_THETAS
+    if not all(
+        isinstance(theta, (int, float)) and not isinstance(theta, bool)
+        and theta >= 0
+        for theta in thetas
+    ):
+        raise SpecError("thetas must be non-negative numbers", field="thetas")
+    return names, tuple(thetas)
+
+
+def grid_cells(
+    kind: str, names: tuple[str, ...], scale: float,
+    thetas: tuple[float, ...],
+) -> list[Cell]:
+    """The cells of a size or time sweep, benchmark-major, θ-minor."""
+    return [
+        (kind, name, scale, SquashConfig(theta=map_theta(theta_paper)))
+        for name in names
+        for theta_paper in thetas
+    ]
+
+
+def grid_rows(
+    kind: str, names: tuple[str, ...], scale: float,
+    thetas: tuple[float, ...], results: dict[Cell, dict],
+) -> list[SizeRow] | list[TimeRow]:
+    """The rows of a size or time sweep, in :func:`grid_cells` order,
+    from its resolved cell *results*."""
+    rows = []
+    for name in names:
+        for theta_paper in thetas:
+            theta = map_theta(theta_paper)
+            value = results[(kind, name, scale, SquashConfig(theta=theta))]
+            if kind == "size":
+                rows.append(SizeRow(
+                    name=name,
+                    theta_paper=theta_paper,
+                    theta_ours=theta,
+                    reduction=value["reduction"],
+                ))
+            else:
+                rows.append(TimeRow(
+                    name=name,
+                    theta_paper=theta_paper,
+                    theta_ours=theta,
+                    relative_time=value["relative_time"],
+                ))
+    return rows
+
+
+def _sweep(
+    kind: str, names: tuple[str, ...], scale: float,
+    thetas: tuple[float, ...], parallel: bool,
+) -> list[SizeRow] | list[TimeRow]:
+    cells = grid_cells(kind, names, scale, thetas)
+    results = compute_cells(cells, parallel=parallel, cache=parallel)
+    return grid_rows(kind, names, scale, thetas, results)
 
 
 def fig3_rows(
@@ -415,33 +510,31 @@ def fig3_rows(
     thetas: tuple[float, ...] = FIG3_THETAS,
     parallel: bool = True,
 ) -> list[Fig3Row]:
-    cells = []
-    for theta_paper in thetas:
-        for bound in bounds:
-            config = SquashConfig(
-                theta=map_theta(theta_paper)
-            ).with_buffer_bound(bound)
-            for name in names:
-                cells.append(("size", name, scale, config))
-    results = compute_cells(cells, parallel=parallel)
+    configs = [
+        (theta_paper, bound,
+         SquashConfig(theta=map_theta(theta_paper)).with_buffer_bound(bound))
+        for theta_paper in thetas
+        for bound in bounds
+    ]
+    cells = [
+        ("size", name, scale, config)
+        for _, _, config in configs
+        for name in names
+    ]
+    results = compute_cells(cells, parallel=parallel, cache=parallel)
     rows = []
-    for theta_paper in thetas:
-        for bound in bounds:
-            config = SquashConfig(
-                theta=map_theta(theta_paper)
-            ).with_buffer_bound(bound)
-            ratios = [
-                results[("size", name, scale, config)]["footprint_total"]
-                / results[("size", name, scale, config)]["baseline_words"]
-                for name in names
-            ]
-            rows.append(
-                Fig3Row(
-                    bound_bytes=bound,
-                    theta_paper=theta_paper,
-                    relative_size=geometric_mean(ratios),
-                )
+    for theta_paper, bound, config in configs:
+        ratios = []
+        for name in names:
+            value = results[("size", name, scale, config)]
+            ratios.append(value["footprint_total"] / value["baseline_words"])
+        rows.append(
+            Fig3Row(
+                bound_bytes=bound,
+                theta_paper=theta_paper,
+                relative_size=geometric_mean(ratios),
             )
+        )
     return rows
 
 
@@ -451,26 +544,7 @@ def fig6_rows(
     thetas: tuple[float, ...] = FIG6_THETAS,
     parallel: bool = True,
 ) -> list[SizeRow]:
-    cells = [
-        ("size", name, scale, SquashConfig(theta=map_theta(theta_paper)))
-        for name in names
-        for theta_paper in thetas
-    ]
-    results = compute_cells(cells, parallel=parallel)
-    rows = []
-    for name in names:
-        for theta_paper in thetas:
-            theta = map_theta(theta_paper)
-            cell = ("size", name, scale, SquashConfig(theta=theta))
-            rows.append(
-                SizeRow(
-                    name=name,
-                    theta_paper=theta_paper,
-                    theta_ours=theta,
-                    reduction=results[cell]["reduction"],
-                )
-            )
-    return rows
+    return _sweep("size", names, scale, thetas, parallel)
 
 
 def fig7_size_rows(
@@ -489,23 +563,4 @@ def fig7_time_rows(
     thetas: tuple[float, ...] = FIG7_THETAS,
     parallel: bool = True,
 ) -> list[TimeRow]:
-    cells = [
-        ("time", name, scale, SquashConfig(theta=map_theta(theta_paper)))
-        for name in names
-        for theta_paper in thetas
-    ]
-    results = compute_cells(cells, parallel=parallel)
-    rows = []
-    for name in names:
-        for theta_paper in thetas:
-            theta = map_theta(theta_paper)
-            cell = ("time", name, scale, SquashConfig(theta=theta))
-            rows.append(
-                TimeRow(
-                    name=name,
-                    theta_paper=theta_paper,
-                    theta_ours=theta,
-                    relative_time=results[cell]["relative_time"],
-                )
-            )
-    return rows
+    return _sweep("time", names, scale, thetas, parallel)

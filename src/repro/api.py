@@ -25,10 +25,6 @@ every transport (in-process engine, filesystem spool, HTTP)::
                                payload={"name": "gsm"})
         result = handle.result(timeout=60.0)
 
-The pre-client free functions (:func:`submit`, :func:`job_status`,
-:func:`job_result`) still work against the process-wide engine but are
-deprecated shims; new code goes through :class:`ServiceClient`.
-
 Configuration precedence is uniform everywhere behind this facade:
 explicit config objects beat ``REPRO_*`` environment variables beat
 the declared defaults (:mod:`repro.settings`).  Observability hooks
@@ -60,8 +56,6 @@ __all__ = [
     "SquashConfig",
     "SquashResult",
     "SweepSpec",
-    "job_result",
-    "job_status",
     "load_squashed",
     "run",
     "squash",
@@ -69,7 +63,6 @@ __all__ = [
     "store_gc",
     "store_stats",
     "store_verify",
-    "submit",
     "sweep",
     "verify",
 ]
@@ -100,7 +93,8 @@ class SweepSpec:
     :func:`repro.analysis.experiments.map_theta`); ``None`` selects the
     figure's published grid for the chosen *kind*.  With *parallel*
     the sweep fans out across the supervised process pool and the
-    persistent cell cache; rows are identical either way.
+    persistent cell cache; without it the cells run inline and nothing
+    is written to disk.  Rows are identical either way.
     """
 
     names: tuple[str, ...] = ()
@@ -210,55 +204,22 @@ def run(target, spec: RunSpec | None = None) -> RunOutcome:
 
 
 def sweep(spec: SweepSpec | None = None):
-    """Row-compatible figure sweep over ``spec.names``.
+    """Figure sweep over ``spec.names`` (every benchmark when empty).
 
     Returns :class:`~repro.analysis.experiments.SizeRow` or
     :class:`~repro.analysis.experiments.TimeRow` objects depending on
-    ``spec.kind``.
+    ``spec.kind``; raises a typed :class:`~repro.errors.SpecError` for
+    an unknown name or kind, or a negative θ.
     """
-    from repro.analysis import experiments
-    from repro.workloads.mediabench import MEDIABENCH
+    from repro.analysis import parallel
 
     spec = spec or SweepSpec()
-    names = spec.names or MEDIABENCH
-    unknown = [name for name in names if name not in MEDIABENCH]
-    if unknown:
-        raise SpecError(
-            f"unknown benchmark(s) {', '.join(map(repr, unknown))} "
-            f"(expected among {', '.join(MEDIABENCH)})",
-            field="names",
-        )
-    if spec.kind not in ("size", "time"):
-        raise SpecError(
-            f"unknown sweep kind {spec.kind!r} (size|time)",
-            field="kind",
-        )
-    if spec.thetas is not None and not all(
-        isinstance(theta, (int, float)) and not isinstance(theta, bool)
-        and theta >= 0
-        for theta in spec.thetas
-    ):
-        raise SpecError(
-            "thetas must be non-negative numbers", field="thetas"
-        )
-    default_thetas = (
-        experiments.FIG6_THETAS
-        if spec.kind == "size"
-        else experiments.FIG7_THETAS
-    )
-    thetas = spec.thetas if spec.thetas is not None else default_thetas
-    if spec.parallel:
-        from repro.analysis import parallel as driver
-
-        kwargs = {"parallel": True}
-    else:
-        driver = experiments
-        kwargs = {}
+    names, thetas = parallel.sweep_grid(spec.names, spec.kind, spec.thetas)
     rows_fn = (
-        driver.fig6_rows if spec.kind == "size" else driver.fig7_time_rows
+        parallel.fig6_rows if spec.kind == "size" else parallel.fig7_time_rows
     )
-    return rows_fn(names=tuple(names), scale=spec.scale,
-                   thetas=tuple(thetas), **kwargs)
+    return rows_fn(names, scale=spec.scale, thetas=thetas,
+                   parallel=spec.parallel)
 
 
 def verify(prefix, deep: bool = True):
@@ -301,70 +262,6 @@ def store_verify(root=None) -> dict:
 
 
 # -- job service --------------------------------------------------------------
-
-_DEPRECATION_WARNED: set = set()
-
-
-def _warn_deprecated(old: str, new: str) -> None:
-    # Once per function per process: enough signal to migrate, no log
-    # spam from tight submit loops.
-    if old in _DEPRECATION_WARNED:
-        return
-    _DEPRECATION_WARNED.add(old)
-    import warnings
-
-    warnings.warn(
-        f"repro.api.{old}() is deprecated; use {new}",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def submit(spec=None, **fields) -> str:
-    """Deprecated: submit one job to the process-wide service engine.
-
-    Use :class:`ServiceClient` instead — same typed contract, plus
-    transports, handles, and retry-aware waiting::
-
-        handle = api.ServiceClient("local").submit(kind="squash",
-                                                   payload={"name": "gsm"})
-
-    Still accepts a :class:`~repro.service.jobs.JobSpec` or its fields
-    and returns the job id; raises typed
-    :class:`~repro.errors.ServiceOverloaded` on shed and
-    :class:`~repro.errors.SpecError` on a malformed spec.
-    """
-    _warn_deprecated("submit", "ServiceClient.submit")
-    from repro.service import JobSpec as _JobSpec
-    from repro.service import get_engine
-
-    if spec is None:
-        spec = _JobSpec(**fields)
-    elif fields:
-        raise SpecError(
-            "pass a JobSpec or keyword fields, not both", field="spec"
-        )
-    return get_engine().submit(spec).id
-
-
-def job_status(job_id: str) -> dict:
-    """Deprecated: use ``ServiceClient(...).status(job_id)`` (or the
-    handle's ``status()``).  The job's current state snapshot."""
-    _warn_deprecated("job_status", "ServiceClient.status / JobHandle.status")
-    from repro.service import get_engine
-
-    return get_engine().status(job_id)
-
-
-def job_result(job_id: str, timeout: float | None = None) -> dict:
-    """Deprecated: use ``ServiceClient(...).result(job_id)`` (or the
-    handle's ``result()``).  Blocks until terminal; raises the typed
-    error the job ended with."""
-    _warn_deprecated("job_result", "ServiceClient.result / JobHandle.result")
-    from repro.service import get_engine
-
-    return get_engine().result(job_id, timeout=timeout)
-
 
 _LAZY_SERVICE = {
     # Facade surface that resolves lazily so ``import repro.api``

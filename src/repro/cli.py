@@ -27,7 +27,8 @@ Usage::
 
 Every command goes through the stable facade (:mod:`repro.api`); the
 figure sweeps that the facade models (`fig6`, `fig7a`, `fig7b`) call
-:func:`repro.api.sweep`, `squash`/`stages`/`trace`/`metrics` call
+:func:`repro.api.sweep` and `fig3` calls the same serial sweep driver
+(:mod:`repro.analysis.parallel`), `squash`/`stages`/`trace`/`metrics` call
 :func:`repro.api.squash_benchmark`, and `verify` calls
 :func:`repro.api.verify`.  The serving trio (`serve`, `submit`,
 `jobs`) runs the async job layer of :mod:`repro.service` over the
@@ -49,7 +50,6 @@ from repro.analysis.experiments import (
     baseline_run,
     buffer_safe_stats,
     compression_ratio_stats,
-    fig3_rows,
     fig4_rows,
     restore_stub_stats,
     squashed_run,
@@ -78,9 +78,11 @@ def _cmd_table1(args) -> None:
 
 
 def _cmd_fig3(args) -> None:
+    from repro.analysis.parallel import fig3_rows
+
     rows = fig3_rows(
         names=args.names, scale=args.scale,
-        bounds=FIG3_BOUNDS, thetas=FIG3_THETAS,
+        bounds=FIG3_BOUNDS, thetas=FIG3_THETAS, parallel=False,
     )
     print(
         ascii_table(

@@ -64,35 +64,16 @@ _CODER_CLASSES = {0: CanonicalCode, 1: DictionaryCode}
 #: legacy byte layout bit-for-bit.
 _CTX_CODER_ID = 2
 
-def fast_decode_default() -> bool:
-    """Default for the table-driven decode path; ``REPRO_FAST_DECODE=0``
-    (or ``fast_decode=False`` in :mod:`repro.settings`) falls back to
-    the paper-verbatim bit-at-a-time DECODE everywhere."""
-    from repro import settings
 
-    return settings.current().fast_decode
-
-
-def resolve_decode_backend(
-    fast: bool | None = None, backend: str | None = None
-) -> str:
-    """The decode-backend name a region decode should use.
-
-    Precedence: an explicit *fast* flag (the pre-backend API) wins,
-    then an explicit *backend* name, then ``REPRO_DECODE_BACKEND``
-    (via :mod:`repro.settings`), then the legacy ``fast_decode`` flag
-    (True -> ``table``, False -> ``reference``).
-    """
-    if fast is not None:
-        return "table" if fast else "reference"
+def resolve_decode_backend(backend: str | None = None) -> str:
+    """The decode-backend name a region decode should use: *backend*
+    when given, else ``REPRO_DECODE_BACKEND`` (via
+    :mod:`repro.settings`; default ``table``)."""
     if backend:
         return backend
     from repro import settings
 
-    resolved = settings.current()
-    if resolved.decode_backend:
-        return resolved.decode_backend
-    return "table" if resolved.fast_decode else "reference"
+    return settings.current().decode_backend
 
 
 @dataclass(frozen=True)
@@ -689,33 +670,10 @@ class ProgramCodec:
 
     # -- decoding ----------------------------------------------------------
 
-    def decoders(
-        self, fast: bool | None = None
-    ) -> dict[FieldKind, Callable[[BitReader], int]]:
-        """Per-stream symbol-decode callables.
-
-        With *fast* (default: :func:`fast_decode_default`), canonical
-        Huffman streams use the table-driven
-        :meth:`~repro.compress.canonical.CanonicalCode.fast_decode`;
-        otherwise every stream uses its paper-verbatim ``decode``.  Both
-        decode the same symbols from the same bits, so the choice never
-        changes outputs or modelled costs.
-        """
-        if fast is None:
-            fast = fast_decode_default()
-        table: dict[FieldKind, Callable[[BitReader], int]] = {}
-        for kind, code in self.codes.items():
-            if fast and isinstance(code, CanonicalCode):
-                table[kind] = code.fast_decode
-            else:
-                table[kind] = code.decode
-        return table
-
     def decode_region(
         self,
         words: Sequence[int],
         bit_offset: int,
-        fast: bool | None = None,
         backend: str | None = None,
     ) -> tuple[list[CodecInstr], int]:
         """Decode one region starting at *bit_offset*.
@@ -725,14 +683,14 @@ class ProgramCodec:
         decompression cost proportional to it.
 
         The mechanics are chosen by :func:`resolve_decode_backend`
-        (*fast* and *backend* are explicit overrides; the environment
-        picks otherwise): ``reference`` is the paper-verbatim
-        bit-at-a-time loop, ``table`` the specialised first-level-table
-        loop, ``vector`` the numpy batch machine of
+        (*backend* is an explicit override; the environment picks
+        otherwise): ``reference`` is the paper-verbatim bit-at-a-time
+        loop, ``table`` the specialised first-level-table loop,
+        ``vector`` the numpy batch machine of
         :mod:`repro.compress.vector`.  All three decode the same items
         from the same bits.
         """
-        name = resolve_decode_backend(fast, backend)
+        name = resolve_decode_backend(backend)
         return DECODE_BACKENDS.get(name)(self, words, bit_offset)
 
     def decode_regions(
@@ -747,7 +705,7 @@ class ProgramCodec:
         lane-parallel pass -- this is the throughput entry point the
         runtime warm path and the benchmarks use; other backends loop.
         """
-        name = resolve_decode_backend(None, backend)
+        name = resolve_decode_backend(backend)
         if name == "vector":
             from repro.compress import vector
 
@@ -760,11 +718,21 @@ class ProgramCodec:
     def _decode_region_generic(
         self, words: Sequence[int], bit_offset: int, fast: bool
     ) -> tuple[list[CodecInstr], int]:
-        """The coder-agnostic symbol loop behind the backends."""
+        """The coder-agnostic symbol loop behind the backends.
+
+        With *fast*, canonical Huffman streams use the table-driven
+        :meth:`~repro.compress.canonical.CanonicalCode.fast_decode`;
+        otherwise every stream uses its paper-verbatim ``decode``.
+        """
         if self.models:
             return self._decode_region_generic_ctx(words, bit_offset, fast)
         reader = BitReader(words, bit_offset)
-        decoders = self.decoders(fast)
+        decoders = {
+            kind: code.fast_decode
+            if fast and isinstance(code, CanonicalCode)
+            else code.decode
+            for kind, code in self.codes.items()
+        }
         opcode_decode = decoders[FieldKind.OPCODE]
         transforms = {
             kind: MoveToFront(alphabet)
@@ -1173,8 +1141,8 @@ class ProgramCodec:
 # bit-at-a-time loop, "table" the first-level-table loop above,
 # "vector" the numpy lane-parallel batch machine.  All three produce
 # identical items and bit counts; a backend that cannot express a
-# stream (vector with the dictionary coder, or without numpy) degrades
-# to the next one down rather than erroring.
+# stream (vector with the dictionary coder) degrades to the next one
+# down rather than erroring.
 
 
 def _backend_reference(
@@ -1196,7 +1164,7 @@ def _backend_vector(
 ) -> tuple[list[CodecInstr], int]:
     from repro.compress import vector
 
-    if vector.HAVE_NUMPY and codec.coder == "huffman":
+    if codec.coder == "huffman":
         return vector.decode_region(codec, words, bit_offset)
     return _backend_table(codec, words, bit_offset)
 

@@ -37,16 +37,17 @@ per-lane failure and raises the error of the *lowest-indexed* failing
 lane -- exactly the error a sequential loop over the same regions in
 the same order would have raised first.
 
-numpy is optional at runtime: without it (or for the dictionary coder,
-whose streams the LUT cannot express) every entry point falls back to
-the sequential table path, so callers never need to gate on
-availability themselves.
+For the dictionary coder, whose streams the LUT cannot express, every
+entry point falls back to the sequential table path, so callers never
+need to gate on the coder themselves.
 """
 
 from __future__ import annotations
 
 import gc as _gc
 from typing import Sequence
+
+import numpy as _np
 
 from repro.compress.canonical import FAST_TABLE_BITS, CanonicalCode
 from repro.compress.mtf import MoveToFront
@@ -57,13 +58,6 @@ from repro.errors import (
     TruncatedStreamError,
 )
 from repro.isa.fields import FieldKind
-
-try:  # pragma: no cover - exercised implicitly by every test below
-    import numpy as _np
-except ImportError:  # pragma: no cover - image always ships numpy
-    _np = None
-
-HAVE_NUMPY = _np is not None
 
 #: Uniform first-level window width of the combined LUT, in bits.
 VECTOR_K = FAST_TABLE_BITS
@@ -413,7 +407,7 @@ def _words_array(words: Sequence[int]):
 
 def _sequential_job(codec, words, offsets):
     return [
-        codec.decode_region(words, off, fast=True) for off in offsets
+        codec.decode_region(words, off, backend="table") for off in offsets
     ]
 
 
@@ -424,8 +418,8 @@ def decode_batch(jobs) -> list[list[tuple[list[CodecInstr], int]]]:
     malformed input raises the error of the lowest-indexed failing
     region (the error a sequential in-order loop would raise first).
     Jobs the vector machine cannot express (dictionary coder,
-    conditioned field streams, missing numpy) silently take the
-    sequential table path.
+    conditioned field streams) silently take the sequential table
+    path.
 
     Cyclic GC is deferred for the duration of the batch: assembling
     ~10^5 result objects in one burst otherwise triggers repeated
@@ -450,11 +444,7 @@ def _decode_batch(jobs) -> list[list[tuple[list[CodecInstr], int]]]:
         conditioned_fields = any(
             k is not FieldKind.OPCODE for k in codec.models
         )
-        if (
-            not HAVE_NUMPY
-            or codec.coder != "huffman"
-            or conditioned_fields
-        ):
+        if codec.coder != "huffman" or conditioned_fields:
             results[j] = _sequential_job(codec, words, offsets)
         elif not offsets:
             results[j] = []

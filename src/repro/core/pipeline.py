@@ -15,9 +15,7 @@ Typical use (through the stable facade — see :mod:`repro.api`)::
 :func:`squash_program` runs the staged pipeline (cold → plan →
 classify → layout → encode → emit; see :mod:`repro.pipeline`) and
 keeps the per-stage wall-time/counter report on the result — ``repro
-squash --explain`` prints it.  Importing it under the historical name
-``squash`` from this module still works but raises a
-:class:`DeprecationWarning`; new code goes through :func:`repro.api.squash`.
+squash --explain`` prints it.
 """
 
 from __future__ import annotations
@@ -45,31 +43,8 @@ __all__ = [
     "SquashResult",
     "LoadedSquash",
     "load_squashed",
-    "squash",
     "squash_program",
 ]
-
-#: Historical module attributes served (with a warning) by
-#: ``__getattr__`` — the name must *not* exist at module level for the
-#: hook to fire.
-_DEPRECATED = {"squash": "squash_program"}
-
-
-def __getattr__(name: str):
-    target = _DEPRECATED.get(name)
-    if target is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        )
-    import warnings
-
-    warnings.warn(
-        f"importing {name!r} from repro.core.pipeline is deprecated; "
-        f"use repro.api.{name} (or repro.core.pipeline.{target})",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return globals()[target]
 
 
 def _sibling_with_suffix(prefix, suffix: str):

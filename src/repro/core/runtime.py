@@ -569,14 +569,11 @@ class SquashRuntime:
             return False
         self._batch_warm_tried = True
         from repro.compress.codec import resolve_decode_backend
+
+        if resolve_decode_backend() != "vector" or codec.coder != "huffman":
+            return False
         from repro.compress import vector
 
-        if (
-            resolve_decode_backend() != "vector"
-            or not vector.HAVE_NUMPY
-            or codec.coder != "huffman"
-        ):
-            return False
         desc = self.desc
         offsets = [
             machine.read_word(desc.offset_table_addr + index)

@@ -368,23 +368,30 @@ def maybe_store_fault(point: str) -> None:
 
 
 def corrupt_entry(path: pathlib.Path, mode: str, rng: random.Random) -> None:
-    """Apply one *mode* cache fault to the entry at *path* in place."""
+    """Apply one *mode* cache fault to the entry at *path*.
+
+    The faulty bytes replace *path* as a new file: store refs are hard
+    links to deduplicated objects, so writing through the link would
+    also corrupt every other entry that shares the object.
+    """
     data = path.read_bytes()
     if mode == "truncate":
         # A torn write: keep a strict prefix.
         cut = rng.randrange(1, max(2, len(data)))
-        path.write_bytes(data[:cut])
+        data = data[:cut]
     elif mode == "garbage":
-        path.write_bytes(bytes(rng.randrange(256) for _ in range(48)))
+        data = bytes(rng.randrange(256) for _ in range(48))
     elif mode == "bitflip":
         # Flip one payload bit, leaving the (now stale) seal intact.
         blob = bytearray(data)
         limit = max(1, blob.find(b"\n"))
         pos = rng.randrange(limit)
         blob[pos] ^= 1 << rng.randrange(8)
-        path.write_bytes(bytes(blob))
+        data = bytes(blob)
     elif mode == "missing-keys":
         # Perfectly sealed, perfectly parseable, and useless.
-        path.write_text(seal_text(json.dumps({"bogus": True})))
+        data = seal_text(json.dumps({"bogus": True})).encode()
     else:
         raise ValueError(f"unknown cache fault mode {mode!r}")
+    path.unlink()
+    path.write_bytes(data)

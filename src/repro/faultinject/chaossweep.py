@@ -18,8 +18,9 @@ deterministic process-level chaos:
    entry must be *detected* (tallied by reject reason) and recomputed;
    intact entries must be served as hits.
 4. The figure rows are rebuilt from the surviving cache and compared —
-   row for row, byte for byte of the rendered text — against the
-   serial, fault-free drivers in :mod:`repro.analysis.experiments`.
+   row for row, byte for byte of the rendered text — against a serial,
+   fault-free sweep (the same drivers with ``parallel=False``: inline,
+   no cache).
 
 The sweep **fails** (non-zero exit) if any cell was lost, any planned
 fault did not fire or was not accounted for, any corrupted entry went
@@ -36,7 +37,6 @@ import shutil
 import tempfile
 from dataclasses import dataclass, field
 
-from repro.analysis import experiments as serial
 from repro.analysis import parallel as par
 from repro.analysis.experiments import (
     FIG3_BOUNDS,
@@ -162,26 +162,26 @@ def chaos_cells(
                 ).with_buffer_bound(bound)
                 cells.append(("size", name, scale, config))
     if "fig6" in cell_sets:
-        for theta_paper in FIG6_THETAS:
-            config = SquashConfig(theta=map_theta(theta_paper))
-            cells.append(("size", name, scale, config))
+        cells += par.grid_cells("size", (name,), scale, FIG6_THETAS)
     if "fig7b" in cell_sets:
-        for theta_paper in FIG7_THETAS:
-            config = SquashConfig(theta=map_theta(theta_paper))
-            cells.append(("time", name, scale, config))
+        cells += par.grid_cells("time", (name,), scale, FIG7_THETAS)
     return list(dict.fromkeys(cells))
 
 
-def _reference_rows(name: str, scale: float, cell_sets: tuple[str, ...], module):
-    """The figure rows from *module*'s drivers (serial or cached)."""
+def _reference_rows(
+    name: str, scale: float, cell_sets: tuple[str, ...], parallel: bool
+):
+    """The figure rows of *cell_sets*: through the cell cache when
+    *parallel*, else the serial, uncached sweep."""
     rows = []
-    kwargs = {} if module is serial else {"parallel": False}
     if "fig3" in cell_sets:
-        rows.append(module.fig3_rows((name,), scale=scale, **kwargs))
+        rows.append(par.fig3_rows((name,), scale=scale, parallel=parallel))
     if "fig6" in cell_sets:
-        rows.append(module.fig6_rows((name,), scale=scale, **kwargs))
+        rows.append(par.fig6_rows((name,), scale=scale, parallel=parallel))
     if "fig7b" in cell_sets:
-        rows.append(module.fig7_time_rows((name,), scale=scale, **kwargs))
+        rows.append(
+            par.fig7_time_rows((name,), scale=scale, parallel=parallel)
+        )
     return rows
 
 
@@ -290,9 +290,9 @@ def run_chaos_sweep(
                 report.lost_cells, len(cells) - len(results)
             )
 
-            # -- rows: cached harness vs fault-free serial drivers -----
-            chaos_rows = _reference_rows(name, scale, cell_sets, par)
-        serial_rows = _reference_rows(name, scale, cell_sets, serial)
+            # -- rows: the surviving cache vs a fault-free serial sweep -
+            chaos_rows = _reference_rows(name, scale, cell_sets, True)
+        serial_rows = _reference_rows(name, scale, cell_sets, False)
         report.rows_match = repr(chaos_rows) == repr(serial_rows)
     finally:
         if cache_root is None:

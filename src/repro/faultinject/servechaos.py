@@ -688,13 +688,9 @@ def _run_fanout(report: ServeChaosReport, root: pathlib.Path,
         "names": names, "scale": scale, "thetas": thetas,
         "sweep_kind": "size",
     }
-    # The reference rows come from a serial sweep in a *separate*
-    # store root, so the fan-out run below computes its cells itself
-    # rather than inheriting them from the reference's cache.
-    serial_root = root / "serial"
-    with _env(REPRO_CACHE_DIR=str(serial_root)):
-        reset_stores()
-        serial = execute_job(JobSpec(kind="sweep", payload=dict(payload)))
+    # The reference rows come from a serial sweep, which writes no
+    # cells: the fan-out run below computes every cell itself.
+    serial = execute_job(JobSpec(kind="sweep", payload=dict(payload)))
 
     env = dict(os.environ)
     env.update(

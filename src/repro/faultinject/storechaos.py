@@ -16,11 +16,12 @@ against a real sweep, in four phases over one private store root:
    killed writers left, and a corrupted manifest snapshot must be
    *detected* by its seal (``store.manifest_rebuilds``) and rebuilt.
 3. **Quota'd sweep** — a real (fig6 ∪ fig7b) benchmark sweep runs
-   through :func:`repro.analysis.parallel.compute_cells` with the tiny
-   quota still armed plus a fresh ENOSPC budget, and its figure rows
-   are compared — byte for byte of the rendered text — against the
-   serial fault-free drivers.  Eviction pressure and injected write
-   failures may cost cache hits; they must never cost correctness.
+   through the cached sweep driver (:mod:`repro.analysis.parallel`)
+   with the tiny quota still armed plus a fresh ENOSPC budget, and its
+   figure rows are compared — byte for byte of the rendered text —
+   against a serial, uncached, fault-free sweep.  Eviction pressure
+   and injected write failures may cost cache hits; they must never
+   cost correctness.
 4. **Read-only store** — the store root is made unwritable and the
    sweep repeated: every put degrades (retry → breaker →
    :class:`~repro.errors.StoreDegraded`), the harness falls back to
@@ -80,7 +81,7 @@ class StoreChaosReport:
     gc_stale_temps: int = 0
     #: Manifest corruption was detected by its seal.
     manifest_detected: bool = False
-    #: Quota'd sweep rows matched the serial fault-free drivers.
+    #: Quota'd sweep rows matched the serial fault-free sweep.
     rows_match_quota: bool = False
     #: Read-only-store sweep rows matched, and degradations counted.
     rows_match_readonly: bool = False
@@ -254,7 +255,6 @@ def run_store_chaos(
     cell_sets: tuple[str, ...] = ("fig6", "fig7b"),
 ) -> StoreChaosReport:
     """Run the full store-chaos scenario; see the module docstring."""
-    from repro.analysis import experiments as serial
     from repro.analysis import parallel as par
     from repro.store import get_store, reset_stores
 
@@ -345,7 +345,7 @@ def run_store_chaos(
             ):
                 with _sampling(root, skip, report):
                     chaos_rows = _reference_rows(
-                        name, scale, cell_sets, par
+                        name, scale, cell_sets, True
                     )
                 fired2 = chaos.fired_counts(fresh_counters)
             for kind, count in fired2.items():
@@ -353,9 +353,9 @@ def run_store_chaos(
             report.planned["enospc"] += enospc
         finally:
             shutil.rmtree(fresh_counters, ignore_errors=True)
-        serial_rows = _reference_rows(name, scale, cell_sets, serial)
-        report.rows_match_quota = repr(chaos_rows) == repr(serial_rows)
         report.cells = par.LAST_SWEEP["cells"] if par.LAST_SWEEP else 0
+        serial_rows = _reference_rows(name, scale, cell_sets, False)
+        report.rows_match_quota = repr(chaos_rows) == repr(serial_rows)
 
         # -- phase 4: dead store (unwritable / write storm) ------------
         reset_stores()
@@ -388,7 +388,7 @@ def run_store_chaos(
                 REPRO_STORE_BACKOFF="0.001",
                 REPRO_STORE_BREAKER_THRESHOLD="2",
             ):
-                ro_rows = _reference_rows(name, scale, cell_sets, par)
+                ro_rows = _reference_rows(name, scale, cell_sets, True)
         finally:
             os.chmod(readonly_root, 0o755)
             shutil.rmtree(readonly_root, ignore_errors=True)

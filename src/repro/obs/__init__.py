@@ -21,8 +21,8 @@ Tracing is off by default and every emit site is guarded by a single
 ``enabled`` check, keeping the overhead with tracing disabled at a few
 attribute loads per *runtime service call* (never per instruction).
 ``REPRO_TRACE=1`` — or :func:`repro.obs.enable_tracing` — turns it on;
-``benchmarks/run_obs_bench.py`` pins the enabled-mode wall-time
-overhead below 3% and the golden suite pins cycle/image identity.
+the golden suite runs with tracing armed and pins cycle/image
+identity.
 """
 
 from repro.obs.metrics import (

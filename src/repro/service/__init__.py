@@ -11,9 +11,7 @@ Entry points:
 
 * library — :class:`repro.service.client.ServiceClient` is the one
   typed client over every transport (``"local"`` in-process engine,
-  ``"spool"`` filesystem, ``"http://host:port"``); the pre-client
-  ``api.submit`` / ``api.job_status`` / ``api.job_result`` shims still
-  drive the process-wide engine (:func:`get_engine`);
+  ``"spool"`` filesystem, ``"http://host:port"``);
 * processes — ``repro serve`` runs the engine against the filesystem
   spool (:mod:`repro.service.spool`) and, with ``--http``, the JSON
   front end (:mod:`repro.service.http`); ``repro submit`` spools

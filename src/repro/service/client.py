@@ -1,8 +1,7 @@
 """The typed service client: one API over local, spool, and HTTP transports.
 
-:class:`ServiceClient` is the redesigned submission surface of
-:mod:`repro.api` — it collapses the flat ``submit`` / ``job_status`` /
-``job_result`` trio into one object with a handle-based API::
+:class:`ServiceClient` is the job submission surface of
+:mod:`repro.api`, one object with a handle-based API::
 
     client = api.ServiceClient()                  # in-process engine
     client = api.ServiceClient("spool", root=p)   # filesystem spool

@@ -750,8 +750,8 @@ _ENGINE_LOCK = threading.Lock()
 
 
 def get_engine() -> JobEngine:
-    """The process-wide engine behind ``api.submit``; lazily started
-    (with journal recovery) on first use."""
+    """The process-wide engine behind ``ServiceClient("local")``;
+    lazily started (with journal recovery) on first use."""
     global _ENGINE
     with _ENGINE_LOCK:
         if _ENGINE is None:

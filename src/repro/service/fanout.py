@@ -23,11 +23,13 @@ socket, no membership protocol — the store is the only shared state:
   itself all the while, so a lone engine still finishes) and
   assembles the rows.
 
-Row identity with a serial run is by construction: every cell is the
-same deterministic ``compute_cells`` computation against the same
-shared cell cache, done records carry the per-θ values in grid order,
-and assembly walks benchmarks then θ exactly like the serial drivers
-— so ``rows_digest`` matches a direct ``api.sweep`` byte for byte.
+Row identity with a serial run is by construction: the plan resolves
+names and θ with the sweep driver's own
+:func:`~repro.analysis.parallel.sweep_grid`, every cell is the same
+deterministic ``compute_cells`` computation, done records carry each
+benchmark's cell results in grid order, and the rows are built by the
+driver's :func:`~repro.analysis.parallel.grid_rows` — so
+``rows_digest`` matches a direct ``api.sweep`` byte for byte.
 Duplicated work (a lease expiring under a live-but-slow engine) is
 harmless for the same reason: both generations publish identical
 records.
@@ -80,28 +82,29 @@ def _claims_dir(root: pathlib.Path, plan_id: str) -> pathlib.Path:
 # -- plans --------------------------------------------------------------------
 
 
-def _resolve_plan(payload: dict) -> dict:
-    from repro.analysis.experiments import FIG6_THETAS, FIG7_THETAS
+def publish_plan(store, payload: dict) -> dict:
+    """Publish one open plan record for *payload*; returns the record.
+
+    Names and θ resolve as in :func:`repro.api.sweep`: no names means
+    every benchmark, and a bad grid raises the same typed
+    :class:`~repro.errors.SpecError`.
+    """
+    from repro.analysis.parallel import sweep_grid
 
     kind = payload.get("sweep_kind", "size")
-    thetas = payload.get("thetas")
-    if thetas is None:
-        thetas = FIG6_THETAS if kind == "size" else FIG7_THETAS
-    return {
-        "names": list(payload.get("names") or ()),
-        "scale": float(payload.get("scale", 0.5)),
-        "thetas": [float(theta) for theta in thetas],
-        "kind": kind,
-    }
-
-
-def publish_plan(store, payload: dict) -> dict:
-    """Publish one open plan record for *payload*; returns the record."""
-    record = _resolve_plan(payload)
-    record.update(
-        plan=new_job_id(), state="open", engine=engine_id(),
-        published=time.time(),
+    names, thetas = sweep_grid(
+        payload.get("names"), kind, payload.get("thetas")
     )
+    record = {
+        "names": list(names),
+        "scale": float(payload.get("scale", 0.5)),
+        "thetas": list(thetas),
+        "kind": kind,
+        "plan": new_job_id(),
+        "state": "open",
+        "engine": engine_id(),
+        "published": time.time(),
+    }
     store.put("sweep", record["plan"], record)
     _METRICS.inc("service.fanout.plans")
     return record
@@ -201,30 +204,21 @@ def try_claim(
 # -- cell execution -----------------------------------------------------------
 
 
+def _plan_cells(plan: dict, name: str) -> list:
+    from repro.analysis.parallel import grid_cells
+
+    return grid_cells(plan["kind"], (name,), plan["scale"], plan["thetas"])
+
+
 def _compute_cell(plan: dict, name: str) -> list[dict]:
     """Compute every θ of one benchmark cell (inline, against the
-    shared store-backed cell cache) and return per-θ values in grid
+    shared store-backed cell cache) and return the results in grid
     order."""
-    from repro.analysis.experiments import map_theta
     from repro.analysis.parallel import compute_cells
-    from repro.core.config import SquashConfig
 
-    kind = plan["kind"]
-    scale = plan["scale"]
-    cells = [
-        (kind, name, scale, SquashConfig(theta=map_theta(theta)))
-        for theta in plan["thetas"]
-    ]
+    cells = _plan_cells(plan, name)
     results = compute_cells(cells, parallel=False)
-    values = []
-    for theta, cell in zip(plan["thetas"], cells):
-        result = results[cell]
-        values.append({
-            "theta_paper": theta,
-            "reduction": result.get("reduction"),
-            "relative_time": result.get("relative_time"),
-        })
-    return values
+    return [results[cell] for cell in cells]
 
 
 def work_plan(store, plan: dict, lease: float | None = None) -> int:
@@ -304,37 +298,6 @@ def _collect(store, plan: dict) -> dict[str, dict]:
     return done
 
 
-def _assemble_rows(plan: dict, done: dict[str, dict]) -> list:
-    """Rows in the serial drivers' order (benchmark-major, θ-minor) —
-    the byte-identity contract with ``api.sweep``."""
-    from repro.analysis.experiments import SizeRow, TimeRow, map_theta
-
-    rows = []
-    for name in plan["names"]:
-        by_theta = {
-            cell["theta_paper"]: cell
-            for cell in done[name]["cells"]
-        }
-        for theta_paper in plan["thetas"]:
-            cell = by_theta[theta_paper]
-            theta = map_theta(theta_paper)
-            if plan["kind"] == "size":
-                rows.append(SizeRow(
-                    name=name,
-                    theta_paper=theta_paper,
-                    theta_ours=theta,
-                    reduction=cell["reduction"],
-                ))
-            else:
-                rows.append(TimeRow(
-                    name=name,
-                    theta_paper=theta_paper,
-                    theta_ours=theta,
-                    relative_time=cell["relative_time"],
-                ))
-    return rows
-
-
 def run_fanout_sweep(payload: dict, poll_interval: float = 0.05,
                      plan: dict | None = None) -> dict:
     """Partition, co-compute, and collect one fan-out sweep.
@@ -347,7 +310,7 @@ def run_fanout_sweep(payload: dict, poll_interval: float = 0.05,
     collected inside the budget fails with a typed
     :class:`~repro.errors.CellFailure` naming the missing benchmarks.
     """
-    from repro.analysis.parallel import cache_dir
+    from repro.analysis.parallel import cache_dir, grid_rows
     from repro.store import get_store
 
     resolved = _settings.current()
@@ -377,7 +340,12 @@ def run_fanout_sweep(payload: dict, poll_interval: float = 0.05,
         store.put("sweep", plan["plan"], plan)
     except StoreDegraded:
         pass  # peers keep skipping it: every cell has a done record
-    rows = _assemble_rows(plan, done)
+    results = {}
+    for name in plan["names"]:
+        results.update(zip(_plan_cells(plan, name), done[name]["cells"]))
+    rows = grid_rows(
+        plan["kind"], plan["names"], plan["scale"], plan["thetas"], results
+    )
     engines = sorted({
         record.get("engine", "") for record in done.values()
     })

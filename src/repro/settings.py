@@ -115,11 +115,8 @@ def _parse_quota(raw: str) -> int | None:
     return value if value > 0 else None
 
 
-#: Decode backend names accepted by ``REPRO_DECODE_BACKEND``.  The
-#: empty string means "derive from the legacy ``fast_decode`` flag"
-#: (True -> table, False -> reference) so existing configurations keep
-#: their behaviour.
-DECODE_BACKENDS = ("", "reference", "table", "vector")
+#: Decode backend names accepted by ``REPRO_DECODE_BACKEND``.
+DECODE_BACKENDS = ("reference", "table", "vector")
 
 
 def _parse_backend(raw: str) -> str:
@@ -142,9 +139,6 @@ class Settings:
     #: Worker pool size for parallel sweeps (``REPRO_BENCH_WORKERS``;
     #: None: the CPU count).
     bench_workers: int | None = None
-    #: Route figure sweeps through the parallel cached harness
-    #: (``REPRO_BENCH_PARALLEL``).
-    bench_parallel: bool = False
     #: Program scale for the benchmark suite (``REPRO_BENCH_SCALE``).
     bench_scale: float = 0.5
     #: On-disk cell/stage cache root (``REPRO_CACHE_DIR``; None:
@@ -173,12 +167,9 @@ class Settings:
     vm_watchdog: int = 0
     #: Cross-runtime region decode cache (``REPRO_REGION_CACHE``).
     region_cache: bool = True
-    #: Table-driven canonical Huffman decode path
-    #: (``REPRO_FAST_DECODE``).
-    fast_decode: bool = True
-    #: Region decode backend (``REPRO_DECODE_BACKEND``): ``reference``,
-    #: ``table``, ``vector``, or "" to derive from ``fast_decode``.
-    decode_backend: str = ""
+    #: Region decode backend (``REPRO_DECODE_BACKEND``): ``reference``
+    #: (the paper's bit-at-a-time DECODE), ``table`` or ``vector``.
+    decode_backend: str = "table"
     #: Codec variant name from the codec registry
     #: (``REPRO_CODEC_VARIANT``; "" keeps the config's own codec, and
     #: unknown names warn once and fall back to ``baseline`` at the
@@ -263,7 +254,6 @@ class Settings:
 #: ``ValueError`` marks the variable invalid and keeps the default.
 ENV_KNOBS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "bench_workers": ("REPRO_BENCH_WORKERS", _parse_workers),
-    "bench_parallel": ("REPRO_BENCH_PARALLEL", _parse_bool),
     "bench_scale": ("REPRO_BENCH_SCALE", _parse_float),
     "cache_dir": ("REPRO_CACHE_DIR", _parse_str),
     "stage_reuse": ("REPRO_STAGE_REUSE", _parse_bool),
@@ -273,7 +263,6 @@ ENV_KNOBS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "breaker_threshold": ("REPRO_BREAKER_THRESHOLD", _parse_int),
     "vm_watchdog": ("REPRO_VM_WATCHDOG", _parse_watchdog),
     "region_cache": ("REPRO_REGION_CACHE", _parse_bool),
-    "fast_decode": ("REPRO_FAST_DECODE", _parse_bool),
     "decode_backend": ("REPRO_DECODE_BACKEND", _parse_backend),
     "codec_variant": ("REPRO_CODEC_VARIANT", _parse_str),
     "pool_persist": ("REPRO_POOL_PERSIST", _parse_strict_bool),

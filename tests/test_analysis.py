@@ -15,12 +15,11 @@ from repro.analysis import (
 )
 from repro.analysis.experiments import (
     compression_ratio_stats,
-    fig3_rows,
     fig4_rows,
-    fig6_rows,
     restore_stub_stats,
     table1_rows,
 )
+from repro.analysis.parallel import fig3_rows, fig6_rows
 from repro.analysis.stats import arithmetic_mean, percent
 
 SCALE = 0.2
@@ -98,7 +97,9 @@ class TestDrivers:
         )
 
     def test_fig6_rows_monotone(self):
-        rows = fig6_rows(names=NAME, scale=SCALE, thetas=(0.0, 1e-2, 1.0))
+        rows = fig6_rows(
+            names=NAME, scale=SCALE, thetas=(0.0, 1e-2, 1.0), parallel=False
+        )
         reductions = [row.reduction for row in rows]
         assert reductions == sorted(reductions)
         assert all(not math.isnan(r) for r in reductions)
@@ -112,7 +113,8 @@ class TestDrivers:
 
     def test_fig3_rows(self):
         rows = fig3_rows(
-            names=NAME, scale=SCALE, bounds=(128, 512), thetas=(0.0,)
+            names=NAME, scale=SCALE, bounds=(128, 512), thetas=(0.0,),
+            parallel=False,
         )
         assert len(rows) == 2
         for row in rows:

@@ -1,5 +1,6 @@
 """The repro.api facade: surface snapshot, behaviour, deprecations."""
 
+import dataclasses
 import warnings
 
 import pytest
@@ -26,8 +27,6 @@ class TestSurface:
             "SquashConfig",
             "SquashResult",
             "SweepSpec",
-            "job_result",
-            "job_status",
             "load_squashed",
             "run",
             "squash",
@@ -35,7 +34,6 @@ class TestSurface:
             "store_gc",
             "store_stats",
             "store_verify",
-            "submit",
             "sweep",
             "verify",
         ]
@@ -75,8 +73,6 @@ class TestSurface:
             "get_registry",
             "get_store",
             "get_tracer",
-            "job_result",
-            "job_status",
             "load_squashed",
             "mediabench_program",
             "mediabench_spec",
@@ -87,7 +83,6 @@ class TestSurface:
             "store_gc",
             "store_stats",
             "store_verify",
-            "submit",
             "sweep",
             "use_settings",
             "verify",
@@ -109,38 +104,12 @@ class TestSurface:
 
 
 class TestDeprecations:
-    def test_core_pipeline_squash_import_warns_and_aliases(self):
-        import repro.core.pipeline as pipeline
-
-        with pytest.warns(DeprecationWarning, match="repro.api.squash"):
-            legacy = pipeline.squash
-        assert legacy is pipeline.squash_program
-
     def test_core_package_alias_is_silent(self):
-        """repro.core re-exports squash without tripping the shim."""
+        """repro.core re-exports squash without a deprecation warning."""
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             from repro.core import squash as core_squash
         assert core_squash.__name__ == "squash_program"
-
-    def test_api_submit_shim_warns_once(self):
-        """The pre-client job functions warn toward ServiceClient —
-        exactly once per process, not per call."""
-        from repro.errors import SpecError
-
-        api._DEPRECATION_WARNED.discard("submit")
-        with pytest.warns(DeprecationWarning,
-                          match="ServiceClient.submit"):
-            with pytest.raises(SpecError):
-                # Both a spec and fields: rejected before any engine
-                # is spun up, so the shim test stays cheap.
-                api.submit(api.JobSpec(kind="squash", payload={}),
-                           kind="squash")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(SpecError):
-                api.submit(api.JobSpec(kind="squash", payload={}),
-                           kind="squash")
 
     def test_client_surface_resolves_lazily(self):
         from repro.service.client import JobHandle, ServiceClient
@@ -270,15 +239,20 @@ class TestBehaviour:
         assert -1.0 < row.reduction < 1.0
 
     def test_sweep_parallel_serial_rows_agree(self, tmp_path):
+        """Both sweep paths reproduce the golden grid's reduction."""
         from repro import settings
+        from tests.test_squash_golden import GOLDEN
 
-        spec = api.SweepSpec(names=("adpcm",), scale=SCALE, thetas=(THETA,))
+        theta = 5e-5
+        want = GOLDEN["cells"][f"adpcm@{theta}"]
+        reduction = 1.0 - want["footprint_total"] / want["baseline_words"]
+        spec = api.SweepSpec(
+            names=("adpcm",), scale=GOLDEN["scale"], thetas=(theta,)
+        )
         serial = api.sweep(spec)
         with settings.use_settings(cache_dir=str(tmp_path)):
-            fanned = api.sweep(
-                api.SweepSpec(names=("adpcm",), scale=SCALE,
-                              thetas=(THETA,), parallel=True)
-            )
+            fanned = api.sweep(dataclasses.replace(spec, parallel=True))
         assert [(r.name, r.reduction) for r in serial] == [
-            (r.name, r.reduction) for r in fanned
+            ("adpcm", reduction)
         ]
+        assert fanned == serial

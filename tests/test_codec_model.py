@@ -171,7 +171,6 @@ def test_reparsed_codec_decodes_identically(variant, regions):
         )
 
 
-@pytest.mark.skipif(not vector.HAVE_NUMPY, reason="requires numpy")
 @given(regions=regions_strategy(max_regions=4, max_instrs=10))
 @hyp_settings(max_examples=25, deadline=None)
 def test_ctx1_vector_batch_matches_table(regions):

@@ -132,7 +132,7 @@ class TestDictCodec:
     ):
         import dataclasses
 
-        from repro.core.pipeline import SquashConfig, squash
+        from repro.core.pipeline import SquashConfig, squash_program as squash
         from tests.conftest import MINI_TIMING_INPUT
 
         config = dataclasses.replace(

@@ -116,6 +116,8 @@ def test_decode_region_fast_flag_equivalent():
     ]
     codec, blob = ProgramCodec.build(regions, CodecConfig())
     for offset in blob.region_bit_offsets:
-        slow = codec.decode_region(blob.stream_words, offset, fast=False)
-        fast = codec.decode_region(blob.stream_words, offset, fast=True)
+        slow = codec.decode_region(
+            blob.stream_words, offset, backend="reference"
+        )
+        fast = codec.decode_region(blob.stream_words, offset, backend="table")
         assert slow == fast

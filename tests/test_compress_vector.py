@@ -11,7 +11,6 @@ paper's DECODE loop — never a different decoder.
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings as hyp_settings, strategies as st
 
 from repro import settings
@@ -25,10 +24,6 @@ from repro.compress.codec import (
 from repro.compress.streams import OP_SENTINEL, CodecInstr, codec_fields
 from repro.errors import TruncatedStreamError
 from repro.isa.fields import FIELD_WIDTHS
-
-pytestmark = pytest.mark.skipif(
-    not vector.HAVE_NUMPY, reason="vector backend requires numpy"
-)
 
 def _opcode_table():
     table = []
@@ -232,25 +227,20 @@ def test_backend_registry_lists_all_three():
 
 
 def test_resolve_precedence():
-    # Explicit fast flag wins over everything.
-    assert resolve_decode_backend(fast=True, backend="vector") == "table"
-    assert resolve_decode_backend(fast=False) == "reference"
-    # Then the explicit backend argument.
-    assert resolve_decode_backend(backend="vector") == "vector"
+    # The explicit backend argument wins over the settings knob.
+    with settings.use_settings(decode_backend="reference"):
+        assert resolve_decode_backend(backend="vector") == "vector"
     # Then the settings knob.
     with settings.use_settings(decode_backend="vector"):
         assert resolve_decode_backend() == "vector"
-    # Finally the legacy fast_decode setting.
-    with settings.use_settings(fast_decode=False):
-        assert resolve_decode_backend() == "reference"
-    with settings.use_settings(fast_decode=True):
-        assert resolve_decode_backend() == "table"
+    # Finally the default.
+    assert resolve_decode_backend() == "table"
 
 
 def test_env_knob_validates(monkeypatch):
     monkeypatch.setenv("REPRO_DECODE_BACKEND", "warp-drive")
     resolved = settings.current()
-    assert resolved.decode_backend == ""  # fell back to the default
+    assert resolved.decode_backend == "table"  # fell back to the default
     assert "REPRO_DECODE_BACKEND" in resolved.invalid
     monkeypatch.setenv("REPRO_DECODE_BACKEND", "VECTOR")
     assert settings.current().decode_backend == "vector"

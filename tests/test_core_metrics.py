@@ -7,7 +7,7 @@ from repro.core.metrics import (
     baseline_code_words,
     squashed_footprint,
 )
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.program.layout import layout
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.core.costmodel import CostModel
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from tests.conftest import MINI_TIMING_INPUT
 
 THETAS = (0.0, 1.0)

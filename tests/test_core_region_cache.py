@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.core.costmodel import CostModel
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.core.runtime import (
     clear_region_decode_cache,
     region_decode_cache_info,

@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.core.costmodel import CostModel
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.core.regions import (
     RegionContext,
     form_regions_whole_function,

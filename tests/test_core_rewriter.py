@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.isa import Op, decode
 from repro.isa.opcodes import REG_AT
 from tests.conftest import MINI_TIMING_INPUT

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.costmodel import CostModel
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.core.runtime import SquashRuntime, StubAreaOverflow
 from repro.isa import decode
 from tests.conftest import MINI_TIMING_INPUT

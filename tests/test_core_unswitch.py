@@ -128,10 +128,10 @@ def test_unswitched_block_count_survives_squash(mini_profile):
     program = switch_program()
     expected = [run(program, [k]).output for k in range(4)]
 
-    from repro.core.pipeline import SquashConfig, squash
+    from repro.core.pipeline import SquashConfig, squash_program
 
     profile = profile_of(program, [0])
-    result = squash(program, profile, SquashConfig(theta=1.0))
+    result = squash_program(program, profile, SquashConfig(theta=1.0))
     assert result.info.unswitch.unswitched_blocks == 1
     for k in range(4):
         run_result, _ = result.run([k])

@@ -11,7 +11,7 @@ through an entry stub lands at the stub's tag offset.
 import pytest
 
 from repro.core.costmodel import CostModel
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.isa import Op, decode
 from repro.isa.opcodes import REG_RA
 from tests.conftest import MINI_TIMING_INPUT

@@ -5,7 +5,7 @@ import pytest
 from repro.core.pipeline import (
     SquashConfig,
     load_squashed,
-    squash,
+    squash_program as squash,
 )
 from repro.analysis.dump import dump_image, dump_region
 from repro.program.imagefile import (

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.costmodel import CostModel
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.program.layout import layout
 from repro.squeeze import squeeze
 from repro.vm.machine import Machine

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.costmodel import CostModel
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
-from repro.core.pipeline import SquashConfig, squash
+from repro.core.pipeline import SquashConfig, squash_program as squash
 from repro.program.layout import layout
 from repro.squeeze import squeeze
 from repro.vm.machine import Machine

@@ -7,7 +7,7 @@ import pytest
 from repro.compress.bitstream import BitReader
 from repro.compress.canonical import CanonicalCode
 from repro.core.costmodel import CostModel
-from repro.core.pipeline import SquashConfig, load_squashed, squash
+from repro.core.pipeline import SquashConfig, load_squashed, squash_program as squash
 from repro.core.runtime import (
     SquashRuntime,
     StubAreaOverflow,
@@ -134,9 +134,9 @@ def test_both_decode_paths_raise_identically(squashed):
     ]
     codec = ProgramCodec.from_table_words(table)
     with pytest.raises(SquashError):
-        codec.decode_region(words, region.bit_offset, fast=False)
+        codec.decode_region(words, region.bit_offset, backend="reference")
     with pytest.raises(SquashError):
-        codec.decode_region(words, region.bit_offset, fast=True)
+        codec.decode_region(words, region.bit_offset, backend="table")
 
 
 # -- image file hardening ----------------------------------------------------

@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro import settings
-from repro.errors import CellFailure
+from repro.errors import CellFailure, SpecError
 from repro.obs.metrics import get_registry
 from repro.service import fanout
 from repro.service.fanout import (
@@ -18,6 +18,7 @@ from repro.service.fanout import (
     work_plan,
 )
 from repro.store import get_store
+from repro.workloads.mediabench import MEDIABENCH
 
 _METRICS = get_registry()
 
@@ -38,6 +39,33 @@ def _plan(names=("adpcm",), thetas=(THETA,), kind="size"):
 
 def _claim_path(root, plan_id, name, gen):
     return root / "sweeps" / "claims" / plan_id / f"{name}.g{gen}.claim"
+
+
+class TestPlan:
+    """A fan-out plan resolves names and θ exactly like ``api.sweep``."""
+
+    def test_plan_without_names_covers_every_benchmark(self, tmp_path):
+        plan = publish_plan(
+            get_store(tmp_path), {"thetas": [THETA], "scale": SCALE}
+        )
+        assert plan["names"] == list(MEDIABENCH)
+
+    def test_negative_theta_is_the_same_typed_error_on_both_paths(
+        self, tmp_path
+    ):
+        from repro.service.jobs import JobSpec, execute_job
+
+        payload = {"names": ["adpcm"], "thetas": [-1.0], "scale": SCALE}
+        errors = []
+        with settings.use_settings(cache_dir=str(tmp_path)):
+            for fanned in (False, True):
+                with pytest.raises(SpecError) as exc:
+                    execute_job(JobSpec(
+                        kind="sweep", payload=dict(payload, fanout=fanned)
+                    ))
+                errors.append((exc.value.field, str(exc.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] == "thetas"
 
 
 class TestClaims:
@@ -98,7 +126,6 @@ class TestWorkPlan:
         record = store.get("sweep", _done_key(plan["plan"], "adpcm"))
         assert record["engine"] == engine_id()
         (cell,) = record["cells"]
-        assert cell["theta_paper"] == THETA
         assert -1.0 < cell["reduction"] < 1.0
         # Going again: the done record, not a recompute.
         with settings.use_settings(cache_dir=str(tmp_path)):

@@ -32,7 +32,7 @@ class TestDefaults:
         assert resolved.cell_deadline is None
         assert resolved.breaker_threshold == 8
         assert resolved.region_cache is True
-        assert resolved.fast_decode is True
+        assert resolved.decode_backend == "table"
         assert resolved.trace is False
 
 
@@ -163,13 +163,6 @@ class TestConsumers:
         with settings.use_settings(stage_reuse=False):
             assert stage_reuse_enabled() is False
 
-    def test_fast_decode_default_honours_overrides(self):
-        from repro.compress.codec import fast_decode_default
-
-        with settings.use_settings(fast_decode=False):
-            assert fast_decode_default() is False
-        assert fast_decode_default() is True
-
 
 class TestEffectiveBenchWorkers:
     def test_explicit_setting_wins(self, monkeypatch):
@@ -204,7 +197,7 @@ class TestEffectiveBenchWorkers:
 
 class TestNewKnobs:
     def test_decode_backend_default_and_env(self, monkeypatch):
-        assert settings.current().decode_backend == ""
+        assert settings.current().decode_backend == "table"
         monkeypatch.setenv("REPRO_DECODE_BACKEND", "vector")
         assert settings.current().decode_backend == "vector"
 

@@ -5,11 +5,17 @@ import dataclasses
 import pytest
 
 from repro.analysis import experiments, parallel, stagecache
+from repro.analysis.experiments import FIG7_THETAS
 from repro.program.serialize import program_from_dict, program_to_dict
+from tests.test_squash_golden import GOLDEN
 
 NAMES = ("adpcm", "gsm")
-SCALE = 0.2
-THETAS = (0.0, 1e-5, 5e-5)
+SCALE = GOLDEN["scale"]
+THETAS = FIG7_THETAS
+
+
+def _golden(name, theta_paper):
+    return GOLDEN["cells"][f"{name}@{theta_paper}"]
 
 
 @pytest.fixture(autouse=True)
@@ -62,12 +68,17 @@ class TestBundleRoundTrip:
 
 class TestSweepReuse:
     def test_size_rows_identical_and_invariant_work_once(self):
-        serial = experiments.fig6_rows(NAMES, scale=SCALE, thetas=THETAS)
-        stagecache.reset_counters()
         rows = parallel.fig6_rows(
             NAMES, scale=SCALE, thetas=THETAS, parallel=False
         )
-        assert rows == serial
+        assert [(row.name, row.theta_paper) for row in rows] == [
+            (name, theta) for name in NAMES for theta in THETAS
+        ]
+        for row in rows:
+            want = _golden(row.name, row.theta_paper)
+            assert row.reduction == (
+                1.0 - want["footprint_total"] / want["baseline_words"]
+            )
         counters = stagecache.STAGE_COUNTERS
         # Squeeze/profile/baseline ran exactly once per benchmark; every
         # other cell of the θ grid reused the bundle.
@@ -77,29 +88,46 @@ class TestSweepReuse:
         )
 
     def test_time_rows_identical_to_serial(self):
-        serial = experiments.fig7_time_rows(
-            NAMES, scale=SCALE, thetas=(0.0, 1e-5)
-        )
-        stagecache.reset_counters()
         rows = parallel.fig7_time_rows(
             NAMES, scale=SCALE, thetas=(0.0, 1e-5), parallel=False
         )
-        assert rows == serial
-        # The θ-invariant bundles were persisted by the size sweeps of
-        # other tests' caches or computed here — never more than once
-        # per benchmark in-process.
-        assert stagecache.STAGE_COUNTERS["computed"] <= len(NAMES)
+        assert len(rows) == len(NAMES) * 2
+        for row in rows:
+            base = experiments.baseline_run(row.name, SCALE)
+            want = _golden(row.name, row.theta_paper)
+            assert row.relative_time == want["cycles"] / base.cycles
+        assert stagecache.STAGE_COUNTERS["computed"] == len(NAMES)
+
+    def test_serial_cells_match_the_golden_grid(self, tmp_path):
+        """The serial path (inline, uncached) reproduces the golden
+        grid's sizes and cycles, runs the invariant stages once, and
+        writes nothing under the cache root."""
+        size = parallel.grid_cells("size", ("adpcm",), SCALE, THETAS)
+        time = parallel.grid_cells("time", ("adpcm",), SCALE, THETAS)
+        results = parallel.compute_cells(
+            size + time, parallel=False, cache=False
+        )
+        for theta, size_cell, time_cell in zip(THETAS, size, time):
+            want = _golden("adpcm", theta)
+            assert results[size_cell]["footprint_total"] == (
+                want["footprint_total"]
+            )
+            assert results[size_cell]["baseline_words"] == (
+                want["baseline_words"]
+            )
+            assert results[time_cell]["cycles"] == want["cycles"]
+        assert stagecache.STAGE_COUNTERS["computed"] == 1
+        assert not any(tmp_path.iterdir())
 
     def test_second_sweep_loads_persisted_bundles(self):
-        parallel.fig6_rows(
-            NAMES, scale=SCALE, thetas=(0.0,), parallel=False
-        )
+        def cells(theta):
+            return parallel.grid_cells("size", NAMES, SCALE, (theta,))
+
+        parallel.compute_cells(cells(0.0), parallel=False)
         stagecache.reset_counters()
         # New θ: cell cache misses, stage bundles hit from disk.
-        rows = parallel.fig6_rows(
-            NAMES, scale=SCALE, thetas=(1e-4,), parallel=False
-        )
-        assert len(rows) == len(NAMES)
+        results = parallel.compute_cells(cells(1e-4), parallel=False)
+        assert len(results) == len(NAMES)
         assert stagecache.STAGE_COUNTERS["computed"] == 0
         assert (
             stagecache.STAGE_COUNTERS["loaded"]
