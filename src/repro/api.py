@@ -18,11 +18,10 @@ the process-pool machinery.
     report = api.verify("/tmp/gsm")
 
 The job service is reached through the typed client — one API over
-every transport (in-process engine, filesystem spool, HTTP)::
+both transports (in-process engine, HTTP)::
 
-    with api.ServiceClient("local") as client:       # or "spool",
-        handle = client.submit(kind="squash",        # or "http://host:port"
-                               payload={"name": "gsm"})
+    with api.ServiceClient("local") as client:  # or "http://host:port"
+        handle = client.submit(kind="squash", payload={"name": "gsm"})
         result = handle.result(timeout=60.0)
 
 Configuration precedence is uniform everywhere behind this facade:

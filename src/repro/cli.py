@@ -19,7 +19,7 @@ Usage::
     python -m repro store gc
     python -m repro store verify
     python -m repro storechaos --names adpcm --scale 0.2 --seed 1
-    python -m repro serve --idle-exit 5
+    python -m repro serve --http 8737 --idle-exit 5
     python -m repro submit squash --names gsm --theta 0.01 --wait 60
     python -m repro jobs
     python -m repro servechaos --scale 0.2 --seed 1
@@ -31,8 +31,8 @@ figure sweeps that the facade models (`fig6`, `fig7a`, `fig7b`) call
 (:mod:`repro.analysis.parallel`), `squash`/`stages`/`trace`/`metrics` call
 :func:`repro.api.squash_benchmark`, and `verify` calls
 :func:`repro.api.verify`.  The serving trio (`serve`, `submit`,
-`jobs`) runs the async job layer of :mod:`repro.service` over the
-filesystem spool; `servechaos` storms it.
+`jobs`) runs the async job layer of :mod:`repro.service` behind its
+HTTP front end; `servechaos` storms it.
 """
 
 from __future__ import annotations
@@ -513,24 +513,29 @@ def _parse_http_endpoint(raw: str) -> tuple[str | None, int]:
 
 
 def _cmd_serve(args) -> int:
-    """Run the job service against the filesystem spool until
-    signalled (SIGTERM/SIGINT drain gracefully), *--max-jobs*
-    terminal jobs, or *--idle-exit* seconds of quiet.  With
-    ``--http [HOST:]PORT`` the JSON front end is served alongside
-    the spool."""
+    """Run the job service behind its JSON front end on ``--http
+    [HOST:]PORT`` (default: ``REPRO_SERVICE_HTTP_HOST`` and
+    ``REPRO_SERVICE_HTTP_PORT``) until signalled (SIGTERM/SIGINT
+    drain gracefully), *--max-jobs* terminal jobs, or *--idle-exit*
+    seconds of quiet."""
     import signal
     import threading
 
-    from repro.service import JobEngine, ServiceConfig, serve_forever
+    from repro.service import (
+        HttpServiceServer,
+        JobEngine,
+        ServiceConfig,
+        serve_forever,
+    )
 
-    engine = JobEngine(ServiceConfig.from_settings())
-    engine.start(recover=True)
-    http_server = None
+    host = port = None
     if args.http is not None:
-        from repro.service import serve_http
-
         host, port = _parse_http_endpoint(args.http)
-        http_server = serve_http(engine, host=host, port=port)
+    engine = JobEngine(ServiceConfig.from_settings())
+    # Bind first: a taken port fails before any journaled job resumes.
+    http_server = HttpServiceServer(engine, host=host, port=port)
+    engine.start(recover=True)
+    http_server.start()
     stop_flag = threading.Event()
 
     def _request_stop(signum, frame):
@@ -542,9 +547,8 @@ def _cmd_serve(args) -> int:
     print(
         f"serve: up (workers {engine.config.workers}, "
         f"queue depth {engine.config.queue_depth}, "
-        f"tenant cap {engine.config.tenant_cap}"
-        + (f", http {http_server.url}" if http_server else "")
-        + ")",
+        f"tenant cap {engine.config.tenant_cap}, "
+        f"http {http_server.url})",
         file=sys.stderr,
     )
     try:
@@ -557,9 +561,10 @@ def _cmd_serve(args) -> int:
     finally:
         for signum, handler in previous.items():
             signal.signal(signum, handler)
-        if http_server is not None:
-            http_server.stop()
+        # Drain before closing the socket: requests still in flight
+        # get their typed answers (results, or draining sheds).
         engine.stop()
+        http_server.stop()
     print(f"serve: drained after {terminal} terminal jobs",
           file=sys.stderr)
     return 0
@@ -569,12 +574,14 @@ def _cmd_submit(args) -> int:
     """Submit one job to a running ``repro serve`` process.
 
     The positional argument picks the job kind (default ``squash``);
-    requests go through the typed :class:`ServiceClient` — over the
-    filesystem spool by default, or over HTTP with ``--url``.
-    ``--wait SECONDS`` blocks for the result.
+    the request goes through the typed :class:`ServiceClient` over
+    HTTP to ``--url`` (default: ``REPRO_SERVICE_HTTP_HOST`` and
+    ``REPRO_SERVICE_HTTP_PORT``).  ``--wait SECONDS`` blocks for the
+    result.
     """
     import json
 
+    from repro import settings
     from repro.errors import SquashError
     from repro.service import JobSpec, ServiceClient
 
@@ -601,11 +608,15 @@ def _cmd_submit(args) -> int:
         kind=kind, payload=payload, tenant=args.tenant,
         priority=args.priority, deadline=args.deadline_s,
     )
-    with ServiceClient(args.url or "spool") as client:
+    url = args.url
+    if url is None:
+        resolved = settings.current()
+        url = (f"http://{resolved.service_http_host}:"
+               f"{resolved.service_http_port}")
+    with ServiceClient(url) as client:
         handle = client.submit(spec)
         print(f"submitted {handle.id} ({kind}, tenant={args.tenant}, "
-              f"priority={args.priority}, "
-              f"transport={client.transport})")
+              f"priority={args.priority}, url={url})")
         if args.wait is None:
             return 0
         try:
@@ -657,7 +668,6 @@ def _cmd_servechaos(args) -> int:
 
     report = run_serve_chaos(
         scale=args.scale, seed=args.seed, scenarios=args.scenarios,
-        transport=args.transport,
     )
     print(report.render())
     return 0 if report.ok else 1
@@ -778,8 +788,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--wait", type=float, default=None, metavar="SECONDS",
-        help="wait up to SECONDS for the job's terminal journal "
-        "record (submit command)",
+        help="wait up to SECONDS for the job's result (submit command)",
     )
     parser.add_argument(
         "--max-jobs", type=int, default=None,
@@ -787,18 +796,20 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--idle-exit", type=float, default=None, metavar="SECONDS",
-        help="exit after SECONDS with nothing spooled, queued, or "
-        "running (serve command)",
+        help="exit after SECONDS with nothing queued or running "
+        "(serve command)",
     )
     parser.add_argument(
         "--http", default=None, metavar="[HOST:]PORT",
-        help="also expose the JSON HTTP front end on [HOST:]PORT "
-        "(serve command; default host REPRO_SERVICE_HTTP_HOST)",
+        help="bind the JSON HTTP front end on [HOST:]PORT (serve "
+        "command; defaults REPRO_SERVICE_HTTP_HOST and "
+        "REPRO_SERVICE_HTTP_PORT)",
     )
     parser.add_argument(
         "--url", default=None, metavar="URL",
-        help="submit over HTTP to a running 'repro serve --http' "
-        "instead of the filesystem spool (submit command)",
+        help="base URL of a running 'repro serve' (submit command; "
+        "default built from REPRO_SERVICE_HTTP_HOST and "
+        "REPRO_SERVICE_HTTP_PORT)",
     )
     parser.add_argument(
         "--fanout", action="store_true",
@@ -809,11 +820,6 @@ def main(argv: list[str] | None = None) -> int:
         "--scenarios", nargs="*", default=None,
         help="serve-chaos scenario subset (servechaos command; "
         "default: all)",
-    )
-    parser.add_argument(
-        "--transport", default="spool", choices=("spool", "http"),
-        help="client transport the serve-chaos scenarios exercise "
-        "(servechaos command; default spool)",
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH",

@@ -1,15 +1,16 @@
 """Serve chaos: the squash-as-a-service stack under overload and murder.
 
 ``repro servechaos`` proves the robustness claims of
-:mod:`repro.service` end to end, in four scenarios over private roots:
+:mod:`repro.service` end to end, in six scenarios over private roots:
 
 1. **Overload storm** — an engine with a tiny admission queue and
-   dispatch frozen is flooded past capacity.  Every rejected
-   submission must shed with a typed
-   :class:`~repro.errors.ServiceOverloaded` carrying a positive
-   retry-after hint; every *accepted* job must reach a terminal state
-   once dispatch resumes, with an image digest byte-identical to a
-   direct :func:`repro.api.squash_benchmark` call.  The storm also
+   dispatch frozen is flooded past capacity over its HTTP front end.
+   Every rejected submission must shed with a typed
+   :class:`~repro.errors.ServiceOverloaded` (a 503 the client
+   reconstructs) carrying a positive retry-after hint; every
+   *accepted* job must reach a terminal state once dispatch resumes,
+   with an image digest byte-identical to a direct
+   :func:`repro.api.squash_benchmark` call.  The storm also
    checks the deadline contract: a microscopic deadline expires with a
    typed :class:`~repro.errors.JobExpired`, and a generous one shows
    up tightened in the supervisor ``cell_deadline`` the job ran under.
@@ -18,9 +19,10 @@
    per-tenant cap must interleave the second tenant's jobs instead of
    starving them behind the hog's backlog.
 3. **SIGKILL mid-job** — a real ``repro serve`` subprocess is
-   SIGKILLed while a spooled job is running; a restarted server must
-   recover the journal, finish every submitted job (none lost, none
-   stuck), and produce digests identical to direct facade calls.
+   SIGKILLed while a job submitted over HTTP is running; a restarted
+   server must recover the journal, finish every submitted job (none
+   lost, none stuck), and produce digests identical to direct facade
+   calls.
 4. **Dead store** — the journal's store is put under an unbounded
    ENOSPC storm with retries off; journaling degrades (counted by
    ``service.journal_degraded``) but admission, execution, and results
@@ -35,11 +37,6 @@
    SIGKILLed right after it claims a cell.  The survivor must reclaim
    the dead engine's cells after lease expiry and finish with rows
    byte-identical to a serial sweep — zero lost cells.
-
-The *transport* parameter (``spool`` or ``http``) selects how the
-overload and SIGKILL scenarios reach the service: in-process/spool, or
-through the JSON HTTP front end (typed errors reconstructed from
-status codes on the client side of the wire).
 
 The run **fails** (non-zero exit) if a shed was untyped, an accepted
 job was lost, a deadline was ignored, tenants starved, a SIGKILL lost
@@ -69,14 +66,13 @@ from repro.faultinject import chaos
 from repro.faultinject.chaossweep import _env
 from repro.obs.metrics import get_registry
 
-__all__ = ["SCENARIOS", "TRANSPORTS", "ServeChaosReport", "run_serve_chaos"]
+__all__ = ["SCENARIOS", "ServeChaosReport", "run_serve_chaos"]
 
 _METRICS = get_registry()
 
 SCENARIOS = (
     "overload", "fairness", "quota", "sigkill", "deadstore", "fanout",
 )
-TRANSPORTS = ("spool", "http")
 
 
 @dataclass
@@ -86,8 +82,6 @@ class ServeChaosReport:
     scale: float
     seed: int
     scenarios: tuple[str, ...] = SCENARIOS
-    #: How overload/sigkill reach the service: ``spool`` or ``http``.
-    transport: str = "spool"
     #: Unexpected per-scenario exceptions (scenario -> message).
     errors: dict[str, str] = field(default_factory=dict)
 
@@ -200,7 +194,6 @@ class ServeChaosReport:
     def render(self) -> str:
         lines = [
             f"serve chaos: scale={self.scale} seed={self.seed} "
-            f"transport={self.transport} "
             f"scenarios={','.join(self.scenarios)}"
         ]
         if "overload" in self.scenarios:
@@ -303,8 +296,14 @@ def _resume_dispatch(engine) -> None:
 
 
 def _run_overload(report: ServeChaosReport, root: pathlib.Path,
-                  scale: float, transport: str = "spool") -> None:
-    from repro.service import JobEngine, JobJournal, ServiceConfig
+                  scale: float) -> None:
+    from repro.service import (
+        JobEngine,
+        JobJournal,
+        ServiceClient,
+        ServiceConfig,
+        serve_http,
+    )
 
     config = ServiceConfig(
         queue_depth=3, workers=2, tenant_cap=2, drain_timeout=30.0
@@ -312,25 +311,8 @@ def _run_overload(report: ServeChaosReport, root: pathlib.Path,
     engine = JobEngine(config, journal=JobJournal(root))
     engine._dispatch_paused = True
     engine.start(recover=False)
-    server = client = None
-    if transport == "http":
-        # Same engine, reached over the wire: sheds must come back as
-        # 503s the client reconstructs into the same typed errors.
-        from repro.service import ServiceClient, serve_http
-
-        server = serve_http(engine, port=0)
-        client = ServiceClient(server.url)
-
-    def _submit(spec) -> str:
-        if client is not None:
-            return client.submit(spec).id
-        return engine.submit(spec).id
-
-    def _result(job_id: str, timeout: float) -> dict:
-        if client is not None:
-            return client.result(job_id, timeout=timeout)
-        return engine.result(job_id, timeout=timeout)
-
+    server = serve_http(engine, port=0)
+    client = ServiceClient(server.url)
     try:
         accepted = []
         sheds = []
@@ -341,8 +323,9 @@ def _run_overload(report: ServeChaosReport, root: pathlib.Path,
             theta = 1e-4 * (index + 1)
             report.storm_submitted += 1
             try:
-                accepted.append((_submit(_squash_spec(theta, scale)),
-                                 theta))
+                accepted.append(
+                    (client.submit(_squash_spec(theta, scale)).id, theta)
+                )
             except ServiceOverloaded as exc:
                 sheds.append(exc)
                 retry_afters.append(exc.retry_after)
@@ -355,7 +338,7 @@ def _run_overload(report: ServeChaosReport, root: pathlib.Path,
         _resume_dispatch(engine)
         matches = []
         for job_id, theta in accepted:
-            result = _result(job_id, timeout=300.0)
+            result = client.result(job_id, timeout=300.0)
             report.storm_terminal += 1
             matches.append(
                 result["image_digest"]
@@ -367,26 +350,25 @@ def _run_overload(report: ServeChaosReport, root: pathlib.Path,
         # deadline expires typed, a generous one tightens the
         # supervisor cell deadline the job's work observes.
         try:
-            job_id = _submit(_squash_spec(2e-3, scale, deadline=0.0001))
-            _result(job_id, timeout=60.0)
+            handle = client.submit(
+                _squash_spec(2e-3, scale, deadline=0.0001)
+            )
+            handle.result(timeout=60.0)
         except JobExpired:
             report.deadline_expired_typed = True
-        job_id = _submit(_squash_spec(3e-3, scale, deadline=30.0))
-        result = _result(job_id, timeout=60.0)
-        observed = result.get("cell_deadline")
+        handle = client.submit(_squash_spec(3e-3, scale, deadline=30.0))
+        observed = handle.result(timeout=60.0).get("cell_deadline")
         report.cell_deadline_propagated = (
             observed is not None and 0 < observed <= 30.0
         )
     finally:
-        if client is not None:
-            client.close()
-        if server is not None:
-            server.stop()
+        client.close()
+        server.stop()
         engine.stop(drain_timeout=1.0)
 
 
 def _run_fairness(report: ServeChaosReport, root: pathlib.Path,
-                  scale: float, transport: str = "spool") -> None:
+                  scale: float) -> None:
     from repro.service import JobEngine, JobJournal, ServiceConfig
 
     config = ServiceConfig(
@@ -451,57 +433,56 @@ def _wait_http_up(url: str, timeout: float = 60.0) -> bool:
     return False
 
 
+def _wait_terminal(journal, job_id: str, timeout: float) -> dict | None:
+    """Poll *journal* until *job_id* has a terminal record (None on
+    timeout): the truth a murdered server cannot take down."""
+    from repro.service import TERMINAL_STATES
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        record = journal.load(job_id)
+        if record is not None and record.get("state") in TERMINAL_STATES:
+            return record
+        time.sleep(0.02)
+    return None
+
+
 def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
-                 scale: float, transport: str = "spool") -> None:
-    from repro.service import SpoolClient
+                 scale: float) -> None:
+    from repro.service import JobJournal, ServiceClient
 
     env = dict(os.environ)
     env.update(
         REPRO_CACHE_DIR=str(root),
         REPRO_SERVICE_WORKERS="1",
     )
-    client = SpoolClient(root)
+    journal = JobJournal(root)
     thetas = [2e-4 * (index + 1) for index in range(3)]
-    serve_extra: list[str] = []
-    if transport == "http":
-        # Submissions go over the wire into the serving process; the
-        # kill then lands with HTTP-submitted jobs in flight.  Waiting
-        # still reads the journal — the transport-independent truth a
-        # murdered server cannot take down.
-        port = _free_port()
-        serve_extra = ["--http", f"127.0.0.1:{port}"]
-        url = f"http://127.0.0.1:{port}"
-        job_ids: list[str] = []
-    else:
-        with _env(REPRO_CACHE_DIR=str(root)):
-            job_ids = [
-                client.submit(_squash_spec(theta, scale))
-                for theta in thetas
-            ]
+    # Submissions go over the wire into the serving process; the kill
+    # then lands with HTTP-submitted jobs in flight, and the restart
+    # binds the same port.
+    port = _free_port()
+    serve_extra = ["--http", f"127.0.0.1:{port}"]
+    url = f"http://127.0.0.1:{port}"
     server = subprocess.Popen(
         _serve_argv(serve_extra), env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
-    if transport == "http":
-        from repro.service import ServiceClient
-
-        if not _wait_http_up(url):
-            raise RuntimeError(f"serve --http never answered at {url}")
-        with _env(REPRO_CACHE_DIR=str(root)):
-            with ServiceClient(url) as http_client:
-                job_ids = [
-                    http_client.submit(_squash_spec(theta, scale)).id
-                    for theta in thetas
-                ]
-    report.kill_jobs = len(job_ids)
     try:
+        if not _wait_http_up(url):
+            raise RuntimeError(f"serve never answered at {url}")
+        with ServiceClient(url) as client:
+            job_ids = [
+                client.submit(_squash_spec(theta, scale)).id
+                for theta in thetas
+            ]
+        report.kill_jobs = len(job_ids)
         # Kill the instant the journal shows a job mid-run; the
         # deadline below bounds a server that never gets there.
         deadline = time.monotonic() + 120.0
         while time.monotonic() < deadline:
             if any(
-                (client.journal.load(job_id) or {}).get("state")
-                == "running"
+                (journal.load(job_id) or {}).get("state") == "running"
                 for job_id in job_ids
             ):
                 server.send_signal(signal.SIGKILL)
@@ -516,25 +497,19 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
             server.kill()
             server.wait(timeout=30.0)
 
-    # Restart: journal recovery plus the still-spooled requests must
-    # finish every job; none lost, none stuck.
+    # Restart: journal recovery must finish every job; none lost,
+    # none stuck.
     server = subprocess.Popen(
         _serve_argv([*serve_extra, "--idle-exit", "2.0"]), env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
-        if transport == "http" and not _wait_http_up(url):
-            raise RuntimeError(
-                f"restarted serve --http never answered at {url}"
-            )
+        if not _wait_http_up(url):
+            raise RuntimeError(f"restarted serve never answered at {url}")
         matches = []
         for job_id, theta in zip(job_ids, thetas):
-            try:
-                record = client.wait(job_id, timeout=300.0)
-            except (TimeoutError, ServiceOverloaded):
-                report.kill_lost += 1
-                continue
-            if record.get("state") != "done":
+            record = _wait_terminal(journal, job_id, timeout=300.0)
+            if record is None or record.get("state") != "done":
                 report.kill_lost += 1
                 continue
             if record.get("recovered"):
@@ -552,7 +527,7 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
 
 
 def _run_deadstore(report: ServeChaosReport, root: pathlib.Path,
-                   scale: float, transport: str = "spool") -> None:
+                   scale: float) -> None:
     from repro.service import JobEngine, JobJournal, ServiceConfig
     from repro.store import reset_stores
 
@@ -605,7 +580,7 @@ def _run_deadstore(report: ServeChaosReport, root: pathlib.Path,
 
 
 def _run_quota(report: ServeChaosReport, root: pathlib.Path,
-               scale: float, transport: str = "spool") -> None:
+               scale: float) -> None:
     from repro.service import JobEngine, JobJournal, ServiceConfig
     from repro.store import get_store, reset_stores
 
@@ -677,7 +652,7 @@ def _run_quota(report: ServeChaosReport, root: pathlib.Path,
 
 
 def _run_fanout(report: ServeChaosReport, root: pathlib.Path,
-                scale: float, transport: str = "spool") -> None:
+                scale: float) -> None:
     from repro.service import execute_job
     from repro.service.jobs import JobSpec
     from repro.store import get_store, reset_stores
@@ -698,7 +673,7 @@ def _run_fanout(report: ServeChaosReport, root: pathlib.Path,
         REPRO_SERVICE_LEASE_SECONDS="3.0",
     )
     peer = subprocess.Popen(
-        _serve_argv([]), env=env,
+        _serve_argv(["--http", "127.0.0.1:0"]), env=env,
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
     )
     try:
@@ -776,7 +751,6 @@ def run_serve_chaos(
     scale: float = 0.2,
     seed: int = 0,
     scenarios: tuple[str, ...] | list[str] | None = None,
-    transport: str = "spool",
 ) -> ServeChaosReport:
     """Run the serve-chaos scenarios; see the module docstring."""
     selected = tuple(scenarios) if scenarios else SCENARIOS
@@ -786,20 +760,13 @@ def run_serve_chaos(
             f"unknown serve-chaos scenario(s) {', '.join(unknown)} "
             f"(expected among {', '.join(SCENARIOS)})"
         )
-    if transport not in TRANSPORTS:
-        raise ValueError(
-            f"unknown transport {transport!r} "
-            f"(expected {' or '.join(TRANSPORTS)})"
-        )
-    report = ServeChaosReport(
-        scale=scale, seed=seed, scenarios=selected, transport=transport
-    )
+    report = ServeChaosReport(scale=scale, seed=seed, scenarios=selected)
     for name in selected:
         root = pathlib.Path(
             tempfile.mkdtemp(prefix=f"repro-servechaos-{name}-")
         )
         try:
-            _RUNNERS[name](report, root, scale, transport)
+            _RUNNERS[name](report, root, scale)
         except Exception as exc:  # noqa: BLE001 - verdict, not crash
             report.errors[name] = f"{type(exc).__name__}: {exc}"
         finally:

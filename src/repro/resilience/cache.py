@@ -19,9 +19,6 @@ is published with ``os.replace``; concurrent writers of the same cell
 cannot clobber each other's temp file and a crash mid-write leaves only
 a stale temp file, never a half-written entry under the final name.
 
-Sealless single-line entries written by older harness versions are
-still accepted when they parse and carry the required keys.
-
 Large entries — stage bundles carrying a whole serialized program —
 are read through ``mmap``: every warm pool worker deserializing the
 same bundle then shares the page-cache pages of the one on-disk copy
@@ -175,8 +172,6 @@ def read_entry(
             stats._reject("seal-mismatch")
             return None
         payload = body
-    elif len(lines) == 1:
-        payload = lines[0]  # legacy sealless entry
     else:
         stats._reject("torn")
         return None

@@ -10,17 +10,16 @@ deadlines, journals every state transition crash-safely through
 Entry points:
 
 * library — :class:`repro.service.client.ServiceClient` is the one
-  typed client over every transport (``"local"`` in-process engine,
-  ``"spool"`` filesystem, ``"http://host:port"``);
-* processes — ``repro serve`` runs the engine against the filesystem
-  spool (:mod:`repro.service.spool`) and, with ``--http``, the JSON
-  front end (:mod:`repro.service.http`); ``repro submit`` spools
-  requests (or POSTs with ``--url``), ``repro jobs`` lists journal
-  records.  Serving processes sharing one store also co-compute
-  fan-out sweeps (:mod:`repro.service.fanout`);
+  typed client, over the ``"local"`` in-process engine or an
+  ``"http://host:port"`` front end;
+* processes — ``repro serve`` runs the engine behind the JSON front
+  end (:mod:`repro.service.http`), ``repro submit`` POSTs to it, and
+  ``repro jobs`` lists journal records.  Serving processes sharing
+  one store also co-compute fan-out sweeps
+  (:mod:`repro.service.fanout`, whose :func:`serve_forever` is the
+  serve loop);
 * chaos — :mod:`repro.faultinject.servechaos` (``repro servechaos``)
-  storms, starves, SIGKILLs, and degrades the whole stack, over
-  either transport.
+  storms, starves, SIGKILLs, and degrades the whole stack.
 """
 
 from repro.service.client import JobHandle, ServiceClient
@@ -30,6 +29,7 @@ from repro.service.engine import (
     get_engine,
     reset_engine,
 )
+from repro.service.fanout import serve_forever
 from repro.service.http import HttpServiceServer, serve_http
 from repro.service.jobs import (
     JOB_KINDS,
@@ -42,7 +42,6 @@ from repro.service.jobs import (
     new_job_id,
 )
 from repro.service.journal import JobJournal
-from repro.service.spool import SpoolClient, serve_forever, spool_dir
 
 __all__ = [
     "JOB_KINDS",
@@ -57,12 +56,10 @@ __all__ = [
     "JobSpec",
     "ServiceClient",
     "ServiceConfig",
-    "SpoolClient",
     "execute_job",
     "get_engine",
     "new_job_id",
     "reset_engine",
     "serve_forever",
     "serve_http",
-    "spool_dir",
 ]

@@ -1,10 +1,9 @@
-"""The typed service client: one API over local, spool, and HTTP transports.
+"""The typed service client: one API over the local and HTTP transports.
 
 :class:`ServiceClient` is the job submission surface of
 :mod:`repro.api`, one object with a handle-based API::
 
-    client = api.ServiceClient()                  # in-process engine
-    client = api.ServiceClient("spool", root=p)   # filesystem spool
+    client = api.ServiceClient()                    # in-process engine
     client = api.ServiceClient("http://host:8737")  # network front end
 
     handle = client.submit(kind="squash", payload={"name": "gsm"})
@@ -12,11 +11,9 @@
     handle.result(timeout=60.0)  # block; typed raise on failure
     handle.cancel()          # withdraw a still-queued job
 
-Every transport surfaces the *same* typed errors
-(:class:`~repro.errors.ServiceOverloaded` and friends), wherever in
-the round trip they occur: the local and HTTP transports shed at
-submit time, the spool sheds at wait time (the serving process answers
-through the journal).  With ``retries > 0`` the client absorbs plain
+Both transports surface the *same* typed errors
+(:class:`~repro.errors.ServiceOverloaded` and friends), and both shed
+at submit time.  With ``retries > 0`` the client absorbs plain
 overload sheds itself — it sleeps for the service's ``retry_after``
 hint (never less than *retry_floor*) and resubmits, so a storm
 degrades into bounded latency instead of an exception.  Quota sheds
@@ -27,7 +24,6 @@ tenant over its byte budget will not be helped by politeness.
 from __future__ import annotations
 
 import json
-import pathlib
 import time
 import urllib.error
 import urllib.parse
@@ -42,29 +38,11 @@ from repro.errors import (
     UnknownJob,
 )
 from repro.obs.metrics import get_registry
-from repro.service.jobs import JobSpec, new_job_id
+from repro.service.jobs import JobSpec
 
 __all__ = ["JobHandle", "ServiceClient"]
 
 _METRICS = get_registry()
-
-#: Transports accepted by :class:`ServiceClient` (plus ``http(s)://``
-#: URLs, which select the HTTP transport).
-TRANSPORTS = ("local", "spool")
-
-
-def _terminal_error(job_id: str, state: str, error) -> Exception:
-    """The typed exception a terminal journal record maps to (the
-    client-side twin of ``JobEngine._terminal_error``)."""
-    error_type, message = (tuple(error or ()) + ("", ""))[:2]
-    if state == "expired" or error_type == "JobExpired":
-        return JobExpired(message, job_id=job_id)
-    if state == "cancelled":
-        return JobFailed(
-            message or "job cancelled",
-            job_id=job_id, error_type=error_type or "Cancelled",
-        )
-    return JobFailed(message, job_id=job_id, error_type=error_type)
 
 
 # -- transports ---------------------------------------------------------------
@@ -84,8 +62,8 @@ class _LocalTransport:
             self._engine = get_engine()
         return self._engine
 
-    def submit(self, spec: JobSpec, job_id: str | None = None) -> str:
-        return self.engine.submit(spec, job_id=job_id).id
+    def submit(self, spec: JobSpec) -> str:
+        return self.engine.submit(spec).id
 
     def status(self, job_id: str) -> dict:
         return self.engine.status(job_id)
@@ -93,51 +71,8 @@ class _LocalTransport:
     def result(self, job_id: str, timeout: float | None = None) -> dict:
         return self.engine.result(job_id, timeout=timeout)
 
-    def cancel(self, job_id: str, spec: JobSpec | None = None) -> bool:
+    def cancel(self, job_id: str) -> bool:
         return self.engine.cancel(job_id)
-
-    def close(self) -> None:
-        pass
-
-
-class _SpoolTransport:
-    """Through the filesystem spool of a separate serving process."""
-
-    def __init__(self, root: pathlib.Path | str | None = None):
-        from repro.service.spool import SpoolClient
-
-        self._spool = SpoolClient(root)
-
-    def submit(self, spec: JobSpec, job_id: str | None = None) -> str:
-        return self._spool.submit(spec, job_id=job_id)
-
-    def status(self, job_id: str) -> dict:
-        record = self._spool.journal.load(job_id)
-        if record is None:
-            if (self._spool.root / f"{job_id}.json").exists():
-                # Spooled but not yet picked up by a server.
-                return {"id": job_id, "state": "spooled"}
-            raise UnknownJob(job_id=job_id)
-        return {
-            "id": job_id,
-            "state": record.get("state", "unknown"),
-            "tenant": (record.get("spec") or {}).get("tenant", "default"),
-            "kind": (record.get("spec") or {}).get("kind", ""),
-            "result": record.get("result"),
-            "error": record.get("error"),
-        }
-
-    def result(self, job_id: str, timeout: float | None = None) -> dict:
-        record = self._spool.wait(
-            job_id, timeout=timeout if timeout is not None else 60.0
-        )
-        state = record.get("state", "")
-        if state == "done":
-            return record.get("result") or {}
-        raise _terminal_error(job_id, state, record.get("error"))
-
-    def cancel(self, job_id: str, spec: JobSpec | None = None) -> bool:
-        return self._spool.cancel(job_id, spec=spec)
 
     def close(self) -> None:
         pass
@@ -212,11 +147,9 @@ class _HttpTransport:
                 error_type=payload.get("error", f"http-{exc.code}"),
             ) from None
 
-    def submit(self, spec: JobSpec, job_id: str | None = None) -> str:
+    def submit(self, spec: JobSpec) -> str:
         body = {"schema_version": spec.schema_version,
                 "spec": spec.to_record()}
-        if job_id is not None:
-            body["id"] = job_id
         return self._request("POST", "/v1/jobs", body=body)["id"]
 
     def status(self, job_id: str) -> dict:
@@ -236,7 +169,7 @@ class _HttpTransport:
         )
         return payload.get("result") or {}
 
-    def cancel(self, job_id: str, spec: JobSpec | None = None) -> bool:
+    def cancel(self, job_id: str) -> bool:
         return bool(
             self._request("DELETE", f"/v1/jobs/{job_id}").get("cancelled")
         )
@@ -249,13 +182,7 @@ class _HttpTransport:
 
 
 class JobHandle:
-    """One submitted job, bound to the client that submitted it.
-
-    The handle keeps the spec, so the client-side retry loop can
-    resubmit after a wait-time shed (the spool transport answers sheds
-    through the journal, after submission) — ``id`` then moves to the
-    fresh submission.
-    """
+    """One submitted job, bound to the client that submitted it."""
 
     def __init__(self, client: "ServiceClient", spec: JobSpec,
                  job_id: str):
@@ -267,10 +194,10 @@ class JobHandle:
         return self._client.status(self.id)
 
     def result(self, timeout: float | None = None) -> dict:
-        return self._client._result_with_retry(self, timeout)
+        return self._client._transport.result(self.id, timeout=timeout)
 
     def cancel(self) -> bool:
-        return self._client._transport.cancel(self.id, spec=self.spec)
+        return self._client._transport.cancel(self.id)
 
     def __repr__(self) -> str:
         return (
@@ -282,8 +209,8 @@ class JobHandle:
 class ServiceClient:
     """The typed client over one transport (see the module docstring).
 
-    *target* is ``"local"`` (the in-process engine), ``"spool"`` (the
-    filesystem spool under *root*), or an ``http(s)://`` base URL.
+    *target* is ``"local"`` (the in-process engine) or an
+    ``http(s)://`` base URL.
     *retries* bounds how many plain overload sheds the client absorbs
     per call before the typed error propagates; each wait honours the
     service's ``retry_after`` hint, floored at *retry_floor* seconds.
@@ -293,7 +220,6 @@ class ServiceClient:
         self,
         target: str = "local",
         *,
-        root: pathlib.Path | str | None = None,
         retries: int = 0,
         retry_floor: float = 0.05,
         engine=None,
@@ -303,20 +229,18 @@ class ServiceClient:
         self.retry_floor = retry_floor
         if target.startswith(("http://", "https://")):
             self._transport = _HttpTransport(target)
-        elif target == "spool":
-            self._transport = _SpoolTransport(root)
         elif target == "local":
             self._transport = _LocalTransport(engine)
         else:
             raise SpecError(
-                f"unknown transport {target!r} (expected "
-                f"{', '.join(TRANSPORTS)}, or an http(s):// URL)",
+                f"unknown transport {target!r} (expected 'local' "
+                f"or an http(s):// URL)",
                 field="target",
             )
 
     @property
     def transport(self) -> str:
-        """The transport kind in use: ``local``, ``spool``, or ``http``."""
+        """The transport kind in use: ``local`` or ``http``."""
         if self.target.startswith(("http://", "https://")):
             return "http"
         return self.target
@@ -356,8 +280,8 @@ class ServiceClient:
         return self._transport.status(job_id)
 
     def result(self, job_id: str, timeout: float | None = None) -> dict:
-        """Block for a result by raw id (no shed-retry: without the
-        spec the client cannot resubmit; use the handle for that)."""
+        """Block until *job_id* is terminal; its result payload, or a
+        typed raise mirroring how the job ended."""
         return self._transport.result(job_id, timeout=timeout)
 
     def cancel(self, job_id: str) -> bool:
@@ -379,38 +303,3 @@ class ServiceClient:
         _METRICS.inc("service.client.retries")
         _METRICS.observe("service.client.backoff_seconds", delay)
         time.sleep(delay)
-
-    def _result_with_retry(
-        self, handle: JobHandle, timeout: float | None
-    ) -> dict:
-        deadline = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        attempt = 0
-        while True:
-            remaining = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            try:
-                return self._transport.result(
-                    handle.id, timeout=remaining
-                )
-            except TenantQuotaExceeded:
-                raise
-            except ServiceOverloaded as exc:
-                # A wait-time shed (spool transport): back off for the
-                # journaled hint and resubmit under a fresh id — the
-                # shed id is terminal in the journal.
-                attempt += 1
-                if attempt > self.retries:
-                    raise
-                if deadline is not None and (
-                    time.monotonic() + max(
-                        self.retry_floor, exc.retry_after or 0.0
-                    ) >= deadline
-                ):
-                    raise
-                self._backoff(exc)
-                handle.id = self._transport.submit(
-                    handle.spec, job_id=new_job_id()
-                )

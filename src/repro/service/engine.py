@@ -283,10 +283,17 @@ class JobEngine:
     ) -> Job:
         """Admit *spec*; returns the accepted job or raises typed
         :class:`~repro.errors.ServiceOverloaded` /
-        :class:`~repro.errors.SpecError`."""
+        :class:`~repro.errors.SpecError`.
+
+        A client-supplied *job_id* is an idempotency key: when this
+        engine or its journal already holds that id, the held job is
+        returned and nothing runs again (a retried POST, or one
+        replayed across a restart).
+        """
         spec.validate()
-        job = Job(id=job_id or new_job_id(), spec=spec)
-        return self._call(self._admit(job))
+        if job_id is None:
+            return self._call(self._admit(Job(id=new_job_id(), spec=spec)))
+        return self._call(self._admit_once(Job(id=job_id, spec=spec)))
 
     def status(self, job_id: str) -> dict:
         """A JSON snapshot of one job's state (journal fallback for
@@ -492,6 +499,22 @@ class JobEngine:
         assert self._wake is not None
         self._wake.set()
         return job
+
+    async def _admit_once(self, job: Job) -> Job:
+        # On the loop, so the lookup and the admission are one step:
+        # concurrent POSTs of one id cannot both admit it.
+        held = self._jobs.get(job.id)
+        if held is None and self.journal is not None:
+            record = self.journal.load(job.id)
+            if record is not None:
+                held = Job(
+                    id=job.id,
+                    spec=JobSpec.from_record(record.get("spec") or {}),
+                    state=record.get("state", "unknown"),
+                )
+        if held is not None:
+            return held
+        return await self._admit(job)
 
     async def _waiter_for(self, job: Job) -> Future:
         waiter = self._waiters.get(job.id)

@@ -54,6 +54,7 @@ __all__ = [
     "engine_id",
     "publish_plan",
     "run_fanout_sweep",
+    "serve_forever",
     "work_plan",
 ]
 
@@ -257,9 +258,10 @@ def work_plan(store, plan: dict, lease: float | None = None) -> int:
 class FanoutWorker:
     """The serve loop's fan-out participant.
 
-    ``poll()`` is called every spool-scan iteration; it rate-limits
-    the store scan (plans change rarely) and computes at most one
-    plan's claimable cells per call so spool traffic stays responsive.
+    ``poll()`` is called every :func:`serve_forever` iteration; it
+    rate-limits the store scan (plans change rarely) and computes at
+    most one plan's claimable cells per call, so the loop still
+    notices its exit conditions between plans.
     """
 
     def __init__(self, root: pathlib.Path | str | None = None):
@@ -281,6 +283,52 @@ class FanoutWorker:
             if completed:
                 break
         return completed
+
+
+def serve_forever(
+    engine,
+    root: pathlib.Path | str | None = None,
+    poll_interval: float = 0.05,
+    max_jobs: int | None = None,
+    idle_exit: float | None = None,
+    should_stop=None,
+) -> int:
+    """The ``repro serve`` loop: offer this process as a fan-out peer
+    until told to stop.
+
+    Jobs reach *engine* through its HTTP front end; this loop only
+    computes open sweep plans' unclaimed cells (:class:`FanoutWorker`)
+    and watches the exit conditions.  Returns the number of jobs that
+    reached a terminal state while serving.  Exits when *should_stop*
+    (the signal flag) fires, after *max_jobs* terminal jobs, or after
+    *idle_exit* seconds with an empty queue and executor — whichever
+    comes first.
+    """
+    worker = FanoutWorker(root)
+    terminal_seen: set[str] = set()
+    idle_since: float | None = None
+    while True:
+        if should_stop is not None and should_stop():
+            break
+        if worker.poll():
+            idle_since = None
+        for job_id, job in list(engine._jobs.items()):
+            if job.terminal and job_id not in terminal_seen:
+                terminal_seen.add(job_id)
+        if max_jobs is not None and len(terminal_seen) >= max_jobs:
+            break
+        stats = engine.stats()
+        busy = stats["queued"] or stats["running"]
+        if busy:
+            idle_since = None
+        elif idle_exit is not None:
+            now = time.monotonic()
+            if idle_since is None:
+                idle_since = now
+            elif now - idle_since >= idle_exit:
+                break
+        time.sleep(poll_interval)
+    return len(terminal_seen)
 
 
 # -- the submitting engine ----------------------------------------------------

@@ -1,6 +1,6 @@
 """The stdlib HTTP front end: the typed service contract over a socket.
 
-``repro serve --http`` exposes the :class:`~repro.service.engine.JobEngine`
+``repro serve`` exposes the :class:`~repro.service.engine.JobEngine`
 through a small JSON API (``http.server.ThreadingHTTPServer``; no
 third-party dependency), mirroring the local typed contract exactly —
 every typed service error maps to one stable HTTP status, so a remote
@@ -12,6 +12,10 @@ caller can branch on the same taxonomy a local caller catches::
     GET    /v1/jobs/<id>/result block (``?timeout=seconds``) for the result
     DELETE /v1/jobs/<id>        cancel a still-queued job
     GET    /v1/health           liveness + engine stats
+
+A client-supplied ``id`` is an idempotency key: POSTing an id the
+engine or its journal already holds returns that job and runs nothing
+again.
 
 The error contract (also the table in DESIGN.md §14):
 
@@ -25,7 +29,8 @@ typed error            status  extras
 ``UnknownJob``           404   job id
 ``JobFailed``            500   ``error_type`` of the underlying failure
 (timeout waiting)        504   result long-poll exceeded ``?timeout=``
-(malformed request)      400   body was not the JSON envelope
+(malformed request)      400   bad ``Content-Length``, or the body
+                               was not a JSON object
 =====================  ======  ==========================================
 
 Error bodies carry ``{"error": <type name>, "message": ..., ...}`` plus
@@ -203,10 +208,13 @@ def _make_handler(engine):
                     try:
                         timeout = float(raw)
                     except ValueError:
+                        timeout = math.nan  # rejected below
+                    if not 0 <= timeout < math.inf:
                         raise SpecError(
-                            f"timeout must be a number, not {raw!r}",
+                            f"timeout must be finite seconds >= 0, "
+                            f"not {raw!r}",
                             field="timeout",
-                        ) from None
+                        )
                 result = engine.result(rest[1], timeout=timeout)
                 self._respond(200, {"id": rest[1], "result": result})
                 return
@@ -216,7 +224,13 @@ def _make_handler(engine):
             )
 
         def _read_body(self) -> dict:
-            length = int(self.headers.get("Content-Length") or 0)
+            header = self.headers.get("Content-Length") or "0"
+            try:
+                length = int(header)
+            except ValueError:
+                length = -1
+            if length < 0:
+                raise _BadRequest(f"bad Content-Length {header!r}")
             raw = self.rfile.read(length) if length else b""
             try:
                 body = json.loads(raw or b"{}")
@@ -250,8 +264,15 @@ def _make_handler(engine):
                     )
                 if "schema_version" not in record:
                     record = dict(record, schema_version=version)
-            spec = JobSpec.from_record(record)
-            job = engine.submit(spec, job_id=body.get("id"))
+            job_id = body.get("id")
+            if job_id is not None and not (
+                isinstance(job_id, str) and job_id
+            ):
+                raise SpecError(
+                    f"id must be a non-empty string, not {job_id!r}",
+                    field="id",
+                )
+            job = engine.submit(JobSpec.from_record(record), job_id=job_id)
             self._respond(202, {
                 "id": job.id,
                 "state": job.state,

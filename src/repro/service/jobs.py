@@ -10,16 +10,16 @@ engine keeps while it moves through its states::
          \\-> cancelled (client cancelled it before it started)
          \\-> requeued (service drained; journal keeps it for restart)
 
-Specs carry an explicit ``schema_version`` so the wire format (spool
-files, HTTP bodies, journal records) can evolve: servers accept every
-version in :data:`ACCEPTED_SCHEMA_VERSIONS` and reject anything else
-with a typed :class:`~repro.errors.SpecError` naming the field.
-Records without the field — every v1 spool file written before the
-versioned schema — read back as version 1 and stay accepted.
+Specs carry an explicit ``schema_version`` so the wire format (HTTP
+bodies, journal records) can evolve: servers accept every version in
+:data:`ACCEPTED_SCHEMA_VERSIONS` and reject anything else with a
+typed :class:`~repro.errors.SpecError` naming the field.  Records
+without the field — the v1 wire format, written before the versioned
+schema — read back as version 1 and stay accepted.
 
 Payloads are plain JSON dicts rather than the api dataclasses so a
-spec round-trips byte-identically through the crash-safe journal and
-the submission spool.  :func:`execute_job` is the single dispatch
+spec round-trips byte-identically through the HTTP wire and the
+crash-safe journal.  :func:`execute_job` is the single dispatch
 point from a spec to the typed :mod:`repro.api` facade; it returns a
 JSON-able result payload whose digests let callers prove a service
 result is byte-identical to a direct facade call.
@@ -28,6 +28,7 @@ result is byte-identical to a direct facade call.
 from __future__ import annotations
 
 import hashlib
+import math
 import secrets
 import tempfile
 from dataclasses import dataclass, field
@@ -61,7 +62,7 @@ TERMINAL_STATES = ("done", "failed", "expired", "cancelled")
 SCHEMA_VERSION = 2
 
 #: Every wire schema this code still reads (v1 is the unversioned
-#: format of the first spool release).
+#: format that predates the field).
 ACCEPTED_SCHEMA_VERSIONS = (1, SCHEMA_VERSION)
 
 
@@ -111,9 +112,13 @@ class JobSpec:
         if not isinstance(self.tenant, str) or not self.tenant:
             raise SpecError("tenant must be a non-empty string",
                             field="tenant")
-        if self.deadline is not None and self.deadline < 0:
+        if self.deadline is not None and not (
+            isinstance(self.deadline, (int, float))
+            and 0 <= self.deadline < math.inf
+        ):
             raise SpecError(
-                f"deadline must be >= 0 seconds, not {self.deadline!r}",
+                f"deadline must be finite seconds >= 0, "
+                f"not {self.deadline!r}",
                 field="deadline",
             )
         if not isinstance(self.payload, dict):
@@ -123,6 +128,11 @@ class JobSpec:
             _validate_benchmark(self.payload.get("name"))
         elif self.kind == "sweep":
             names = self.payload.get("names") or ()
+            if not isinstance(names, (list, tuple)):
+                raise SpecError(
+                    "names must be a list of benchmark names",
+                    field="payload.names",
+                )
             for name in names:
                 _validate_benchmark(name)
             kind = self.payload.get("sweep_kind", "size")
@@ -156,9 +166,14 @@ class JobSpec:
     @classmethod
     def from_record(cls, record: dict) -> "JobSpec":
         version = record.get("schema_version")
+        payload = record.get("payload") or {}
         return cls(
             kind=record.get("kind", ""),
-            payload=dict(record.get("payload") or {}),
+            # Copied only when it is an object; validate() names
+            # anything else as a bad payload.
+            payload=(
+                dict(payload) if isinstance(payload, dict) else payload
+            ),
             tenant=record.get("tenant", "default"),
             priority=record.get("priority", "batch"),
             deadline=record.get("deadline"),
@@ -197,9 +212,6 @@ class Job:
     error: tuple[str, str] | None = None
     #: True when this job was re-enqueued by journal recovery.
     recovered: bool = False
-    #: Retry hint journaled with shed records so spool clients read
-    #: the same back-off the engine computed (None otherwise).
-    retry_after: float | None = None
 
     @property
     def terminal(self) -> bool:

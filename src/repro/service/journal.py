@@ -24,7 +24,7 @@ import time
 
 from repro.errors import StoreDegraded, TenantQuotaExceeded
 from repro.obs.metrics import get_registry
-from repro.service.jobs import TERMINAL_STATES, Job, JobSpec
+from repro.service.jobs import Job, JobSpec
 
 __all__ = ["JobJournal"]
 
@@ -61,8 +61,6 @@ class JobJournal:
             "result": job.result,
             "error": list(job.error) if job.error else None,
         }
-        if job.retry_after is not None:
-            record["retry_after"] = job.retry_after
         try:
             self._store.put(
                 "job", job.id, record, tenant=job.spec.tenant
@@ -110,15 +108,16 @@ class JobJournal:
     def recover(self) -> list[Job]:
         """Rebuild the non-terminal jobs a dead service left behind.
 
-        Queued and running records come back as fresh ``queued`` jobs
-        flagged ``recovered`` (execution is deterministic and
-        store-cached, so re-running is safe); terminal records are left
-        as they are.
+        Queued, running, and requeued records come back as fresh
+        ``queued`` jobs flagged ``recovered`` (execution is
+        deterministic and store-cached, so re-running is safe); every
+        other record is left as it is.
         """
         jobs: list[Job] = []
         for job_id, record in sorted(self.load_all().items()):
-            state = record.get("state")
-            if state in TERMINAL_STATES or state == "shed":
+            # An allow-list of the non-terminal states the engine
+            # writes; anything else is never re-run.
+            if record.get("state") not in ("queued", "running", "requeued"):
                 continue
             job = Job(
                 id=job_id,

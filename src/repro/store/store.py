@@ -93,7 +93,7 @@ NAMESPACES = {
 }
 
 #: Directory names under the root that are never ref namespaces.
-_RESERVED = {"objects", "tenants", "spool", "claims"} | {
+_RESERVED = {"objects", "tenants", "claims"} | {
     sub for sub in NAMESPACES.values() if sub
 }
 
@@ -829,8 +829,9 @@ class ArtifactStore:
                     except OSError:
                         pass
             else:
-                # Legacy standalone ref (pre-store entry): its bytes
-                # are its own.
+                # A standalone ref, not linked to any object (fault
+                # injection replaces a ref's link with a fresh file):
+                # its bytes are its own.
                 freed += victim.size
         if freed:
             _METRICS.inc("store.evicted_bytes", freed)
@@ -854,24 +855,18 @@ class ArtifactStore:
 
     # -- maintenance ---------------------------------------------------------
 
-    def gc(
-        self,
-        stale_temp_seconds: float = 300.0,
-        rejected_age_seconds: float = 3600.0,
-    ) -> dict:
+    def gc(self, stale_temp_seconds: float = 300.0) -> dict:
         """Collect crash leftovers and rewrite the manifest snapshot.
 
         Removes stale temp files, orphan objects, corrupt refs
-        (quarantined by reason), aged-out ``.rejected`` spool
-        quarantine files, and tenant markers whose ref is gone, then
-        persists a sealed manifest snapshot for `repro store stats`
-        and enforces the quota.
+        (quarantined by reason), and tenant markers whose ref is gone,
+        then persists a sealed manifest snapshot for `repro store
+        stats` and enforces the quota.
         """
         report = {
             "stale_temps": 0,
             "orphan_objects": 0,
             "corrupt_refs": 0,
-            "rejected_spool": 0,
             "stale_markers": 0,
             "evicted": 0,
         }
@@ -886,17 +881,6 @@ class ArtifactStore:
                         report["stale_temps"] += 1
                 except OSError:
                     continue
-        # Quarantined spool requests (torn/foreign files renamed to
-        # ``.rejected`` by the serve loop) age out here — without this
-        # they accumulate forever.
-        for rejected in self.root.glob("spool/*.rejected"):
-            try:
-                if now - rejected.stat().st_mtime > rejected_age_seconds:
-                    rejected.unlink()
-                    report["rejected_spool"] += 1
-                    _METRICS.inc("store.rejected_spool_collected")
-            except OSError:
-                continue
         stats = CacheStats()
         entries = self.scan()
         for entry in entries:

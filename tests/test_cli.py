@@ -1,7 +1,13 @@
 """The command-line interface."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -59,14 +65,35 @@ def test_jobs_empty_journal(capsys, monkeypatch, tmp_path):
 
 
 def test_submit_serve_jobs_round_trip(capsys, monkeypatch, tmp_path):
+    # `serve` installs signal handlers, which needs a main thread: it
+    # runs as a subprocess on an ephemeral port it reports on stderr.
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    out = run_cli(
-        capsys, "submit", "squash", "--names", "adpcm",
-        "--scale", "0.2", "--theta", "0.0001",
-        "--tenant", "cli-test",
+    monkeypatch.setenv(
+        "PYTHONPATH", str(pathlib.Path(repro.__file__).parents[1]),
+        prepend=os.pathsep,
     )
-    assert "submitted" in out
-    run_cli(capsys, "serve", "--max-jobs", "1", "--idle-exit", "10")
+    server = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve",
+         "--http", "127.0.0.1:0", "--max-jobs", "1"],
+        stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        banner = server.stderr.readline()
+        assert "serve: up" in banner, banner
+        url = banner.rsplit("http ", 1)[1].rstrip(")\n")
+        out = run_cli(
+            capsys, "submit", "squash", "--names", "adpcm",
+            "--scale", "0.2", "--theta", "0.0001",
+            "--tenant", "cli-test", "--url", url, "--wait", "60",
+        )
+        assert "submitted" in out
+        assert "done" in out
+        assert server.wait(timeout=60) == 0
+    finally:
+        if server.poll() is None:
+            server.kill()
+            server.wait(timeout=30)
+        server.stderr.close()
     out = run_cli(capsys, "jobs")
     assert "done" in out
     assert "cli-test" in out

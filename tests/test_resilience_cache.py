@@ -43,13 +43,6 @@ class TestRoundtrip:
         assert stats.misses == 1
         assert stats.rejected == 0
 
-    def test_legacy_sealless_entry_accepted(self, tmp_path):
-        path = tmp_path / "old.json"
-        path.write_text(json.dumps(ENTRY))
-        stats = CacheStats()
-        assert read_entry(path, KEYS, stats) == ENTRY
-        assert stats.hits == 1
-
     def test_seal_text_roundtrip(self):
         payload = json.dumps({"a": 1})
         text = seal_text(payload)
@@ -109,6 +102,15 @@ class TestCorruptionDetected:
     def test_truncated_json(self, tmp_path):
         path = _write(tmp_path)
         path.write_bytes(path.read_bytes()[:10])  # a torn write
+        assert self._reject_reason(path) == "torn"
+
+    @pytest.mark.parametrize("keep", [0, 1], ids=["bare", "newline"])
+    def test_entry_cut_before_its_seal_is_torn(self, tmp_path, keep):
+        """A torn write that lost only the seal line leaves valid JSON
+        with every required key; it must still read as torn."""
+        path = _write(tmp_path)
+        data = path.read_bytes()
+        path.write_bytes(data[: data.index(b"\n") + keep])
         assert self._reject_reason(path) == "torn"
 
     def test_garbage_bytes(self, tmp_path):

@@ -1,9 +1,9 @@
-"""The typed ServiceClient: one API over local, spool, and HTTP.
+"""The typed ServiceClient: one API over local and HTTP.
 
 Stub job bodies throughout; the suite pins the *client* contract —
 handle round trips, typed error parity across transports, and the
 retry loop honouring the service's retry-after hints end to end over
-both the spool and HTTP transports (satellite of the phase-2 issue).
+HTTP.
 """
 
 import threading
@@ -21,11 +21,9 @@ from repro.errors import (
 from repro.service import (
     JobEngine,
     JobHandle,
-    JobJournal,
     JobSpec,
     ServiceClient,
     ServiceConfig,
-    serve_forever,
     serve_http,
 )
 
@@ -55,11 +53,8 @@ def _echo(spec):
 def engine():
     built = []
 
-    def make(execute_fn=_echo, paused=False, journal=None, **overrides):
-        eng = JobEngine(
-            _config(**overrides), execute_fn=execute_fn,
-            journal=journal,
-        )
+    def make(execute_fn=_echo, paused=False, **overrides):
+        eng = JobEngine(_config(**overrides), execute_fn=execute_fn)
         eng._dispatch_paused = paused
         eng.start(recover=False)
         built.append(eng)
@@ -70,44 +65,18 @@ def engine():
         eng.stop(drain_timeout=0.2)
 
 
-@pytest.fixture
-def serving(engine, tmp_path):
-    """A spool-serving engine on a background thread, plus its root."""
-    threads = []
-    stops = []
-
-    def make(**overrides):
-        eng = engine(journal=JobJournal(tmp_path), **overrides)
-        stop = threading.Event()
-        thread = threading.Thread(
-            target=serve_forever,
-            args=(eng, tmp_path),
-            kwargs=dict(poll_interval=0.01, should_stop=stop.is_set,
-                        fanout=False),
-            daemon=True,
-        )
-        thread.start()
-        threads.append(thread)
-        stops.append(stop)
-        return eng
-
-    yield make
-    for stop in stops:
-        stop.set()
-    for thread in threads:
-        thread.join(timeout=10.0)
-
-
 class TestTargets:
     def test_unknown_target_is_typed(self):
         with pytest.raises(SpecError) as exc:
             ServiceClient("carrier-pigeon")
         assert exc.value.field == "target"
 
-    def test_transport_names(self, engine, tmp_path):
+    def test_transport_names(self, engine):
         assert ServiceClient("local", engine=engine()).transport == "local"
-        assert ServiceClient("spool", root=tmp_path).transport == "spool"
         assert ServiceClient("http://x:1").transport == "http"
+        with pytest.raises(SpecError) as exc:
+            ServiceClient("spool")
+        assert exc.value.field == "target"
 
 
 class TestLocalTransport:
@@ -158,80 +127,6 @@ class TestLocalTransport:
                 client.submit(_spec(value=1))
             # Two absorbed sheds, each floored at 0.01s of backoff.
             assert time.monotonic() - started >= 0.02
-
-
-class TestSpoolTransport:
-    def test_round_trip_and_spooled_status(self, serving, tmp_path):
-        serving()
-        with ServiceClient("spool", root=tmp_path) as client:
-            handle = client.submit(_spec(value=11))
-            assert handle.result(timeout=10.0) == {"value": 11}
-            assert handle.status()["state"] == "done"
-
-    def test_status_before_pickup_is_spooled(self, tmp_path):
-        # No server at all: the request sits in the spool.
-        with ServiceClient("spool", root=tmp_path) as client:
-            handle = client.submit(_spec(value=1))
-            assert handle.status()["state"] == "spooled"
-            with pytest.raises(UnknownJob):
-                client.status("never-spooled")
-
-    def test_cancel_withdraws_spooled_request(self, tmp_path):
-        with ServiceClient("spool", root=tmp_path) as client:
-            handle = client.submit(_spec(value=1))
-            assert handle.cancel() is True
-            assert handle.status()["state"] == "cancelled"
-            assert handle.cancel() is False  # already gone
-
-    def test_retry_loop_honours_journaled_retry_after(
-        self, serving, tmp_path
-    ):
-        """End-to-end over the spool: the first submission is shed
-        (journaled with the retry-after hint), the client backs off
-        and resubmits, and the resubmission completes once the queue
-        has drained."""
-        eng = serving(queue_depth=1, workers=1, paused=True)
-        with ServiceClient(
-            "spool", root=tmp_path, retries=4, retry_floor=0.05
-        ) as client:
-            filler = client.submit(_spec(value=0))
-            # Wait until the serving thread has admitted the filler so
-            # the next submission overflows the depth-1 queue.
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if filler.status()["state"] != "spooled":
-                    break
-                time.sleep(0.01)
-            handle = client.submit(_spec(value=7))
-            shed_id = handle.id
-            retries_before = _client_retries()
-
-            def unfreeze():
-                time.sleep(0.3)
-                eng._dispatch_paused = False
-                eng._loop.call_soon_threadsafe(eng._wake.set)
-
-            threading.Thread(target=unfreeze, daemon=True).start()
-            assert handle.result(timeout=30.0) == {"value": 7}
-            # The shed id was burned; the handle moved to a fresh one.
-            assert handle.id != shed_id
-            assert _client_retries() > retries_before
-
-    def test_retry_exhaustion_is_typed(self, serving, tmp_path):
-        serving(queue_depth=1, workers=1, paused=True)
-        with ServiceClient(
-            "spool", root=tmp_path, retries=1, retry_floor=0.01
-        ) as client:
-            filler = client.submit(_spec(value=0))
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                if filler.status()["state"] != "spooled":
-                    break
-                time.sleep(0.01)
-            handle = client.submit(_spec(value=1))
-            with pytest.raises(ServiceOverloaded) as exc:
-                handle.result(timeout=10.0)
-            assert exc.value.retry_after > 0
 
 
 def _client_retries() -> int:

@@ -1,6 +1,7 @@
 """Multi-host fan-out: claims, leases, reclaim, and row identity."""
 
 import json
+import threading
 import time
 
 import pytest
@@ -14,6 +15,7 @@ from repro.service.fanout import (
     _done_key,
     engine_id,
     publish_plan,
+    serve_forever,
     try_claim,
     work_plan,
 )
@@ -165,6 +167,51 @@ class TestWorker:
             assert worker.poll() == 1
         record = store.get("sweep", _done_key(plan["plan"], "adpcm"))
         assert record is not None
+
+
+class TestServeLoop:
+    def test_serve_forever_exits_on_should_stop(self, tmp_path):
+        from repro.service import JobEngine, JobJournal, ServiceConfig
+        from repro.service.jobs import JobSpec
+
+        engine = JobEngine(
+            ServiceConfig(drain_timeout=5.0),
+            journal=JobJournal(tmp_path),
+            execute_fn=lambda spec: {"value": spec.payload["value"]},
+        )
+        engine.start(recover=False)
+        stop = threading.Event()
+        polls = []
+        result = {}
+
+        def should_stop():
+            polls.append(1)
+            return stop.is_set()
+
+        def serve():
+            result["terminal"] = serve_forever(
+                engine, tmp_path, poll_interval=0.01,
+                should_stop=should_stop,
+            )
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            job = engine.submit(JobSpec(
+                kind="squash", payload={"name": "adpcm", "value": 4},
+            ))
+            assert engine.result(job.id, timeout=10.0) == {"value": 4}
+            # Two more iterations: the second starts only after the
+            # first has counted the (already terminal) job.
+            seen, deadline = len(polls), time.monotonic() + 10.0
+            while len(polls) < seen + 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            engine.stop(drain_timeout=0.5)
+        assert not thread.is_alive()
+        assert result["terminal"] >= 1
 
 
 class TestFanoutSweep:

@@ -7,6 +7,8 @@ typed client, which gets its own suite in test_service_client.py.
 """
 
 import json
+import sys
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -21,14 +23,14 @@ from repro.errors import (
     TenantQuotaExceeded,
     UnknownJob,
 )
-from repro.service import JobEngine, JobSpec, ServiceConfig
+from repro.service import JobEngine, JobJournal, JobSpec, ServiceConfig
 from repro.service.http import (
     HttpServiceServer,
     error_payload,
     error_status,
     serve_http,
 )
-from repro.service.jobs import SCHEMA_VERSION
+from repro.service.jobs import SCHEMA_VERSION, Job
 
 
 def _config(**overrides):
@@ -189,17 +191,36 @@ class TestRoutes:
         assert body["retry_after"] > 0
         assert int(headers["Retry-After"]) >= 1
 
-    def test_spec_error_is_422_naming_the_field(self, served):
+    SPEC_ERRORS = [
+        ("kind", {"kind": "transmogrify"}, {}, "kind"),
+        ("id-list", {}, {"id": ["a"]}, "id"),
+        ("id-int", {}, {"id": 7}, "id"),
+        ("id-empty", {}, {"id": ""}, "id"),
+        ("deadline-str", {"deadline": "soon"}, {}, "deadline"),
+        ("deadline-inf", {"deadline": float("inf")}, {}, "deadline"),
+        ("payload-int", {"payload": 5}, {}, "payload"),
+        ("payload-str", {"payload": "abc"}, {}, "payload"),
+        ("names-int", {"kind": "sweep", "payload": {"names": 5}}, {},
+         "payload.names"),
+    ]
+
+    @pytest.mark.parametrize(
+        "spec_fields,envelope,field",
+        [case[1:] for case in SPEC_ERRORS],
+        ids=[case[0] for case in SPEC_ERRORS],
+    )
+    def test_spec_error_is_422_naming_the_field(
+        self, served, spec_fields, envelope, field
+    ):
         _, srv = served()
-        record = _spec().to_record()
-        record["kind"] = "transmogrify"
+        record = dict(_spec().to_record(), **spec_fields)
         status, _, body = _call(
             srv.url + "/v1/jobs", "POST",
-            {"schema_version": SCHEMA_VERSION, "spec": record},
+            dict(envelope, schema_version=SCHEMA_VERSION, spec=record),
         )
         assert status == 422
         assert body["error"] == "SpecError"
-        assert body["field"] == "kind"
+        assert body["field"] == field
 
     def test_missing_spec_is_422(self, served):
         _, srv = served()
@@ -207,11 +228,18 @@ class TestRoutes:
         assert status == 422
         assert body["field"] == "spec"
 
-    def test_malformed_body_is_400(self, served):
+    @pytest.mark.parametrize("data,length", [
+        (b"not json{", None),
+        (b"", "-1"),
+        (b"", "abc"),
+    ], ids=["not-json", "negative-length", "non-numeric-length"])
+    def test_malformed_body_is_400(self, served, data, length):
         _, srv = served()
         req = urllib.request.Request(
-            srv.url + "/v1/jobs", data=b"not json{", method="POST"
+            srv.url + "/v1/jobs", data=data, method="POST"
         )
+        if length is not None:
+            req.add_header("Content-Length", length)
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=10.0)
         assert exc.value.code == 400
@@ -228,10 +256,14 @@ class TestRoutes:
         assert status == 504
         assert body["error"] == "Timeout"
 
-    def test_bad_timeout_is_422(self, served):
-        _, srv = served()
+    @pytest.mark.parametrize("timeout", ["soon", "inf", "nan", "-1"])
+    def test_bad_timeout_is_422(self, served, timeout):
+        # A queued job, so a timeout that slipped through would reach
+        # the result wait instead of an UnknownJob.
+        _, srv = served(paused=True)
+        _, _, body = _call(srv.url + "/v1/jobs", "POST", _submit_body())
         status, _, body = _call(
-            srv.url + "/v1/jobs/x/result?timeout=soon"
+            srv.url + f"/v1/jobs/{body['id']}/result?timeout={timeout}"
         )
         assert status == 422
         assert body["field"] == "timeout"
@@ -287,6 +319,96 @@ class TestRoutes:
         assert status == 404
         status, _, _ = _call(srv.url + "/v1/jobs/x", "POST", {})
         assert status == 405
+
+
+class TestClientIds:
+    """A client-supplied id is an idempotency key: POSTing it again
+    never runs the job again."""
+
+    @staticmethod
+    def _counting(runs):
+        def execute(spec):
+            runs.append(spec.payload["value"])
+            return {"value": spec.payload["value"]}
+
+        return execute
+
+    def test_duplicate_client_id_runs_once(self, served):
+        runs = []
+        eng, srv = served(execute_fn=self._counting(runs))
+        results = []
+        for _ in range(2):
+            status, _, body = _call(
+                srv.url + "/v1/jobs", "POST",
+                _submit_body(value=3, id="job-dup"),
+            )
+            assert status == 202 and body["id"] == "job-dup"
+            _, _, body = _call(
+                srv.url + "/v1/jobs/job-dup/result?timeout=30"
+            )
+            results.append(body["result"])
+        assert eng._idle.wait(10.0)
+        assert results == [{"value": 3}, {"value": 3}]
+        assert runs == [3]
+
+    def test_concurrent_posts_of_one_id_run_once(self, served):
+        runs = []
+        eng, srv = served(execute_fn=self._counting(runs))
+        ids = []
+
+        def post():
+            _, _, body = _call(
+                srv.url + "/v1/jobs", "POST",
+                _submit_body(value=8, id="job-race"),
+            )
+            ids.append(body["id"])
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            posters = [threading.Thread(target=post) for _ in range(8)]
+            for thread in posters:
+                thread.start()
+            for thread in posters:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(thread.is_alive() for thread in posters)
+        assert ids == ["job-race"] * 8
+        assert eng.result("job-race", timeout=10.0) == {"value": 8}
+        assert eng._idle.wait(10.0)
+        assert runs == [8]
+
+    @pytest.mark.parametrize("left", ["queued", "done"])
+    def test_id_resubmitted_after_restart_runs_once(self, tmp_path, left):
+        """The previous process left the job queued (recovery re-runs
+        it once) or done (nothing runs); POSTing its id after the
+        restart adds no run either way."""
+        JobJournal(tmp_path).record(Job(
+            id="job-restart", spec=_spec(value=5), state=left,
+            result={"value": 5} if left == "done" else None,
+        ))
+        runs = []
+        eng = JobEngine(
+            _config(), journal=JobJournal(tmp_path),
+            execute_fn=self._counting(runs),
+        )
+        eng.start(recover=True)
+        try:
+            with HttpServiceServer(eng, port=0) as srv:
+                status, _, _ = _call(
+                    srv.url + "/v1/jobs", "POST",
+                    _submit_body(value=5, id="job-restart"),
+                )
+                assert status == 202
+                _, _, body = _call(
+                    srv.url + "/v1/jobs/job-restart/result?timeout=30"
+                )
+                assert body["result"] == {"value": 5}
+                assert eng._idle.wait(10.0)
+        finally:
+            eng.stop(drain_timeout=0.2)
+        assert runs == ([5] if left == "queued" else [])
 
 
 class TestSchemaVersion:

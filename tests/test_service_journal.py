@@ -1,24 +1,17 @@
-"""The crash-safe job journal and the filesystem spool transport."""
+"""The crash-safe job journal."""
 
-import json
-import threading
 import time
 
-import pytest
-
-from repro.errors import ServiceOverloaded, StoreDegraded
+from repro.errors import StoreDegraded
 from repro.obs.metrics import get_registry
 from repro.service import (
     JobEngine,
     JobJournal,
     JobSpec,
     ServiceConfig,
-    SpoolClient,
     new_job_id,
-    spool_dir,
 )
 from repro.service.jobs import Job
-from repro.service.spool import _drain_spool
 
 _METRICS = get_registry()
 
@@ -126,113 +119,3 @@ class TestJournal:
             _METRICS.counter("service.journal_degraded").value
             > degraded_before
         )
-
-
-class TestSpool:
-    def test_round_trip_submit_wait(self, tmp_path):
-        client = SpoolClient(tmp_path)
-        job_id = client.submit(_spec(value=5))
-        assert (spool_dir(tmp_path) / f"{job_id}.json").exists()
-        engine = _engine(tmp_path)
-        engine.start(recover=False)
-        try:
-            _drain_spool(engine, spool_dir(tmp_path))
-            record = client.wait(job_id, timeout=10.0)
-        finally:
-            engine.stop(drain_timeout=0.5)
-        assert record["state"] == "done"
-        assert record["result"] == {"value": 5}
-        assert not (spool_dir(tmp_path) / f"{job_id}.json").exists()
-
-    def test_shed_spool_request_gets_typed_answer(self, tmp_path):
-        # The drain scan admits in sorted-filename order; pin the ids
-        # so the overflow victim is deterministic.
-        client = SpoolClient(tmp_path)
-        ids = sorted(new_job_id() for _ in range(3))
-        for i, job_id in enumerate(ids):
-            client.submit(_spec(value=i), job_id=job_id)
-        engine = _engine(tmp_path, queue_depth=1, workers=1)
-        engine._dispatch_paused = True
-        engine.start(recover=False)
-        try:
-            _drain_spool(engine, spool_dir(tmp_path))
-            with pytest.raises(ServiceOverloaded):
-                client.wait(ids[-1], timeout=10.0)
-        finally:
-            engine.stop(drain_timeout=0.2)
-
-    def test_crash_window_duplicate_is_deduplicated(self, tmp_path):
-        """A SIGKILL between journaling and unlinking re-presents the
-        request file; the journal record deduplicates it."""
-        client = SpoolClient(tmp_path)
-        job_id = client.submit(_spec(value=1))
-        engine = _engine(tmp_path)
-        engine.start(recover=False)
-        try:
-            assert _drain_spool(engine, spool_dir(tmp_path)) == 1
-            engine.result(job_id, timeout=10.0)
-            # Re-present the same request, as a crash would.
-            client.submit(_spec(value=1), job_id=job_id)
-            assert _drain_spool(engine, spool_dir(tmp_path)) == 0
-        finally:
-            engine.stop(drain_timeout=0.5)
-        assert not (spool_dir(tmp_path) / f"{job_id}.json").exists()
-
-    def test_torn_request_is_quarantined(self, tmp_path):
-        spool = spool_dir(tmp_path)
-        spool.mkdir(parents=True)
-        (spool / "torn.json").write_text("{not json")
-        engine = _engine(tmp_path)
-        engine.start(recover=False)
-        try:
-            assert _drain_spool(engine, spool) == 0
-        finally:
-            engine.stop(drain_timeout=0.2)
-        assert not (spool / "torn.json").exists()
-        assert (spool / "torn.rejected").exists()
-
-    def test_invalid_spec_is_journaled_failed(self, tmp_path):
-        spool = spool_dir(tmp_path)
-        spool.mkdir(parents=True)
-        job_id = new_job_id()
-        (spool / f"{job_id}.json").write_text(json.dumps({
-            "id": job_id,
-            "spec": {"kind": "squash", "payload": {"name": "doom"}},
-        }))
-        engine = _engine(tmp_path)
-        engine.start(recover=False)
-        try:
-            _drain_spool(engine, spool)
-            record = engine.journal.load(job_id)
-        finally:
-            engine.stop(drain_timeout=0.2)
-        assert record["state"] == "failed"
-        assert record["error"][0] == "SpecError"
-
-    def test_serve_forever_exits_on_should_stop(self, tmp_path):
-        from repro.service import serve_forever
-
-        engine = _engine(tmp_path)
-        engine.start(recover=False)
-        stop = threading.Event()
-        client = SpoolClient(tmp_path)
-        job_id = client.submit(_spec(value=4))
-        result = {}
-
-        def serve():
-            result["terminal"] = serve_forever(
-                engine, tmp_path, poll_interval=0.01,
-                should_stop=stop.is_set,
-            )
-
-        thread = threading.Thread(target=serve)
-        thread.start()
-        try:
-            record = client.wait(job_id, timeout=10.0)
-            assert record["state"] == "done"
-        finally:
-            stop.set()
-            thread.join(timeout=10.0)
-            engine.stop(drain_timeout=0.5)
-        assert not thread.is_alive()
-        assert result["terminal"] >= 1

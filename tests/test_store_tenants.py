@@ -3,8 +3,6 @@ and the gc paths that keep the attribution tree honest."""
 
 import hashlib
 import json
-import os
-import time
 
 import pytest
 
@@ -127,22 +125,6 @@ class TestTenantQuota:
 
 
 class TestGc:
-    def test_aged_rejected_spool_files_collected(self, store):
-        """Regression: quarantined ``.rejected`` spool files used to
-        live forever — gc must age them out."""
-        spool = store.root / "spool"
-        spool.mkdir(parents=True)
-        old = spool / "torn-request.json.rejected"
-        old.write_text("{ torn")
-        stale = time.time() - 7200.0
-        os.utime(old, (stale, stale))
-        fresh = spool / "recent.json.rejected"
-        fresh.write_text("{ torn")
-        report = store.gc(rejected_age_seconds=3600.0)
-        assert report["rejected_spool"] == 1
-        assert not old.exists()
-        assert fresh.exists()  # still inside the quarantine window
-
     def test_stale_tenant_markers_pruned(self, store):
         store.put("cell", _key("live"), _obj("live"), tenant="alice")
         store._mark_tenant("alice", "cell", _key("ghost"))
