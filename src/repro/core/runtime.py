@@ -468,8 +468,7 @@ class SquashRuntime:
             self._expanded_cache[region_index] = (words, bits)
         else:
             words, bits = cached
-        for index, word in enumerate(words):
-            machine.write_word(region.base + 1 + index, word)
+        machine.write_words(region.base + 1, words)
 
         cost = desc.cost
         cycles = (

@@ -31,7 +31,14 @@ typed error            status  extras
 (timeout waiting)        504   result long-poll exceeded ``?timeout=``
 (malformed request)      400   bad ``Content-Length``, or the body
                                was not a JSON object
+(slow request)           408   the body stalled past
+                               :data:`REQUEST_TIMEOUT_S`
+(body too large)         413   ``Content-Length`` over
+                               :data:`MAX_BODY_BYTES`; body never read
 =====================  ======  ==========================================
+
+The 400, 408 and 413 answers close the connection, since the rest of
+the body may still be on the wire.
 
 Error bodies carry ``{"error": <type name>, "message": ..., ...}`` plus
 the typed exception's own fields (``retry_after``, ``field``,
@@ -75,6 +82,17 @@ __all__ = [
 
 _METRICS = get_registry()
 
+#: Seconds one socket read or write on a connection may stall before
+#: the server gives up on it; without it, a client that sends fewer
+#: body bytes than its ``Content-Length`` holds a handler thread.
+#: Result long-polls wait on the engine, not the socket, so this does
+#: not bound them.
+REQUEST_TIMEOUT_S = 10.0
+
+#: Largest request body the server reads.  A job spec is well under a
+#: KiB; a larger declared ``Content-Length`` gets a 413 unread.
+MAX_BODY_BYTES = 1 << 20
+
 #: Typed error -> stable HTTP status; order matters (subclasses first).
 ERROR_STATUS: tuple[tuple[type, int], ...] = (
     (TenantQuotaExceeded, 429),
@@ -111,6 +129,7 @@ def _make_handler(engine):
     class _Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
         server_version = "repro-service"
+        timeout = REQUEST_TIMEOUT_S
 
         # -- plumbing --------------------------------------------------------
 
@@ -231,7 +250,19 @@ def _make_handler(engine):
                 length = -1
             if length < 0:
                 raise _BadRequest(f"bad Content-Length {header!r}")
-            raw = self.rfile.read(length) if length else b""
+            if length > MAX_BODY_BYTES:
+                raise _BadRequest(
+                    f"Content-Length {length} is over the "
+                    f"{MAX_BODY_BYTES}-byte body limit",
+                    413, "PayloadTooLarge",
+                )
+            try:
+                raw = self.rfile.read(length) if length else b""
+            except TimeoutError:
+                raise _BadRequest(
+                    f"request body stalled for {self.timeout:g} s",
+                    408, "RequestTimeout",
+                ) from None
             try:
                 body = json.loads(raw or b"{}")
             except ValueError:
@@ -245,7 +276,9 @@ def _make_handler(engine):
                 body = self._read_body()
             except _BadRequest as exc:
                 self._respond(
-                    400, {"error": "BadRequest", "message": str(exc)}
+                    exc.status,
+                    {"error": exc.error, "message": str(exc)},
+                    {"Connection": "close"},
                 )
                 return
             record = body.get("spec")
@@ -315,7 +348,13 @@ def _make_handler(engine):
 
 
 class _BadRequest(Exception):
-    pass
+    """A request rejected before any job work, with its status."""
+
+    def __init__(self, message: str, status: int = 400,
+                 error: str = "BadRequest"):
+        super().__init__(message)
+        self.status = status
+        self.error = error
 
 
 class HttpServiceServer:

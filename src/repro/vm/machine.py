@@ -11,12 +11,23 @@ Services: a squashed image contains address ranges (decompressor entry
 points) that trap into Python handlers registered via ``services``.
 This models the paper's software decompressor, whose code occupies real
 space in the image but whose execution we simulate (see DESIGN.md).
+
+Block translation: :meth:`Machine.run` interprets one instruction per
+step, and after :data:`TRANSLATE_AFTER` entries at a pc it translates
+the straight-line block starting there into one generated Python
+function.  A block runs only when its whole length fits the step and
+watchdog budgets, and it stops before any load or store that would
+fault, so every fault, budget trip, cycle count and block count comes
+out of the step body exactly as in a run that translates nothing.  The
+step body is the oracle the translated code is tested against
+(``tests/test_vm_translate.py``; DESIGN.md §10).
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 from repro import settings as _settings
 from repro.errors import WatchdogExpired
@@ -33,6 +44,11 @@ _U32 = WORD_MASK
 #: ping-pongs through the decompressor burns watchdog budget even while
 #: its guest step count barely moves.
 _SERVICE_WATCHDOG_COST = 64
+
+#: A block is translated on its TRANSLATE_AFTER-th entry at one pc.
+#: One ``compile()`` costs about as much as interpreting a few hundred
+#: instructions, and most blocks run fewer than 32 times.
+TRANSLATE_AFTER = 32
 
 
 def _env_watchdog() -> int:
@@ -65,6 +81,16 @@ class MemoryFault(MachineFault):
 
 class FuelExhausted(MachineFault):
     """The run exceeded its step budget."""
+
+
+class _Deopt(Exception):
+    """Raised by a translated block before a load or store that would
+    fault; ``args[0]`` is the number of instructions it completed."""
+
+
+#: A translation: the generated function (returns the next pc), its
+#: length in instructions, and the words it was translated from.
+_Block = tuple[Callable[[], int], int, list[int]]
 
 
 @dataclass
@@ -105,6 +131,198 @@ def _predecode(word: int) -> tuple[int, int, int, int, int, int]:
     return cached
 
 
+_OP_SPC = int(Op.SPC)
+_OP_LDA, _OP_LDAH = int(Op.LDA), int(Op.LDAH)
+_OP_LDW, _OP_STW = int(Op.LDW), int(Op.STW)
+_OP_BR, _OP_BSR = int(Op.BR), int(Op.BSR)
+_OP_BEQ, _OP_BLBS = int(Op.BEQ), int(Op.BLBS)
+_OP_JMP, _OP_JSR, _OP_RET = int(Op.JMP), int(Op.JSR), int(Op.RET)
+_OP_OPR, _OP_OPI = int(Op.OPR), int(Op.OPI)
+_SYS_READ, _SYS_WRITE = int(SysOp.READ), int(SysOp.WRITE)
+#: System ops a block may contain; every other one ends it.
+_SYS_IN_BLOCK = frozenset({int(SysOp.NOP), _SYS_READ, _SYS_WRITE})
+#: Branch and jump opcodes: each ends the block it is in.
+_BLOCK_ENDS = frozenset(
+    {_OP_BR, _OP_BSR, _OP_JMP, _OP_JSR, _OP_RET}
+    | set(range(_OP_BEQ, _OP_BLBS + 1))
+)
+
+#: Taken-conditions of the conditional branches over the local ``a``,
+#: each the expression the step body evaluates.
+_BRANCH_TAKEN = {
+    int(Op.BEQ): "a == 0",
+    int(Op.BNE): "a != 0",
+    int(Op.BLT): "a & 2147483648",
+    int(Op.BLE): "a == 0 or a & 2147483648",
+    int(Op.BGT): "a != 0 and not a & 2147483648",
+    int(Op.BGE): "not a & 2147483648",
+    int(Op.BLBC): "not a & 1",
+    int(Op.BLBS): "a & 1",
+}
+
+
+def _signed_src(value: str) -> str:
+    """Source of :func:`_signed` applied to the expression *value*."""
+    return f"({value} - 4294967296 if {value} & 2147483648 else {value})"
+
+
+def _alu_src(func: int, a: str, b: str, imm: int | None) -> str:
+    """Source of one ALU result, the step body's expression for *func*.
+
+    *b* is the second operand's source; *imm* is its value when it is a
+    literal, so shifts, signed compares and divisions fold it.
+    """
+    if imm is not None and func in (6, 7, 8):
+        shift = str(imm & 31)
+    else:
+        shift = f"({b} & 31)"
+    if func == 0:
+        return f"({a} + {b}) & 4294967295"
+    if func == 1:
+        return f"({a} - {b}) & 4294967295"
+    if func == 2:
+        return f"({a} * {b}) & 4294967295"
+    if func in (3, 4, 5):
+        return f"{a} {'&|^'[func - 3]} {b}"
+    if func == 6:
+        return f"({a} << {shift}) & 4294967295"
+    if func == 7:
+        return f"{a} >> {shift}"
+    if func == 8:
+        return f"({_signed_src(a)} >> {shift}) & 4294967295"
+    if func == 9:
+        return f"1 if {a} == {b} else 0"
+    if func in (10, 11):
+        sb = str(_signed(imm)) if imm is not None else _signed_src(b)
+        cmp = "<" if func == 10 else "<="
+        return f"1 if {_signed_src(a)} {cmp} {sb} else 0"
+    if func in (12, 13):
+        return f"1 if {a} {'<' if func == 12 else '<='} {b} else 0"
+    div = "//" if func == 14 else "%"
+    if imm is not None:
+        return f"{a} {div} {imm}" if imm else "0"
+    return f"{a} {div} {b} if {b} else 0"
+
+
+def _block_source(
+    entry: int,
+    instrs: list[tuple[int, int, int, int, int, int]],
+    count_entry: bool,
+    mem_len: int,
+    heap_base: int,
+    data_start: int,
+    data_end: int,
+) -> tuple[str, set[str]]:
+    """Python source of one translated block, and the names it binds.
+
+    The function ``_block`` runs *instrs* (decoded words at *entry*,
+    *entry* + 1, ...) and returns the next pc.  Guest registers live in
+    locals, loaded on first read and stored back before every exit.
+    Each expression is the one the step body in :meth:`Machine.run`
+    evaluates, so the two agree on every value, wrap and quirk.
+    """
+    body: list[str] = []
+    uses: set[str] = set()
+    loaded: set[int] = set()
+    dirty: set[int] = set()
+
+    def read(reg: int) -> str:
+        if reg not in loaded:
+            body.append(f"r{reg} = regs[{reg}]")
+            loaded.add(reg)
+            uses.add("regs")
+        return f"r{reg}"
+
+    def write(reg: int, expr: str) -> None:
+        body.append(f"r{reg} = {expr}")
+        loaded.add(reg)
+        dirty.add(reg)
+        uses.add("regs")
+        if reg == 30:
+            body.append("if r30 < floor[0]: floor[0] = r30")
+            uses.add("floor")
+
+    def store_back(indent: str = "") -> None:
+        body.extend(f"{indent}regs[{reg}] = r{reg}" for reg in sorted(dirty))
+
+    def address(rb: int, imm: int, index: int, store: bool) -> None:
+        """Compute ``addr`` and leave the block before a faulting access."""
+        uses.update(("mem", "Deopt"))
+        body.append(f"addr = ({read(rb)} + {imm}) & 4294967295")
+        bad = f"addr >= {mem_len}"
+        if store:
+            bad += f" or (addr < {heap_base} and not {data_start} <= addr < {data_end})"
+        body.append(f"if {bad}:")
+        store_back("    ")
+        body.append(f"    raise Deopt({index})")
+
+    next_pc = str(entry + len(instrs))
+    for index, (op, ra, rb, rc, func, imm) in enumerate(instrs):
+        pc = entry + index
+        if op == _OP_LDW or op == _OP_STW:
+            address(rb, imm, index, op == _OP_STW)
+        if count_entry and index == 0:
+            # Counted once the instruction is sure to execute.
+            uses.add("counts")
+            body.append(f"counts[{entry}] = counts.get({entry}, 0) + 1")
+        if op == _OP_OPR or op == _OP_OPI:
+            if rc != 31:
+                lit = imm if op == _OP_OPI else None
+                b = str(imm) if lit is not None else read(rb)
+                write(rc, _alu_src(func, read(ra), b, lit))
+        elif op == _OP_LDW:
+            if ra != 31:
+                write(ra, "mem[addr]")
+        elif op == _OP_STW:
+            body.append(f"mem[addr] = {read(ra)}")
+        elif op == _OP_LDA:
+            if ra != 31:
+                write(ra, f"({read(rb)} + {imm}) & 4294967295")
+        elif op == _OP_LDAH:
+            if ra != 31:
+                write(ra, f"({read(rb)} + {imm << 16}) & 4294967295")
+        elif op in _BRANCH_TAKEN:
+            body.append(f"a = {read(ra)}")
+            store_back()
+            taken = _BRANCH_TAKEN[op]
+            next_pc = f"{pc + 1 + imm} if {taken} else {pc + 1}"
+        elif op == _OP_BR or op == _OP_BSR:
+            if ra != 31:
+                write(ra, str(pc + 1))
+            store_back()
+            next_pc = str(pc + 1 + imm)
+        elif op == _OP_JMP or op == _OP_JSR or op == _OP_RET:
+            body.append(f"target = {read(rb)}")
+            if ra != 31:
+                write(ra, str(pc + 1))
+            store_back()
+            next_pc = "target"
+        elif op == _OP_SPC and imm == _SYS_READ:
+            read(0)
+            uses.add("m")
+            body += [
+                "if m.in_pos < len(m.input):",
+                "    r0 = m.input[m.in_pos] & 4294967295",
+                "    r1 = 1",
+                "    m.in_pos += 1",
+                "else:",
+                "    r1 = 0",
+            ]
+            loaded.add(1)
+            dirty.update((0, 1))
+        elif op == _OP_SPC and imm == _SYS_WRITE:
+            uses.add("out")
+            body.append(f"out.append({read(16)})")
+    if instrs[-1][0] not in _BLOCK_ENDS:
+        store_back()
+    body.append(f"return {next_pc}")
+    params = ", ".join(f"{name}={name}" for name in sorted(uses))
+    source = f"def _block({params}):\n" + "".join(
+        f"    {line}\n" for line in body
+    )
+    return source, uses
+
+
 class Machine:
     """An interpreter instance bound to one loaded image.
 
@@ -120,7 +338,10 @@ class Machine:
     services:
         Map from trap address to handler.  When the PC reaches a trap
         address the handler runs instead of a fetch; it must update the
-        PC itself.
+        PC itself.  Translated blocks stop before trap addresses, so
+        the map must not change once the machine runs, and handlers
+        change memory only through :meth:`write_word` /
+        :meth:`write_words`, which retire stale translations.
     count_blocks:
         When true, count executions of each address in
         ``image.block_heads`` (the basic-block profile).
@@ -172,7 +393,17 @@ class Machine:
             self._data_start, self._data_end = data_seg.start, data_seg.end
         else:
             self._data_start = self._data_end = 0
-        self._min_sp = self.regs[30]
+        # Lowest sp seen, in a cell that translated blocks update too.
+        self._sp_floor = [self.regs[30]]
+        # Block translation state (see _translate): live translations by
+        # entry pc as (function, length, words), a 1 in _live_map at each
+        # live entry, translations dropped by a write and kept for
+        # revalidation, and step-mode entry counts.
+        self._blocks: dict[int, _Block] = {}
+        self._live_map = bytearray(mem_size)
+        self._longest = 1
+        self._kept: dict[int, list[_Block]] = {}
+        self._heat: dict[int, int] = {}
 
     # -- service/runtime helpers -------------------------------------------
 
@@ -182,9 +413,26 @@ class Machine:
 
     def write_word(self, addr: int, value: int) -> None:
         """Privileged store (used by runtime services)."""
-        if not 0 <= addr < len(self.mem):
-            raise MemoryFault(f"service store to {addr:#x}", self.pc)
-        self.mem[addr] = value & _U32
+        self.write_words(addr, (value,))
+
+    def write_words(self, base: int, words: Sequence[int]) -> None:
+        """Privileged store of *words* at *base*, *base* + 1, ...
+
+        Faults at the first address outside memory after storing the
+        words before it, as one :meth:`write_word` per word would.  This
+        is the one place memory changes under translated code: a
+        translation whose words the store changes stops running.
+        """
+        mem = self.mem
+        room = len(mem) - base if base >= 0 else 0
+        count = min(len(words), max(room, 0))
+        if count:
+            end = base + count
+            mem[base:end] = [word & _U32 for word in words[:count]]
+            if self._live_map.find(1, max(base - self._longest + 1, 0), end) >= 0:
+                self._invalidate(base, end)
+        if count < len(words):
+            raise MemoryFault(f"service store to {base + count:#x}", self.pc)
 
     def read_word(self, addr: int) -> int:
         """Privileged load (used by runtime services)."""
@@ -197,6 +445,112 @@ class Machine:
         """Words of stack currently in use."""
         return len(self.mem) - self.regs[30]
 
+    # -- block translation ---------------------------------------------------
+
+    def _guest_writable(self, addr: int) -> bool:
+        """Whether a guest store can reach *addr*: STW into the heap or
+        the data segment, or SETJMP's four words from a buffer there."""
+        if addr >= self.heap_base:
+            return True
+        start, end = self._data_start, self._data_end
+        return start < end and start <= addr < end + 3
+
+    def _translate(self, entry: int) -> bool:
+        """Translate the block at *entry* and make it live; False when
+        no instruction there can be translated.
+
+        The block runs from *entry* through the first branch or jump.
+        It ends before a counted block head, a trap address, an address
+        a guest store can reach, HALT, EXIT, SETJMP, LONGJMP, a bad ALU
+        func, or a word that does not decode; those, like everything
+        before the first translation, run in the step body.  Guest
+        stores therefore never touch translated code, and runtime
+        services change it only through :meth:`write_words`.
+        """
+        mem = self.mem
+        instrs = []
+        words = []
+        addr = entry
+        while 0 <= addr < len(mem):
+            if (
+                addr in self.services
+                or (addr != entry and addr in self._block_heads)
+                or self._guest_writable(addr)
+            ):
+                break
+            try:
+                decoded = _predecode(mem[addr])
+            except Exception:
+                break
+            op, func, imm = decoded[0], decoded[4], decoded[5]
+            if (op == _OP_SPC and imm not in _SYS_IN_BLOCK) or (
+                (op == _OP_OPR or op == _OP_OPI) and func > 15
+            ):
+                break
+            instrs.append(decoded)
+            words.append(mem[addr])
+            addr += 1
+            if op in _BLOCK_ENDS:
+                break
+        if not instrs:
+            return False
+        source, uses = _block_source(
+            entry, instrs, entry in self._block_heads, len(mem),
+            self.heap_base, self._data_start, self._data_end,
+        )
+        # No reference cycles: the function is popped out of its own
+        # globals, and it reaches the machine through a weak proxy, so a
+        # dropped machine frees its memory at once instead of at the
+        # next garbage collection.
+        bound = {
+            "regs": self.regs, "mem": mem, "floor": self._sp_floor,
+            "counts": self.block_counts, "m": weakref.proxy(self),
+            "out": self.output, "Deopt": _Deopt,
+        }
+        namespace = {name: bound[name] for name in uses}
+        exec(compile(source, f"<block {entry:#x}>", "exec"), namespace)
+        for addr in range(entry + 1, entry + len(instrs)):
+            self._heat.pop(addr, None)
+        self._install(entry, (namespace.pop("_block"), len(instrs), words))
+        return True
+
+    def _install(self, entry: int, block: _Block) -> None:
+        self._blocks[entry] = block
+        self._live_map[entry] = 1
+        self._longest = max(self._longest, block[1])
+
+    def _invalidate(self, base: int, end: int) -> None:
+        """Stop running every translation whose words a store to
+        [*base*, *end*) changed; keep it aside for :meth:`_revalidate`."""
+        mem = self.mem
+        live = self._live_map
+        entry = live.find(1, max(base - self._longest + 1, 0), end)
+        while entry >= 0:
+            block = self._blocks[entry]
+            size = block[1]
+            if entry + size > base and mem[entry : entry + size] != block[2]:
+                del self._blocks[entry]
+                live[entry] = 0
+                self._kept.setdefault(entry, []).append(block)
+                # New code here must earn its own translation.
+                self._heat[entry] = 0
+            entry = live.find(1, entry + 1, end)
+
+    def _revalidate(self, entry: int) -> bool:
+        """Reinstate a kept translation at *entry* whose words are in
+        memory again: a region refilled into the runtime buffer reuses
+        the translations of its last stay without compiling anew."""
+        kept = self._kept[entry]
+        mem = self.mem
+        for index, block in enumerate(kept):
+            if mem[entry : entry + block[1]] == block[2]:
+                del kept[index]
+                if not kept:
+                    del self._kept[entry]
+                self._install(entry, block)
+                return True
+        return False
+
     # -- execution -----------------------------------------------------------
 
     def run(self, max_steps: int = 100_000_000) -> RunResult:
@@ -204,12 +558,22 @@ class Machine:
 
         Raises a :class:`MachineFault` subclass on errors, including
         :class:`FuelExhausted` after *max_steps* instructions.
+
+        Each loop iteration runs one instruction in the step body (or
+        one service), then chains translated blocks while the next pc
+        has one that fits the budgets.  The first instruction of a run
+        and after every service takes the step body, whose per-step
+        ``min_sp`` check then sees an sp the service may have moved.
         """
         mem = self.mem
         regs = self.regs
         services = self.services
         heads = self._block_heads
         counts = self.block_counts
+        next_block = self._blocks.get
+        kept = self._kept
+        heat = self._heat
+        translate_after = TRANSLATE_AFTER
         mem_len = len(mem)
         heap_base = self.heap_base
         data_start = self._data_start
@@ -217,12 +581,15 @@ class Machine:
         pc = self.pc
         steps = self.steps
         cycles = self.cycles
-        min_sp = self._min_sp
+        sp_floor = self._sp_floor
+        min_sp = sp_floor[0]
         max_steps_total = steps + max_steps
         svc_charge = self._watchdog_surcharge
         # One comparison serves both budgets: trip at whichever limit
-        # comes first, then diagnose which one it was.
+        # comes first, then diagnose which one it was.  A step runs
+        # while steps < budget, a block of n while steps + n <= budget.
         wd_limit = self.watchdog if self.watchdog else (1 << 62)
+        budget = min(max_steps_total, wd_limit - svc_charge)
 
         OP_SPC = int(Op.SPC)
         OP_LDA, OP_LDAH = int(Op.LDA), int(Op.LDAH)
@@ -249,6 +616,7 @@ class Machine:
                     handler = services.get(pc)
                     if handler is not None:
                         svc_charge += _SERVICE_WATCHDOG_COST
+                        budget = min(max_steps_total, wd_limit - svc_charge)
                         if steps + svc_charge >= wd_limit:
                             raise WatchdogExpired(
                                 f"watchdog budget {self.watchdog} exhausted "
@@ -263,15 +631,17 @@ class Machine:
                         if self.exit_code is not None:
                             break
                         continue
-                if heads and pc in heads:
-                    counts[pc] = counts.get(pc, 0) + 1
-                if steps >= max_steps_total or steps + svc_charge >= wd_limit:
+                if steps >= budget:
                     if steps >= max_steps_total:
                         raise FuelExhausted("step budget exceeded", pc)
                     raise WatchdogExpired(
                         f"watchdog budget {self.watchdog} exhausted "
                         f"at pc={pc:#x} after {steps} steps"
                     )
+                # Counted only once the budget lets it run, so a run
+                # stopped here and resumed counts the head once.
+                if heads and pc in heads:
+                    counts[pc] = counts.get(pc, 0) + 1
                 if not 0 <= pc < mem_len:
                     raise MemoryFault("pc outside memory", pc)
                 word = mem[pc]
@@ -434,11 +804,39 @@ class Machine:
                     )
                 if regs[30] < min_sp:
                     min_sp = regs[30]
+                while True:
+                    block = next_block(pc)
+                    if block is None:
+                        if pc in kept and self._revalidate(pc):
+                            continue
+                        entries = heat.get(pc, 0) + 1
+                        if entries < translate_after:
+                            heat[pc] = entries
+                            break
+                        heat[pc] = 0
+                        if not self._translate(pc):
+                            break
+                        continue
+                    size = block[1]
+                    if steps + size > budget:
+                        break
+                    try:
+                        pc = block[0]()
+                    except _Deopt as stop:
+                        # The step body raises the fault.
+                        done = stop.args[0]
+                        steps += done
+                        cycles += done
+                        pc += done
+                        break
+                    steps += size
+                    cycles += size
         finally:
             self.pc = pc
             self.steps = steps
             self.cycles = cycles
-            self._min_sp = min_sp
+            if min_sp < sp_floor[0]:
+                sp_floor[0] = min_sp
             self._watchdog_surcharge = svc_charge
             if tracer.enabled:
                 tracer.emit(
@@ -454,5 +852,5 @@ class Machine:
             steps=self.steps,
             cycles=self.cycles,
             block_counts=dict(self.block_counts),
-            max_stack_depth=len(self.mem) - self._min_sp,
+            max_stack_depth=len(self.mem) - self._sp_floor[0],
         )

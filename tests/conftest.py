@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from repro.isa import assemble
 from repro.program import BasicBlock, Function, Program
 from repro.program.layout import layout
+from repro.vm import machine as machine_mod
 from repro.vm.machine import Machine
 from repro.vm.profiler import collect_profile
 from repro.workloads.inputs import profiling_input, timing_input
@@ -177,3 +180,24 @@ def small_workload():
 @pytest.fixture(scope="session")
 def small_inputs(small_workload):
     return profiling_input(small_workload), timing_input(small_workload)
+
+
+#: ``TRANSLATE_AFTER`` under which the VM translates nothing: the step
+#: interpreter alone, the oracle translated runs are checked against.
+STEP_ONLY = sys.maxsize
+
+
+@pytest.fixture(scope="module")
+def vm_translate_after(request):
+    """Pin ``repro.vm.machine.TRANSLATE_AFTER`` for a module's tests to
+    its ``VM_TRANSLATE_AFTER`` attribute, or to :data:`STEP_ONLY`.
+
+    The VM unit-test modules use it as is; ``test_vm_translate``
+    collects their tests again with every block translated on its
+    first entry.
+    """
+    value = getattr(request.module, "VM_TRANSLATE_AFTER", STEP_ONLY)
+    saved = machine_mod.TRANSLATE_AFTER
+    machine_mod.TRANSLATE_AFTER = value
+    yield value
+    machine_mod.TRANSLATE_AFTER = saved

@@ -7,6 +7,7 @@ typed client, which gets its own suite in test_service_client.py.
 """
 
 import json
+import socket
 import sys
 import threading
 import time
@@ -24,7 +25,9 @@ from repro.errors import (
     UnknownJob,
 )
 from repro.service import JobEngine, JobJournal, JobSpec, ServiceConfig
+from repro.service import http as http_mod
 from repro.service.http import (
+    MAX_BODY_BYTES,
     HttpServiceServer,
     error_payload,
     error_status,
@@ -445,6 +448,53 @@ class TestSchemaVersion:
         )
         assert status == 422
         assert body["field"] == "schema_version"
+
+
+def _raw_post(srv, head: bytes, body: bytes = b"") -> tuple[bytes, float]:
+    """Send a hand-made POST and read until the server closes; returns
+    the reply and the seconds the server took to close."""
+    with socket.create_connection((srv.host, srv.port), timeout=30.0) as sock:
+        sock.sendall(b"POST /v1/jobs HTTP/1.1\r\nHost: test\r\n" + head
+                     + b"\r\n" + body)
+        started = time.monotonic()
+        reply = b""
+        while chunk := sock.recv(4096):
+            reply += chunk
+        return reply, time.monotonic() - started
+
+
+class TestRequestLimits:
+    def test_truncated_body_is_dropped_within_the_timeout(
+        self, served, monkeypatch
+    ):
+        monkeypatch.setattr(http_mod, "REQUEST_TIMEOUT_S", 0.5)
+        _, srv = served()
+        reply, waited = _raw_post(
+            srv, b"Content-Length: 100\r\n", b'{"spec": '
+        )
+        assert waited < 5.0
+        assert reply.startswith(b"HTTP/1.1 408")
+        payload = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert payload["error"] == "RequestTimeout"
+        # The handler thread is free again.
+        status, _, body = _call(
+            srv.url + "/v1/jobs", "POST", _submit_body(value=5)
+        )
+        assert status == 202
+        assert _call(srv.url + f"/v1/jobs/{body['id']}/result?timeout=10")[
+            2]["result"] == {"value": 5}
+
+    def test_oversized_body_is_413_and_never_read(self, served):
+        _, srv = served()
+        reply, waited = _raw_post(
+            srv, f"Content-Length: {MAX_BODY_BYTES + 1}\r\n".encode()
+        )
+        # Answered at once: the server did not wait for the body.
+        assert waited < http_mod.REQUEST_TIMEOUT_S
+        assert reply.startswith(b"HTTP/1.1 413")
+        payload = json.loads(reply.split(b"\r\n\r\n", 1)[1])
+        assert payload["error"] == "PayloadTooLarge"
+        assert str(MAX_BODY_BYTES) in payload["message"]
 
 
 class TestServerLifecycle:

@@ -10,6 +10,8 @@ from repro.vm.machine import Machine
 
 U32 = (1 << 32) - 1
 
+pytestmark = pytest.mark.usefixtures("vm_translate_after")
+
 
 def _signed(value: int) -> int:
     return value - (1 << 32) if value >= (1 << 31) else value

@@ -15,6 +15,8 @@ from repro.vm.machine import (
 
 U32 = (1 << 32) - 1
 
+pytestmark = pytest.mark.usefixtures("vm_translate_after")
+
 
 def run_fragment(body: str, input_words=(), data_words=None):
     """Assemble a straight-line fragment ending in halt and run it."""

@@ -1,7 +1,11 @@
 """Basic-block profiling."""
 
+import pytest
+
+from repro.vm import machine as machine_mod
+from repro.vm.machine import FuelExhausted, Machine
 from repro.vm.profiler import Profile, collect_profile
-from tests.conftest import MINI_PROFILE_INPUT
+from tests.conftest import MINI_PROFILE_INPUT, STEP_ONLY
 
 
 def test_counts_match_execution(mini_program, mini_layout):
@@ -56,3 +60,29 @@ def test_profile_covers_all_blocks(mini_program, mini_profile):
     labels = {block.label for _, block in mini_program.all_blocks()}
     assert set(mini_profile.counts) == labels
     assert set(mini_profile.sizes) == labels
+
+
+@pytest.mark.parametrize(
+    "translate_after", [STEP_ONLY, 1], ids=["step", "translated"]
+)
+def test_resumed_run_counts_each_head_once(
+    mini_layout, monkeypatch, translate_after
+):
+    # Stop at every budget short of the whole run, then resume: a head
+    # the budget stopped at is counted when it executes, not twice.
+    monkeypatch.setattr(machine_mod, "TRANSLATE_AFTER", translate_after)
+
+    def machine():
+        return Machine(
+            mini_layout.image, input_words=MINI_PROFILE_INPUT,
+            count_blocks=True,
+        )
+
+    whole = machine().run()
+    for budget in range(1, whole.steps):
+        stopped = machine()
+        with pytest.raises(FuelExhausted):
+            stopped.run(max_steps=budget)
+        resumed = stopped.run()
+        assert resumed.block_counts == whole.block_counts, budget
+        assert (resumed.steps, resumed.cycles) == (whole.steps, whole.cycles)

@@ -1,0 +1,365 @@
+"""Block translation against the step interpreter.
+
+Each case runs three times: with ``TRANSLATE_AFTER`` so large that
+nothing is translated (the step interpreter alone, the oracle), at 1
+(every block translated on its first entry) and at the default.  The
+three runs must agree on the result, the runtime statistics, the fault
+and the runtime trace stream, and leave the same registers and memory.
+"""
+
+from __future__ import annotations
+
+import functools
+import random
+from contextlib import contextmanager
+from dataclasses import asdict, replace
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import repro.api as api
+from repro.core.descriptor import BufferStrategy
+from repro.core.runtime import SquashRuntime, clear_region_decode_cache
+from repro.faultinject.inject import FAULT_KINDS, apply_fault, plan_fault
+from repro.isa import assemble
+from repro.isa.encoding import encode
+from repro.obs import trace as trace_mod
+from repro.program.image import LoadedImage
+from repro.program.layout import layout
+from repro.squeeze import squeeze
+from repro.vm import machine as machine_mod
+from repro.vm.machine import FuelExhausted, Machine
+from repro.vm.profiler import collect_profile
+from repro.workloads import build_workload, mediabench_spec
+from repro.workloads.inputs import profiling_input, timing_input
+
+from tests.conftest import STEP_ONLY
+
+# The step interpreter's own unit tests, collected again here so that
+# they run with every block translated on its first entry.
+from tests.test_vm_branches import (  # noqa: F401
+    TestAddressFormation as _AddressFormation,
+    TestIndirectControl,
+    test_branch_against_model,
+    test_branch_property,
+)
+from tests.test_vm_machine import (  # noqa: F401
+    TestAlu,
+    TestControl,
+    TestMemory,
+    TestServices,
+    TestSyscalls,
+    test_alu_matches_python_model,
+)
+from tests.test_vm_watchdog import TestCycleNeutrality, TestWatchdog  # noqa: F401
+
+VM_TRANSLATE_AFTER = 1
+pytestmark = pytest.mark.usefixtures("vm_translate_after")
+
+
+@given(st.integers(0, (1 << 15) - 1), st.integers(0, 100))
+def test_lda_ldah_compose(lo, hi):
+    # Hypothesis will not run one @given method from two test instances,
+    # so this case is collected again as a function.
+    _AddressFormation.test_lda_ldah_compose.hypothesis.inner_test(
+        _AddressFormation(), lo, hi
+    )
+
+#: The oracle first, then every block translated, then the default.
+MODES = (STEP_ONLY, 1, machine_mod.TRANSLATE_AFTER)
+
+#: Step budget of a whole run: the generated programs take 40k-120k
+#: steps, and one damaged so that it loops stops here.
+RUN_STEPS = 200_000
+
+#: Damage kinds: the fault injector's image faults, plus one flipped
+#: bit in any word of the image (code included).
+DAMAGE = tuple(kind for kind in FAULT_KINDS if kind != "cache-poison") + (
+    "bitflip-any",
+)
+
+
+@contextmanager
+def _translate_after(value: int):
+    saved = machine_mod.TRANSLATE_AFTER
+    machine_mod.TRANSLATE_AFTER = value
+    try:
+        yield
+    finally:
+        machine_mod.TRANSLATE_AFTER = saved
+
+
+@contextmanager
+def _private_tracer():
+    """An armed tracer of its own, so runs are compared event by event."""
+    saved = trace_mod._TRACER
+    tracer = trace_mod.Tracer(capacity=1 << 20, enabled=True)
+    trace_mod._TRACER = tracer
+    try:
+        yield tracer
+    finally:
+        trace_mod._TRACER = saved
+
+
+def _observe(make_machine, max_steps: int) -> dict:
+    """Run a fresh machine and record everything the modes must agree
+    on.  A run stopped by its step budget is resumed once, with the
+    budget of a whole run."""
+    clear_region_decode_cache()
+    with _private_tracer() as tracer:
+        machine, runtime = make_machine()
+        seen: dict = {}
+        for leg, budget in (("run", max_steps), ("resumed", RUN_STEPS)):
+            try:
+                seen[leg] = machine.run(max_steps=budget)
+                break
+            except Exception as exc:
+                seen[leg] = (
+                    type(exc), getattr(exc, "pc", None), str(exc),
+                    machine.steps, machine.cycles,
+                )
+                if not isinstance(exc, FuelExhausted):
+                    break
+        events = [
+            (event.name, event.phase, event.ts, event.args)
+            for event in tracer.events("runtime")
+        ]
+    seen.update(
+        events=events,
+        stats=asdict(runtime.stats) if runtime is not None else None,
+        state=(machine.pc, machine.steps, machine.cycles, machine.in_pos,
+               list(machine.regs), list(machine.mem),
+               dict(machine.block_counts)),
+    )
+    return seen
+
+
+def _assert_modes_agree(make_machine, max_steps: int = RUN_STEPS) -> dict:
+    outcomes = []
+    for mode in MODES:
+        with _translate_after(mode):
+            outcomes.append(_observe(make_machine, max_steps))
+    oracle = outcomes[0]
+    for mode, outcome in zip(MODES[1:], outcomes[1:]):
+        for key in oracle:
+            assert outcome.get(key) == oracle[key], (mode, key)
+        assert outcome.keys() == oracle.keys(), mode
+    return oracle
+
+
+@functools.lru_cache(maxsize=None)
+def _prepared(name: str, seed: int, scale: float):
+    """A re-seeded workload program, squeezed, laid out and profiled."""
+    workload = build_workload(replace(mediabench_spec(name, scale), seed=seed))
+    squeezed, _ = squeeze(workload.program)
+    laid = layout(squeezed)
+    profile = collect_profile(squeezed, laid.image, profiling_input(workload))
+    return squeezed, laid.image, profile, tuple(timing_input(workload))
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    name=st.sampled_from(("adpcm", "gsm")),
+    seed=st.integers(0, 2),
+    scale=st.sampled_from((0.02, 0.03)),
+    squashed=st.booleans(),
+    theta=st.floats(0.0, 1.0),
+    strategy=st.sampled_from(list(BufferStrategy)),
+    damage=st.none() | st.sampled_from(DAMAGE),
+    damage_seed=st.integers(0, 1 << 16),
+    count_blocks=st.booleans(),
+    max_steps=st.integers(1, RUN_STEPS),
+    watchdog=st.just(0) | st.integers(1, RUN_STEPS),
+)
+def test_translated_runs_match_the_step_interpreter(
+    name, seed, scale, squashed, theta, strategy, damage, damage_seed,
+    count_blocks, max_steps, watchdog,
+):
+    program, image, profile, inputs = _prepared(name, seed, scale)
+    descriptor = None
+    if squashed:
+        result = api.squash(
+            program, profile,
+            api.SquashConfig(theta=theta, strategy=strategy),
+        )
+        image, descriptor = result.image, result.descriptor
+    rng = random.Random(damage_seed)
+    if damage == "bitflip-any":
+        memory = list(image.memory)
+        memory[rng.randrange(len(memory))] ^= 1 << rng.randrange(32)
+        image = replace(image, memory=memory)
+    elif damage is not None and descriptor is not None and descriptor.regions:
+        spec = plan_fault(damage, descriptor, rng, image)
+        image, descriptor = apply_fault(image, descriptor, spec)
+
+    def make_machine():
+        runtime = SquashRuntime(descriptor) if descriptor is not None else None
+        machine = Machine(
+            image, input_words=inputs, count_blocks=count_blocks,
+            services=runtime.services() if runtime is not None else None,
+            watchdog=watchdog,
+        )
+        return machine, runtime
+
+    _assert_modes_agree(make_machine, max_steps)
+
+
+def _raw_image(listing: str, base: int = 0x100) -> LoadedImage:
+    words = [encode(instr) for instr in assemble(listing)]
+    return LoadedImage(memory=words, base=base, entry_pc=base)
+
+
+def _load_constant(reg: int, value: int) -> str:
+    """ldah/lda source that sets *reg* to the 32-bit *value*."""
+    lo = value & 0xFFFF
+    lo -= 0x10000 if lo & 0x8000 else 0
+    hi = ((value - lo) >> 16) & 0xFFFF
+    hi -= 0x10000 if hi & 0x8000 else 0
+    return f"ldah r{reg}, {hi}(r31)\nlda r{reg}, {lo}(r{reg})"
+
+
+def test_guest_code_rewritten_in_the_heap():
+    """The guest stores an instruction into the heap, calls it,
+    overwrites it and calls it again, 40 times: heap code is never
+    translated, so each call runs the word just stored."""
+    heap = 0x100 + 18  # the listing below is 18 words long
+    addi0 = encode(assemble("addi r31, 0, r16")[0])
+    step = encode(assemble("addi r31, 1, r16")[0]) - addi0
+    listing = "\n".join([
+        _load_constant(3, heap),
+        _load_constant(4, encode(assemble("ret")[0])),
+        _load_constant(5, addi0),
+        _load_constant(6, step),
+        "addi r31, 40, r7",
+        "loop:",
+        "mul r7, r6, r1",
+        "add r1, r5, r1",
+        "stw r1, 0(r3)",
+        "stw r4, 1(r3)",
+        "jsr r26, (r3)",
+        "sys write",
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "halt",
+    ])
+    image = _raw_image(listing)
+    assert image.end == heap
+    oracle = _assert_modes_agree(
+        lambda: (Machine(image, watchdog=0), None)
+    )
+    assert oracle["run"].output == list(range(40, 0, -1))
+
+
+def test_service_rewrites_a_translated_loop():
+    """A service swaps one instruction of a hot loop body between two
+    encodings every third call: the translation is dropped on each
+    write and reinstated when the old words come back."""
+    listing = "\n".join([
+        "addi r31, 90, r7",
+        "loop:",
+        "addi r9, 1, r9",
+        "bsr r26, svc",
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "add r9, r31, r16",
+        "sys write",
+        "halt",
+        "svc:",
+        "ret",
+    ])
+    image = _raw_image(listing)
+    body = image.entry_pc + 1
+    variants = [encode(assemble(f"addi r9, {k}, r9")[0]) for k in (1, 5)]
+
+    def make_machine():
+        calls = []
+
+        def service(machine):
+            calls.append(machine.pc)
+            machine.write_words(body, [variants[len(calls) // 3 % 2]])
+            machine.pc = machine.regs[26]
+
+        svc = image.end - 1  # the final ret
+        return Machine(image, services={svc: service}, watchdog=0), None
+
+    oracle = _assert_modes_agree(make_machine)
+    # 90 iterations; the increment is 1 for 3 of every 6, else 5.
+    assert oracle["run"].output == [sum(
+        1 if (i // 3) % 2 == 0 else 5 for i in range(90)
+    )]
+
+
+@pytest.mark.parametrize("access", [
+    "ldw r4, 0(r3)\naddi r3, 1, r3",  # walks off the top of memory
+    "stw r2, 0(r3)\nsubi r3, 1, r3",  # walks down into the text
+], ids=["load", "store"])
+def test_fault_mid_block_after_register_writes(access):
+    """A block leaves before the faulting access with the registers it
+    already wrote stored back; the step body then raises the fault."""
+    end = 0x100 + 9  # the listing below is 9 words long
+    start = end + 16384 - 50 if access.startswith("ldw") else end + 50
+    image = _raw_image("\n".join([
+        _load_constant(3, start),
+        "addi r31, 1, r2",
+        "loop:",
+        "addi r2, 3, r2",
+        "addi r9, 1, r9",
+        access,
+        "br loop",
+        "halt",
+    ]))
+    assert image.end == end
+    oracle = _assert_modes_agree(
+        lambda: (Machine(image, heap_words=8192, stack_words=8192), None)
+    )
+    assert oracle["run"][0] is machine_mod.MemoryFault
+
+
+def test_stack_depth_peaks_in_translated_code():
+    """The deepest recursion comes last, long after its blocks are
+    translated, and still sets ``max_stack_depth``."""
+    image = _raw_image("\n".join([
+        "addi r31, 40, r11",
+        "loop:",
+        "addi r10, 1, r10",
+        "add r10, r31, r16",
+        "bsr r26, rec",
+        "add r0, r31, r16",
+        "sys write",
+        "subi r11, 1, r11",
+        "bne r11, loop",
+        "halt",
+        "rec:",  # r0 = n + (n - 1) + ... + 1, two stack words a level
+        "subi r30, 2, r30",
+        "stw r26, 0(r30)",
+        "stw r16, 1(r30)",
+        "addi r31, 0, r0",
+        "beq r16, out",
+        "subi r16, 1, r16",
+        "bsr r26, rec",
+        "ldw r16, 1(r30)",
+        "add r0, r16, r0",
+        "out:",
+        "ldw r26, 0(r30)",
+        "addi r30, 2, r30",
+        "ret",
+    ]))
+    oracle = _assert_modes_agree(lambda: (Machine(image), None))
+    assert oracle["run"].output == [n * (n + 1) // 2 for n in range(1, 41)]
+    assert oracle["run"].max_stack_depth == 2 * 41
+
+
+def test_write_words_faults_like_word_stores(mini_layout):
+    """A bulk service store that runs off the end of memory stores the
+    words before the fault, as one store per word would."""
+    machine = Machine(mini_layout.image)
+    end = len(machine.mem)
+    with pytest.raises(machine_mod.MemoryFault, match=f"{end:#x}"):
+        machine.write_words(end - 2, [7, 8, 9])
+    assert machine.mem[end - 2 :] == [7, 8]
+    with pytest.raises(machine_mod.MemoryFault, match="-0x1"):
+        machine.write_words(-1, [5])

@@ -10,6 +10,8 @@ from repro.vm.machine import FuelExhausted, Machine, MachineFault
 
 from tests.conftest import MINI_TIMING_INPUT
 
+pytestmark = pytest.mark.usefixtures("vm_translate_after")
+
 
 def _spin_image():
     """An image that branches to itself forever."""
