@@ -23,6 +23,7 @@ from functools import lru_cache
 from repro.analysis.stats import geometric_mean
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
 from repro.core.coldcode import cold_code_stats
+from repro.core.metrics import baseline_code_words
 from repro.core.pipeline import SquashConfig, SquashResult
 from repro.core.pipeline import squash_program as squash
 from repro.vm.machine import Machine, RunResult
@@ -50,9 +51,15 @@ def map_theta(theta_paper: float) -> float:
 def squash_benchmark(
     name: str, scale: float, config: SquashConfig
 ) -> SquashResult:
-    """Squash one benchmark at one configuration (cached)."""
+    """Squash one benchmark at one configuration (cached).
+
+    The baseline size comes from the layout the benchmark already
+    holds, so the squeezed program is not validated again."""
     bench = mediabench_program(name, scale=scale)
-    return squash(bench.squeezed, bench.profile, config)
+    return squash(
+        bench.squeezed, bench.profile, config,
+        baseline_words=baseline_code_words(bench.layout, bench.squeezed),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -209,8 +209,24 @@ def _squash_config(args) -> SquashConfig:
     ).with_buffer_bound(args.bound)
 
 
-def _cmd_squash(args) -> None:
-    name = args.names[0]
+def _cmd_squash(args) -> int:
+    """Squash the positional benchmark, or each ``--names`` entry in
+    turn."""
+    names = args.names
+    if args.prefix is not None:
+        if args.prefix not in MEDIABENCH:
+            print(f"squash: unknown benchmark {args.prefix!r}")
+            return 2
+        names = (args.prefix,)
+    if args.save and len(names) != 1:
+        print("squash: --save takes exactly one benchmark")
+        return 2
+    for name in names:
+        _squash_one(name, args)
+    return 0
+
+
+def _squash_one(name: str, args) -> None:
     config = _squash_config(args)
     result = squash_benchmark(name, args.scale, config)
     fp = result.footprint
@@ -713,7 +729,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "prefix", nargs="?", default=None,
         help="saved-image prefix or benchmark name "
-        "(verify/trace/metrics commands)",
+        "(verify/trace/metrics commands; benchmark name for squash)",
     )
     parser.add_argument(
         "--names", nargs="*", default=list(MEDIABENCH),

@@ -39,18 +39,13 @@ class BitWriter:
         if value < 0 or (nbits < value.bit_length()):
             raise ValueError(f"value {value} does not fit in {nbits} bits")
         self._length += nbits
-        filled = self._filled
-        current = self._current
-        while nbits > 0:
-            take = min(nbits, WORD_BITS - filled)
-            chunk = (value >> (nbits - take)) & ((1 << take) - 1)
-            current = (current << take) | chunk
-            filled += take
-            nbits -= take
-            if filled == WORD_BITS:
-                self._words.append(current)
-                current = 0
-                filled = 0
+        # _current holds the _filled (< 32) bits not yet in a word.
+        current = (self._current << nbits) | value
+        filled = self._filled + nbits
+        while filled >= WORD_BITS:
+            filled -= WORD_BITS
+            self._words.append(current >> filled)
+            current &= (1 << filled) - 1
         self._filled = filled
         self._current = current
 

@@ -21,42 +21,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.fields import FieldKind, from_bits, to_bits
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FORMAT_FIELDS, OP_FORMAT, Op
+from repro.isa.fields import FieldKind, check_field, from_bits
+from repro.isa.instruction import FIELD_PLANS, Instruction
+from repro.isa.opcodes import Op
 
 #: Reserved opcode values for the compressed form.
 OP_XCALLD = 0x30
 OP_XCALLI = 0x31
 OP_SENTINEL = 0x3F
 
+#: Map real opcode value -> (opcode, its field plans without the SBZ
+#: pad), for reconstructing real instructions.
+_REAL: dict[int, tuple] = {
+    int(_op): (_op, tuple(p for p in FIELD_PLANS[_op] if p[1] is not None))
+    for _op in Op
+    if _op is not Op.ILLEGAL
+}
+
 #: Field layout of each opcode value as seen by the codec.
 #: Pseudo-opcodes get their own layouts; SBZ pads are dropped (they
 #: carry no information and the decompressor re-inserts zeros).
-_CODEC_FIELDS: dict[int, tuple[FieldKind, ...]] = {}
-for _op in Op:
-    if _op is Op.ILLEGAL:
-        continue
-    _CODEC_FIELDS[int(_op)] = tuple(
-        kind
-        for kind, attr in FORMAT_FIELDS[OP_FORMAT[_op]]
-        if attr is not None
-    )
+_CODEC_FIELDS: dict[int, tuple[FieldKind, ...]] = {
+    opcode: tuple(p[0] for p in plans)
+    for opcode, (_, plans) in _REAL.items()
+}
 _CODEC_FIELDS[OP_XCALLD] = (FieldKind.RA, FieldKind.BDISP)
 _CODEC_FIELDS[OP_XCALLI] = (FieldKind.RA, FieldKind.RB)
 _CODEC_FIELDS[OP_SENTINEL] = ()
-
-#: Map opcode value -> the Instruction attribute per codec field, for
-#: reconstructing real instructions.
-_ATTRS: dict[int, tuple[str, ...]] = {}
-for _op in Op:
-    if _op is Op.ILLEGAL:
-        continue
-    _ATTRS[int(_op)] = tuple(
-        attr
-        for _, attr in FORMAT_FIELDS[OP_FORMAT[_op]]
-        if attr is not None
-    )
 
 
 @dataclass(frozen=True)
@@ -89,13 +80,19 @@ def codec_fields(opcode: int) -> tuple[FieldKind, ...]:
 
 
 def instruction_to_codec(instr: Instruction) -> CodecInstr:
-    """Convert a real instruction to its codec representation."""
+    """Convert a real instruction to its codec representation.
+
+    Every field is range-checked again, with ``check_field``'s error.
+    """
+    opcode = int(instr.op)
     fields = []
-    for (kind, value) in instr.fields():
-        if kind is FieldKind.OPCODE or kind is FieldKind.SBZ:
-            continue
-        fields.append(to_bits(kind, value))
-    return CodecInstr(opcode=int(instr.op), fields=tuple(fields))
+    for kind, attr, _, lo, hi, mask in FIELD_PLANS[instr.op]:
+        if attr is not None:
+            value = getattr(instr, attr)
+            if not lo <= value <= hi:
+                check_field(kind, value)
+            fields.append(value & mask)
+    return CodecInstr(opcode=opcode, fields=tuple(fields))
 
 
 def codec_to_instruction(item: CodecInstr) -> Instruction:
@@ -104,17 +101,18 @@ def codec_to_instruction(item: CodecInstr) -> Instruction:
     Pseudo-opcodes have no single-instruction equivalent and are
     rejected; the decompressor expands them instead.
     """
-    if item.opcode not in _ATTRS:
+    real = _REAL.get(item.opcode)
+    if real is None:
         raise ValueError(
             f"opcode {item.opcode:#x} is a pseudo-op; expand it instead"
         )
-    op = Op(item.opcode)
-    kinds = codec_fields(item.opcode)
-    attrs = _ATTRS[item.opcode]
-    kwargs = {
-        attr: from_bits(kind, bits)
-        for attr, kind, bits in zip(attrs, kinds, item.fields)
-    }
+    op, plans = real
+    kwargs = {}
+    for (kind, attr, _, _, hi, mask), bits in zip(plans, item.fields):
+        if not 0 <= bits <= mask:
+            from_bits(kind, bits)
+        # Above the kind's max only for signed kinds: sign-extend.
+        kwargs[attr] = bits - mask - 1 if bits > hi else bits
     return Instruction(op, **kwargs)
 
 

@@ -185,7 +185,7 @@ class RegionSitePlan:
         original = 0
 
         for position, label in enumerate(region.blocks):
-            _, block = prog.find_block(label)
+            block = ctx.blocks[label]
             block_slots[label] = slot
             original += block.size
             for index, instr in enumerate(block.instrs):

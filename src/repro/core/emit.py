@@ -33,6 +33,7 @@ from repro.core.descriptor import (
 )
 from repro.core.integrity import blob_integrity
 from repro.core.layout import SegmentLayout
+from repro.core.regions import RegionContext
 from repro.isa.encoding import encode
 from repro.isa.fields import FieldKind, to_bits
 from repro.isa.instruction import Instruction
@@ -43,19 +44,17 @@ from repro.program.layout import (
     encode_block_words,
     resolve_data_ref,
 )
-from repro.program.program import Program
 
 __all__ = ["encode_region", "build_blob", "emit_image"]
 
 
 def encode_region(
     plan: RegionSitePlan,
-    prog: Program,
+    ctx: RegionContext,
     layout: SegmentLayout,
-    entries: dict[str, str],
-    region_of: dict[str, int],
 ) -> list[CodecInstr]:
     """Pass 2: produce the final codec items for one region."""
+    entries = ctx.entries
     region_set = set(plan.region.blocks)
     base = plan.base
     items: list[CodecInstr] = []
@@ -64,8 +63,8 @@ def encode_region(
     def resolve_external(label: str) -> int:
         return layout.resolve_code_label(label)
 
-    for position, label in enumerate(plan.region.blocks):
-        _, block = prog.find_block(label)
+    for label in plan.region.blocks:
+        block = ctx.blocks[label]
         for index, instr in enumerate(block.instrs):
             category = plan.categories[(label, index)]
             here = base + slot
@@ -163,17 +162,12 @@ def encode_region(
 
 def build_blob(
     plans: list[RegionSitePlan],
-    prog: Program,
+    ctx: RegionContext,
     layout: SegmentLayout,
-    entries: dict[str, str],
-    region_of: dict[str, int],
     codec_config: CodecConfig,
 ) -> CompressedBlob:
     """Encode every region and compress the merged stream."""
-    region_items = [
-        encode_region(plan, prog, layout, entries, region_of)
-        for plan in plans
-    ]
+    region_items = [encode_region(plan, ctx, layout) for plan in plans]
     if region_items:
         _, blob = ProgramCodec.build(region_items, codec_config)
     else:
@@ -188,13 +182,14 @@ def build_blob(
 
 
 def emit_image(
-    prog: Program,
+    ctx: RegionContext,
     layout: SegmentLayout,
     plans: list[RegionSitePlan],
     blob: CompressedBlob,
     config,
 ) -> tuple[LoadedImage, SquashDescriptor]:
     """Materialise the squashed image and its runtime descriptor."""
+    prog = ctx.program
     cost = config.cost
     memory: list[int] = []
 
@@ -232,7 +227,7 @@ def emit_image(
 
     # Stub area.
     if config.restore_scheme is RestoreStubScheme.COMPILE_TIME:
-        memory.extend(_emit_ct_stubs(prog, layout, plans))
+        memory.extend(_emit_ct_stubs(ctx, layout, plans))
     else:
         memory.extend([0] * layout.stub_area_words)
 
@@ -332,7 +327,7 @@ def emit_image(
 
 
 def _emit_ct_stubs(
-    prog: Program,
+    ctx: RegionContext,
     layout: SegmentLayout,
     plans: list[RegionSitePlan],
 ) -> list[int]:
@@ -344,7 +339,7 @@ def _emit_ct_stubs(
             plan.ct_sites.items(), key=lambda kv: kv[1]
         ):
             stub_addr = layout.ct_stub_addr(plan.region.index, ordinal)
-            _, block = prog.find_block(label)
+            block = ctx.blocks[label]
             instr = block.instrs[index]
             if index in block.call_targets:
                 callee_entry = layout.entries[block.call_targets[index]]

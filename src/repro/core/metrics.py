@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.program.image import LoadedImage
-from repro.program.layout import LayoutResult
+from repro.program.layout import AddressMap
 from repro.program.program import Program
 
 
@@ -72,12 +72,11 @@ def squashed_footprint(image: LoadedImage, jump_table_words: int) -> Footprint:
     )
 
 
-def baseline_code_words(
-    layout_result: LayoutResult, program: Program
-) -> int:
+def baseline_code_words(laid: AddressMap, program: Program) -> int:
     """Code footprint of an uncompressed (squeezed) image: its text
-    plus its jump tables."""
-    text = layout_result.image.segment("text").size
+    plus its jump tables.  *laid* is the image's layout or just its
+    address pass."""
+    text = laid.text_words
     tables = sum(
         obj.size for obj in program.data.values() if obj.is_jump_table
     )

@@ -33,7 +33,7 @@ from repro.core.plan import RewriteInfo
 from repro.core.runtime import SquashRuntime
 from repro.pipeline.manager import StageReport
 from repro.program.image import LoadedImage
-from repro.program.layout import layout
+from repro.program.layout import assign_addresses
 from repro.program.program import Program
 from repro.vm.machine import Machine
 from repro.vm.profiler import Profile
@@ -198,8 +198,8 @@ def squash_program(
 
     *baseline_words* is the uncompressed code footprint; when the
     caller already holds it (the sweep harness reuses the θ-invariant
-    baseline layout across cells) passing it skips re-laying-out the
-    baseline image.
+    baseline layout across cells) passing it skips the baseline's
+    address pass, which validates *program* but encodes nothing.
     """
     from repro.pipeline.stages import run_squash_pipeline
 
@@ -207,7 +207,7 @@ def squash_program(
     emitted, report, _ = run_squash_pipeline(program, profile, config)
     if baseline_words is None:
         baseline_words = baseline_code_words(
-            layout(program, text_base=config.text_base), program
+            assign_addresses(program, text_base=config.text_base), program
         )
     footprint = squashed_footprint(
         emitted.image, emitted.info.jump_table_words

@@ -85,7 +85,6 @@ class RegionPlanResult:
     excluded: set[str]
     compressible: set[str]
     regions: list[Region]
-    region_of: dict[str, int]
     ctx: RegionContext
     data_ref_labels: set[str]
     unswitch: UnswitchResult
@@ -174,10 +173,6 @@ def plan_regions(
     for region in regions:
         compressed.update(region.blocks)
     info.compressed_blocks = compressed
-    region_of: dict[str, int] = {}
-    for region in regions:
-        for label in region.blocks:
-            region_of[label] = region.index
 
     return RegionPlanResult(
         program=program,
@@ -185,7 +180,6 @@ def plan_regions(
         excluded=excluded,
         compressible=compressible,
         regions=regions,
-        region_of=region_of,
         ctx=ctx,
         data_ref_labels=data_refs,
         unswitch=info.unswitch,

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.costmodel import CostModel
+from repro.program.blocks import BasicBlock
 from repro.program.cfg import block_predecessors, block_successors
 from repro.program.program import Program
 
@@ -52,6 +53,8 @@ class RegionContext:
     """Pre-computed program facts shared by formation and packing."""
 
     program: Program
+    #: block label -> block (``Program.find_block`` scans every function)
+    blocks: dict[str, BasicBlock]
     sizes: dict[str, int]
     preds: dict[str, list[str]]
     block_func: dict[str, str]
@@ -68,13 +71,12 @@ class RegionContext:
 
     @classmethod
     def build(cls, program: Program) -> "RegionContext":
-        sizes = {b.label: b.size for _, b in program.all_blocks()}
+        blocks = {b.label: b for _, b in program.all_blocks()}
+        sizes = {label: b.size for label, b in blocks.items()}
         entries = {
             f.name: f.entry for f in program.functions.values() if f.entry
         }
-        calls_in = {
-            b.label: len(b.call_sites()) for _, b in program.all_blocks()
-        }
+        calls_in = {label: len(b.call_sites()) for label, b in blocks.items()}
         call_sites: dict[str, set[str]] = {}
         for function in program.functions.values():
             for block in function.blocks.values():
@@ -89,6 +91,7 @@ class RegionContext:
             forced.add(entries[program.entry])
         return cls(
             program=program,
+            blocks=blocks,
             sizes=sizes,
             preds=block_predecessors(program),
             block_func=program.block_function(),
@@ -113,20 +116,29 @@ def entry_blocks(
     """
     entries: set[str] = set()
     for label in region_blocks:
-        if label in ctx.forced_entries:
-            entries.add(label)
-            continue
-        sources = set(ctx.preds.get(label, ()))
-        sources |= ctx.call_sites_of.get(label, set())
-        if any(source not in region_blocks for source in sources):
+        if (
+            label in ctx.forced_entries
+            or any(s not in region_blocks for s in ctx.preds.get(label, ()))
+            or any(
+                s not in region_blocks
+                for s in ctx.call_sites_of.get(label, ())
+            )
+        ):
             entries.add(label)
     return entries
 
 
 def _expanded_size(blocks: set[str], ctx: RegionContext) -> int:
-    """Upper bound on the region's footprint in the runtime buffer:
-    block instructions, one extra slot per call (the decompressor's
-    expansion), and the entry-jump slot at the buffer start."""
+    """The size the buffer bound K is checked against: block
+    instructions, one extra slot per call (the decompressor's
+    expansion), and the entry-jump slot at the buffer start.
+
+    It does not bound the region's footprint in the runtime buffer.
+    Classification later adds a trailing fall-through ``br`` for each
+    block whose successor is not laid out right after it in the
+    buffer, and those are not counted here, so a region's buffered
+    size (``RegionSitePlan.expanded_size``, and with it the image's
+    ``buffer_words``) can exceed K."""
     return (
         sum(ctx.sizes[b] for b in blocks)
         + sum(ctx.calls_in[b] for b in blocks)
@@ -216,7 +228,7 @@ def _grow_tree(
         used += extra
         tree.append(label)
         tree_set.add(label)
-        _, block = ctx.program.find_block(label)
+        block = ctx.blocks[label]
         for succ in reversed(block_successors(ctx.program, block)):
             stack.append(succ)
     return tree
@@ -284,6 +296,13 @@ def pack_regions(
     call between the two regions; and a jump for every fall-through
     edge between them.  Pairs are merged best-first while the merged
     expanded size stays within the buffer bound.
+
+    Each round rescans the adjacent pairs, but only the max term of a
+    pair's savings depends on the rest of the pool.  The other terms
+    depend on the two block sets alone, so they are cached per pair
+    until a merge changes either region.  Regions are disjoint, so a
+    merged region's expanded size is the sum of the two less the one
+    entry-jump slot they share.
     """
     ctx = ctx or RegionContext.build(program)
     bound = cost.buffer_bound_instrs
@@ -292,86 +311,87 @@ def pack_regions(
     for region in regions:
         for label in region.blocks:
             owner[label] = region.index
-
-    def current_max_expanded() -> int:
-        return max(
-            (_expanded_size(set(r.blocks), ctx) for r in pool.values()),
-            default=0,
+    members = {r.index: set(r.blocks) for r in regions}
+    expanded = {i: _expanded_size(s, ctx) for i, s in members.items()}
+    stubs = {i: len(entry_blocks(s, ctx)) for i, s in members.items()}
+    # Per pooled block: successors, then the entries of its callees.
+    neighbours: dict[str, list[str]] = {}
+    callees: dict[str, list[str]] = {}
+    for label in owner:
+        block = ctx.blocks[label]
+        callees[label] = [
+            ctx.entries[t] for t in block.call_targets.values()
+        ]
+        neighbours[label] = (
+            block_successors(ctx.program, block) + callees[label]
         )
+    #: pair -> (savings less the max term, entry stubs of the union)
+    cached: dict[tuple[int, int], tuple[int, int]] = {}
 
-    def merge_savings(a: Region, b: Region) -> int:
-        a_set, b_set = set(a.blocks), set(b.blocks)
-        both = a_set | b_set
-        saved = 0
-        # Merging may enlarge the largest region, and the runtime
-        # buffer must hold it (the max term of Section 4's cost).
-        saved -= max(
-            0, _expanded_size(both, ctx) - current_max_expanded()
-        )
-        # One function-offset-table word is reclaimed per merge.
-        saved += 1
-        # Entry stubs no longer needed after the merge.
-        before = len(entry_blocks(a_set, ctx)) + len(entry_blocks(b_set, ctx))
-        after = len(entry_blocks(both, ctx))
-        saved += cost.entry_stub_words * (before - after)
-        # Restore stubs for calls between the two regions.
-        for label in a.blocks:
-            _, block = ctx.program.find_block(label)
-            for target in block.call_targets.values():
-                if ctx.entries[target] in b_set:
-                    saved += cost.restore_stub_words
-        for label in b.blocks:
-            _, block = ctx.program.find_block(label)
-            for target in block.call_targets.values():
-                if ctx.entries[target] in a_set:
-                    saved += cost.restore_stub_words
-        # Fall-through jumps between the regions.
-        for label in a.blocks:
-            _, block = ctx.program.find_block(label)
-            if block.fallthrough in b_set:
-                saved += 1
-        for label in b.blocks:
-            _, block = ctx.program.find_block(label)
-            if block.fallthrough in a_set:
-                saved += 1
-        return saved
+    def pair_savings(ia: int, ib: int) -> tuple[int, int]:
+        a_set, b_set = members[ia], members[ib]
+        after = len(entry_blocks(a_set | b_set, ctx))
+        # One function-offset-table word is reclaimed per merge, plus
+        # the entry stubs no longer needed after it.
+        saved = 1 + cost.entry_stub_words * (stubs[ia] + stubs[ib] - after)
+        for labels, other in ((pool[ia].blocks, b_set),
+                              (pool[ib].blocks, a_set)):
+            for label in labels:
+                # Restore stubs for calls between the two regions.
+                for entry in callees[label]:
+                    if entry in other:
+                        saved += cost.restore_stub_words
+                # Fall-through jumps between the regions.
+                if ctx.blocks[label].fallthrough in other:
+                    saved += 1
+        return saved, after
 
     def adjacent_pairs() -> set[tuple[int, int]]:
+        # Built in the same insertion order every round: iteration
+        # order over the set, and so the tie-break below, depends on it.
         pairs: set[tuple[int, int]] = set()
-        for region in pool.values():
+        for index, region in pool.items():
             for label in region.blocks:
-                _, block = ctx.program.find_block(label)
-                neighbours = list(block_successors(ctx.program, block))
-                neighbours.extend(
-                    ctx.entries[t] for t in block.call_targets.values()
-                )
-                for succ in neighbours:
+                for succ in neighbours[label]:
                     other = owner.get(succ)
-                    if other is not None and other != region.index:
+                    if other is not None and other != index:
                         pairs.add(
-                            (min(region.index, other), max(region.index, other))
+                            (index, other) if index < other
+                            else (other, index)
                         )
         return pairs
 
     while True:
+        # Merging may enlarge the largest region, and the runtime
+        # buffer must hold it (the max term of Section 4's cost).
+        current_max = max(expanded.values(), default=0)
         best: tuple[int, int] | None = None
         best_gain = 0
-        for ia, ib in adjacent_pairs():
-            a, b = pool[ia], pool[ib]
-            merged = set(a.blocks) | set(b.blocks)
-            if _expanded_size(merged, ctx) > bound:
+        for pair in adjacent_pairs():
+            size = expanded[pair[0]] + expanded[pair[1]] - 1
+            if size > bound:
                 continue
-            gain = merge_savings(a, b)
+            savings = cached.get(pair)
+            if savings is None:
+                savings = cached[pair] = pair_savings(*pair)
+            gain = savings[0] - max(0, size - current_max)
             if gain > best_gain:
-                best, best_gain = (ia, ib), gain
+                best, best_gain = pair, gain
         if best is None:
             break
         ia, ib = best
         a, b = pool.pop(ia), pool.pop(ib)
-        merged_region = Region(index=ia, blocks=a.blocks + b.blocks)
-        pool[ia] = merged_region
-        for label in merged_region.blocks:
+        pool[ia] = Region(index=ia, blocks=a.blocks + b.blocks)
+        for label in b.blocks:
             owner[label] = ia
+        members[ia] |= members.pop(ib)
+        expanded[ia] += expanded.pop(ib) - 1
+        stubs[ia] = cached[best][1]
+        del stubs[ib]
+        cached = {
+            pair: savings for pair, savings in cached.items()
+            if ia not in pair and ib not in pair
+        }
 
     packed = sorted(pool.values(), key=lambda r: r.index)
     for new_index, region in enumerate(packed):

@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-from repro.isa.fields import FIELD_WIDTHS, FieldKind, from_bits, to_bits
-from repro.isa.instruction import Instruction
-from repro.isa.opcodes import FORMAT_FIELDS, OP_FORMAT, Op
+from repro.isa.fields import FIELD_WIDTHS, FieldKind, check_field
+from repro.isa.instruction import FIELD_PLANS, Instruction
+from repro.isa.opcodes import Op
 
 WORD_BITS = 32
 WORD_MASK = (1 << WORD_BITS) - 1
@@ -17,14 +17,22 @@ class DecodeError(Exception):
 
 
 _VALID_OPCODES = {int(op): op for op in Op}
+#: Bit position of the opcode field.
+_OPCODE_SHIFT = WORD_BITS - FIELD_WIDTHS[FieldKind.OPCODE]
 
 
 def encode(instr: Instruction) -> int:
-    """Pack *instr* into its 32-bit word."""
+    """Pack *instr* into its 32-bit word.
+
+    Every field is range-checked again: an instruction forced out of
+    range after construction raises ``check_field``'s ``ValueError``.
+    """
     word = int(instr.op)
-    for kind, attr in FORMAT_FIELDS[instr.format]:
+    for kind, attr, width, lo, hi, mask in FIELD_PLANS[instr.op]:
         value = 0 if attr is None else getattr(instr, attr)
-        word = (word << FIELD_WIDTHS[kind]) | to_bits(kind, value)
+        if not lo <= value <= hi:
+            check_field(kind, value)
+        word = (word << width) | (value & mask)
     return word
 
 
@@ -37,23 +45,23 @@ def decode(word: int) -> Instruction:
     """
     if not 0 <= word <= WORD_MASK:
         raise DecodeError(f"word {word:#x} is not a 32-bit value")
-    opbits = word >> (WORD_BITS - FIELD_WIDTHS[FieldKind.OPCODE])
+    opbits = word >> _OPCODE_SHIFT
     op = _VALID_OPCODES.get(opbits)
     if op is None:
         raise DecodeError(f"unknown opcode {opbits:#04x} in word {word:#010x}")
     kwargs: dict[str, int] = {}
-    shift = WORD_BITS - FIELD_WIDTHS[FieldKind.OPCODE]
-    for kind, attr in FORMAT_FIELDS[OP_FORMAT[op]]:
-        width = FIELD_WIDTHS[kind]
+    shift = _OPCODE_SHIFT
+    for _, attr, width, _, hi, mask in FIELD_PLANS[op]:
         shift -= width
-        bits = (word >> shift) & ((1 << width) - 1)
+        bits = (word >> shift) & mask
         if attr is None:
             if bits != 0:
                 raise DecodeError(
                     f"non-zero SBZ field in word {word:#010x}"
                 )
         else:
-            kwargs[attr] = from_bits(kind, bits)
+            # Above the kind's max only for signed kinds: sign-extend.
+            kwargs[attr] = bits - mask - 1 if bits > hi else bits
     if shift != 0:
         raise DecodeError(f"format of {op.name} does not fill 32 bits")
     return Instruction(op, **kwargs)

@@ -4,7 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.fields import FieldKind, check_field
+from repro.isa.fields import (
+    FIELD_WIDTHS,
+    FieldKind,
+    check_field,
+    field_max,
+    field_min,
+)
 from repro.isa.opcodes import (
     COND_BRANCH_OPS,
     DIRECT_CALL_OPS,
@@ -16,6 +22,29 @@ from repro.isa.opcodes import (
     REG_ZERO,
     SysOp,
 )
+
+#: One field of an encoded word: (kind, Instruction attribute or None
+#: for the SBZ pad, width, min, max, mask).
+FieldPlan = tuple[FieldKind, "str | None", int, int, int, int]
+
+#: Per opcode, the fields after the opcode in word order.  Built once
+#: from FORMAT_FIELDS and the field tables, so the hot paths (encode,
+#: construction, the codec split) do no per-field table lookups.  A
+#: value outside [min, max] goes to ``check_field``, which raises.
+FIELD_PLANS: dict[Op, tuple[FieldPlan, ...]] = {
+    op: tuple(
+        (
+            kind,
+            attr,
+            FIELD_WIDTHS[kind],
+            field_min(kind),
+            field_max(kind),
+            (1 << FIELD_WIDTHS[kind]) - 1,
+        )
+        for kind, attr in FORMAT_FIELDS[fmt]
+    )
+    for op, fmt in OP_FORMAT.items()
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -35,9 +64,11 @@ class Instruction:
     imm: int = 0
 
     def __post_init__(self) -> None:
-        for kind, attr in FORMAT_FIELDS[self.format]:
+        for kind, attr, _, lo, hi, _ in FIELD_PLANS[self.op]:
             if attr is not None:
-                check_field(kind, getattr(self, attr))
+                value = getattr(self, attr)
+                if not lo <= value <= hi:
+                    check_field(kind, value)
 
     @property
     def format(self) -> Format:

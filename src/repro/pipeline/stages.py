@@ -84,14 +84,7 @@ def squash_stages(config) -> list[Stage]:
             if hasattr(config, "effective_codec")
             else config.codec
         )
-        blob = build_blob(
-            classify.plans,
-            plan.program,
-            layout,
-            plan.ctx.entries,
-            plan.region_of,
-            codec_config,
-        )
+        blob = build_blob(classify.plans, plan.ctx, layout, codec_config)
         info.blob = blob
         ctx.count("codec_contexts", len(blob.context_spans))
         ctx.count(
@@ -113,7 +106,7 @@ def squash_stages(config) -> list[Stage]:
     def emit_stage(ctx, plan, classify, layout, blob,
                    info: RewriteInfo) -> EmittedImage:
         image, descriptor = emit_image(
-            plan.program, layout, classify.plans, blob, config
+            plan.ctx, layout, classify.plans, blob, config
         )
         ctx.count("image_words", len(image.memory))
         return EmittedImage(image=image, descriptor=descriptor, info=info)

@@ -9,7 +9,7 @@ out of line.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from repro.isa.encoding import encode
@@ -21,20 +21,6 @@ from repro.program.program import Program
 
 #: Default base address of the text segment (word address).
 TEXT_BASE = 0x1000
-
-
-@dataclass
-class LayoutResult:
-    """Addresses and image produced by :func:`layout`."""
-
-    image: LoadedImage
-    block_addr: dict[str, int]
-    func_addr: dict[str, int]
-    data_addr: dict[str, int]
-    #: Number of ``br`` instructions inserted for displaced fallthroughs.
-    inserted_jumps: int = 0
-    #: Address of each block's appended fallthrough ``br`` (if any).
-    fallthrough_br_addr: dict[str, int] = field(default_factory=dict)
 
 
 def branch_displacement(from_addr: int, to_addr: int) -> int:
@@ -124,15 +110,52 @@ def needs_fallthrough_br(block: BasicBlock, next_label: str | None) -> bool:
     return block.fallthrough is not None and block.fallthrough != next_label
 
 
-def layout(program: Program, text_base: int = TEXT_BASE) -> LayoutResult:
-    """Lay out *program* into a loaded image.
+@dataclass
+class AddressMap:
+    """The address pass of :func:`layout`: where everything goes.
 
-    Text first (functions and blocks in IR order), then data.  Returns
-    the image plus the address maps.
+    Computing it validates the program but encodes nothing, so it is
+    all a caller that only needs sizes pays for.
     """
+
+    #: (block, label laid out right after it) in layout order.
+    plan: list[tuple[BasicBlock, str | None]]
+    block_addr: dict[str, int]
+    func_addr: dict[str, int]
+    data_addr: dict[str, int]
+    #: Address of each block's appended fallthrough ``br`` (if any).
+    fallthrough_br_addr: dict[str, int]
+    text_base: int
+    text_end: int
+    data_end: int
+
+    @property
+    def text_words(self) -> int:
+        """Size of the text segment."""
+        return self.text_end - self.text_base
+
+    @property
+    def inserted_jumps(self) -> int:
+        """Number of ``br`` instructions inserted for displaced
+        fallthroughs."""
+        return len(self.fallthrough_br_addr)
+
+
+@dataclass
+class LayoutResult(AddressMap):
+    """Addresses and image produced by :func:`layout`."""
+
+    image: LoadedImage
+
+
+def assign_addresses(
+    program: Program, text_base: int = TEXT_BASE
+) -> AddressMap:
+    """Validate *program* and assign every block, function and data
+    object its address: text first (functions and blocks in IR order),
+    then data."""
     program.validate()
 
-    # Plan: (block, needs_br) in layout order, with per-block sizes.
     plan: list[tuple[BasicBlock, str | None]] = []
     for function in program.functions.values():
         blocks = function.block_order()
@@ -145,14 +168,12 @@ def layout(program: Program, text_base: int = TEXT_BASE) -> LayoutResult:
     block_addr: dict[str, int] = {}
     fallthrough_br_addr: dict[str, int] = {}
     addr = text_base
-    inserted = 0
     for block, next_label in plan:
         block_addr[block.label] = addr
         addr += block.size
         if needs_fallthrough_br(block, next_label):
             fallthrough_br_addr[block.label] = addr
             addr += 1
-            inserted += 1
     text_end = addr
 
     func_addr = {
@@ -164,7 +185,28 @@ def layout(program: Program, text_base: int = TEXT_BASE) -> LayoutResult:
     for obj in program.data.values():
         data_addr[obj.name] = addr
         addr += obj.size
-    data_end = addr
+    return AddressMap(
+        plan=plan,
+        block_addr=block_addr,
+        func_addr=func_addr,
+        data_addr=data_addr,
+        fallthrough_br_addr=fallthrough_br_addr,
+        text_base=text_base,
+        text_end=text_end,
+        data_end=addr,
+    )
+
+
+def layout(program: Program, text_base: int = TEXT_BASE) -> LayoutResult:
+    """Lay out *program* into a loaded image.
+
+    The address pass (:func:`assign_addresses`), then the encoding
+    pass.  Returns the image plus the address maps.
+    """
+    addrs = assign_addresses(program, text_base)
+    block_addr = addrs.block_addr
+    func_addr = addrs.func_addr
+    data_addr = addrs.data_addr
 
     def resolve_label(label: str) -> int:
         return block_addr[label]
@@ -176,7 +218,7 @@ def layout(program: Program, text_base: int = TEXT_BASE) -> LayoutResult:
         return data_addr[name]
 
     memory: list[int] = []
-    for block, next_label in plan:
+    for block, next_label in addrs.plan:
         memory.extend(
             encode_block_words(
                 block,
@@ -187,7 +229,7 @@ def layout(program: Program, text_base: int = TEXT_BASE) -> LayoutResult:
                 resolve_data,
             )
         )
-    assert len(memory) == text_end - text_base
+    assert len(memory) == addrs.text_words
 
     for obj in program.data.values():
         for index, word in enumerate(obj.words):
@@ -198,29 +240,23 @@ def layout(program: Program, text_base: int = TEXT_BASE) -> LayoutResult:
                 else:
                     word = block_addr[target]
             memory.append(word & 0xFFFFFFFF)
-    assert len(memory) == data_end - text_base
+    assert len(memory) == addrs.data_end - text_base
 
     symbols: dict[str, int] = {}
     symbols.update(func_addr)
     symbols.update(block_addr)
     symbols.update(data_addr)
 
+    text_end = addrs.text_end
     image = LoadedImage(
         memory=memory,
         base=text_base,
         entry_pc=func_addr[program.entry],  # type: ignore[index]
         segments=[
-            Segment("text", text_base, text_end - text_base),
-            Segment("data", text_end, data_end - text_end),
+            Segment("text", text_base, addrs.text_words),
+            Segment("data", text_end, addrs.data_end - text_end),
         ],
         symbols=symbols,
         block_heads={address: label for label, address in block_addr.items()},
     )
-    return LayoutResult(
-        image=image,
-        block_addr=block_addr,
-        func_addr=func_addr,
-        data_addr=data_addr,
-        inserted_jumps=inserted,
-        fallthrough_br_addr=fallthrough_br_addr,
-    )
+    return LayoutResult(image=image, **vars(addrs))

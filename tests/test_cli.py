@@ -43,6 +43,28 @@ def test_squash_with_run(capsys):
     assert "outputs match" in out
 
 
+def test_squash_positional_benchmark(capsys):
+    out = run_cli(
+        capsys, "squash", "gsm", "--scale", "0.2", "--theta", "0.01",
+    )
+    assert out.startswith("gsm at theta=0.01")
+    assert "adpcm" not in out
+
+
+def test_squash_unknown_positional_benchmark_exits_2(capsys):
+    assert main(["squash", "nope", "--scale", "0.2"]) == 2
+    assert "unknown benchmark 'nope'" in capsys.readouterr().out
+
+
+def test_squash_each_listed_benchmark(capsys):
+    out = run_cli(
+        capsys, "squash", "--names", "adpcm", "gsm", "--scale", "0.2",
+        "--theta", "0.01",
+    )
+    assert "adpcm at theta=0.01" in out
+    assert "gsm at theta=0.01" in out
+
+
 def test_ratio(capsys):
     out = run_cli(capsys, "ratio", "--names", "adpcm", "--scale", "0.2")
     assert "stream only" in out
