@@ -70,7 +70,7 @@ from repro.resilience import (
     Task,
 )
 from repro.store import get_store
-from repro.workloads.mediabench import MEDIABENCH
+from repro.workloads.mediabench import MEDIABENCH, mediabench_spec
 
 __all__ = [
     "LAST_SWEEP",
@@ -94,7 +94,7 @@ Cell = tuple[str, str, float, SquashConfig]
 
 #: Cache-invalidation salt: bump on any change that can alter measured
 #: sizes, ratios, or cycle counts.
-PIPELINE_SALT = "pgcc-pipeline-v1"
+PIPELINE_SALT = "pgcc-pipeline-v2"
 
 
 def cache_dir() -> pathlib.Path:
@@ -135,10 +135,11 @@ def _stage_bundle(name: str, scale: float):
     """The θ-invariant artifact bundle for a cell, or ``None`` when
     stage reuse is disabled.
 
-    Workers normally find the bundle already persisted (the parent
-    warms one per benchmark before fan-out) and only deserialize it;
-    on a genuine miss the invariant stages run here, memoized
-    per-process, without persisting — publication is the parent's job.
+    A warm task per benchmark runs before the cells, so a worker
+    finds the bundle in its memo (it ran that warm task) or persisted
+    (another worker did) and only deserializes it.  On a genuine miss
+    (a lost warm task, or no cache) the invariant stages run here,
+    memoized per process, without persisting.
     """
     from repro.analysis import stagecache
 
@@ -298,30 +299,55 @@ def _cell_label(cell: tuple[str, str, float, SquashConfig]) -> str:
     return f"{kind}:{name} scale={scale} theta={config.theta}"
 
 
-def _warm_stage_bundles(
-    misses: list[tuple[str, str, float, SquashConfig]], cache: bool
-) -> None:
-    """Materialize one θ-invariant stage bundle per distinct benchmark
-    among *misses*, before fan-out.
+def _supervised_warm(payload: tuple[str, str, float, bool]) -> None:
+    """Worker-side entry of a warm task: one θ-invariant stage bundle,
+    persisted when the sweep caches, so every cell of that benchmark
+    starts at the cold-set stage."""
+    from repro.analysis import stagecache
 
-    With the cell cache enabled the bundle is persisted, so pool
-    workers deserialize it instead of re-running squeeze, profiling,
-    and the baseline layout and timing run per process.  Every cell of
-    the same benchmark then starts at the cold-set stage.
+    root, name, scale, cache = payload
+    stagecache.warm_bundle(pathlib.Path(root), name, scale, cache=cache)
+
+
+def _warm_stage_bundles(
+    misses: list[tuple[str, str, float, SquashConfig]],
+    root: pathlib.Path,
+    cache: bool,
+    config: SupervisorConfig,
+    parallel: bool,
+) -> None:
+    """Build one θ-invariant stage bundle per distinct (benchmark,
+    scale) among *misses*: supervised warm tasks, in the pool the cells
+    then lease again when *parallel*, inline otherwise.
+
+    A worker that ran a warm task keeps the bundle in its memo; with
+    *cache* the bundle is also persisted, so the other workers
+    deserialize it instead of re-running squeeze, profiling, and the
+    baseline layout and timing run.  A lost warm task is not fatal:
+    its cells compute the bundle themselves.
     """
     from repro.analysis import stagecache
 
     if not stagecache.stage_reuse_enabled():
         return
-    root = cache_dir()
-    for name, scale in dict.fromkeys(
-        (cell[1], cell[2]) for cell in misses
-    ):
-        try:
-            stagecache.warm_bundle(root, name, scale, cache=cache)
-        except Exception:
-            # Warming is an optimisation; workers recompute on miss.
-            continue
+    # Only MediaBench programs have bundles.  Largest first, so the
+    # last warm to start is a short one.
+    bundles = sorted(
+        dict.fromkeys(
+            (cell[1], cell[2]) for cell in misses if cell[1] in MEDIABENCH
+        ),
+        key=lambda bundle: -mediabench_spec(*bundle).target_input_size,
+    )
+    tasks = [
+        Task(
+            key=("warm", name, scale),
+            payload=(str(root), name, scale, cache),
+            cls=name,
+            label=f"warm:{name} scale={scale}",
+        )
+        for name, scale in bundles
+    ]
+    Supervisor(_supervised_warm, config).run(tasks, parallel=parallel)
 
 
 def compute_cells(
@@ -337,7 +363,9 @@ def compute_cells(
     """Resolve every cell, from disk cache where possible.
 
     Misses run under the :class:`~repro.resilience.Supervisor` (across
-    a process pool when *parallel*, inline otherwise) and every fresh
+    a process pool when *parallel*, inline otherwise), after one warm
+    task per distinct benchmark has built its θ-invariant stage
+    bundle in the same pool.  Every fresh
     result is persisted — sealed and atomically renamed — as soon as
     its future completes, so an interrupted sweep keeps its finished
     cells.  Without *cache* every cell is computed and nothing is
@@ -376,8 +404,6 @@ def compute_cells(
         misses.append(cell)
 
     if misses:
-        _warm_stage_bundles(misses, cache=cache)
-
         def _persist(task: Task, result: dict) -> None:
             results[task.key] = result
             if cache:
@@ -395,6 +421,7 @@ def compute_cells(
             cfg = dataclasses.replace(cfg, workers=workers)
         elif cfg.workers is None:
             cfg = dataclasses.replace(cfg, workers=_workers())
+        _warm_stage_bundles(misses, root, cache, cfg, parallel)
         supervisor = Supervisor(_supervised_cell, cfg, on_result=_persist)
         tasks = [
             Task(key=cell, payload=cell, cls=cell[1], label=_cell_label(cell))

@@ -10,11 +10,20 @@ cache (:mod:`repro.resilience.cache`), so a θ-grid sweep performs the
 invariant work once per benchmark and every cell resumes from the
 ``ColdSet`` stage onward.
 
-The bundle holds the squeezed program in the portable dict form of
+A sweep builds each benchmark's bundle in one warm task ahead of its
+cells (:func:`repro.analysis.parallel.compute_cells`), in the pool the
+cells then run on: the worker that warmed a bundle keeps it in its
+memo, and the others load it from the store.
+
+The bundle holds the squeezed program in the portable form of
 :mod:`repro.program.serialize`; round-tripping is exact (block order,
-data order, entry, address-taken sets), so a squash over a loaded
-bundle is byte-identical to one over a freshly squeezed program — the
-golden-equivalence test pins this.
+data order, the insertion order of every index map, entry,
+address-taken sets), so a squash over a loaded bundle is
+byte-identical to one over a freshly squeezed program.  The golden
+test squashes every golden cell from a bundle read back from a real
+store to pin this.  Bundles written before program format 2 kept
+``call_targets`` in sorted-key order, which moves region-packing ties;
+:data:`STAGE_SALT` v2 retires them.
 
 ``REPRO_STAGE_REUSE=0`` disables the whole mechanism (every cell falls
 back to :func:`~repro.workloads.mediabench.mediabench_program`).
@@ -52,7 +61,7 @@ __all__ = [
 
 #: Invalidation salt for stage bundles; bump on any change to squeeze,
 #: profiling, baseline layout, or the bundle format itself.
-STAGE_SALT = "pgcc-stages-v1"
+STAGE_SALT = "pgcc-stages-v2"
 
 #: Keys a bundle entry must carry to be trusted.
 BUNDLE_KEYS = (
@@ -208,8 +217,9 @@ def warm_bundle(
     root: pathlib.Path, name: str, scale: float, cache: bool = True
 ) -> StageBundle:
     """The (name, scale) bundle: loaded when persisted, computed (and
-    persisted) otherwise.  Called once per benchmark before fan-out so
-    workers only ever take the load path."""
+    persisted) otherwise.  A sweep runs it as one warm task per
+    benchmark ahead of the cells, so a cell finds the bundle in its
+    worker's memo or in the store."""
     if cache:
         bundle = load_bundle(root, name, scale)
         if bundle is not None:

@@ -120,23 +120,28 @@ class SquashResult:
         The pair can be reloaded with :func:`load_squashed` and run
         without the original program or profile.
         """
+        image_path = _sibling_with_suffix(prefix, ".img")
+        meta_path = _sibling_with_suffix(prefix, ".json")
+        image, meta = self.file_bytes()
+        image_path.write_bytes(image)
+        meta_path.write_bytes(meta)
+        return str(image_path), str(meta_path)
+
+    def file_bytes(self) -> tuple[bytes, bytes]:
+        """The contents of the two files :meth:`save` writes: the image
+        file and the descriptor JSON."""
         import json
 
         from repro.core.descriptor import descriptor_to_dict
-        from repro.program.imagefile import save_image
+        from repro.program.imagefile import image_bytes
 
-        image_path = _sibling_with_suffix(prefix, ".img")
-        meta_path = _sibling_with_suffix(prefix, ".json")
         integrity = self.descriptor.integrity
-        save_image(
+        image = image_bytes(
             self.image,
-            image_path,
             contexts=integrity.contexts if integrity is not None else (),
         )
-        meta_path.write_text(
-            json.dumps(descriptor_to_dict(self.descriptor))
-        )
-        return str(image_path), str(meta_path)
+        meta = json.dumps(descriptor_to_dict(self.descriptor)).encode()
+        return image, meta
 
 
 @dataclass

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 from repro.isa.fields import (
     FIELD_WIDTHS,
@@ -19,6 +21,8 @@ from repro.isa.opcodes import (
     AluOp,
     Format,
     Op,
+    REG_A0,
+    REG_V0,
     REG_ZERO,
     SysOp,
 )
@@ -45,6 +49,66 @@ FIELD_PLANS: dict[Op, tuple[FieldPlan, ...]] = {
     )
     for op, fmt in OP_FORMAT.items()
 }
+
+# -- per-opcode instruction facts -------------------------------------------
+#
+# Built once at import, like FIELD_PLANS, so each Instruction predicate
+# is a lookup or two.  Members are module constants because an
+# ``Op.X`` lookup goes through the enum metaclass.
+
+_SPC, _BR, _JMP, _JSR, _RET = Op.SPC, Op.BR, Op.JMP, Op.JSR, Op.RET
+
+#: Opcodes that call (BR also calls when it links; see is_call).
+_CALL_OPS = DIRECT_CALL_OPS | {Op.JSR}
+
+#: Opcodes that can change the PC (SPC: see _PALF_TRANSFERS).
+_TRANSFER_OPS = frozenset(
+    op for op, fmt in OP_FORMAT.items() if fmt in (Format.BRA, Format.JMP)
+)
+
+#: Opcodes after which execution never continues at the next word (BR
+#: unless it links; SPC: see _PALF_STOPS).
+_STOP_OPS = frozenset({Op.JMP, Op.RET, Op.ILLEGAL})
+
+#: Per opcode: the attribute naming the register it writes, or None.
+_WRITE_FIELD: dict[Op, str | None] = {
+    op: "rc" if fmt in (Format.OPR, Format.OPI)
+    else "ra" if op in (Op.LDA, Op.LDAH, Op.LDW) or op in _TRANSFER_OPS
+    else None
+    for op, fmt in OP_FORMAT.items()
+}
+
+
+def _reader(*attrs: str) -> Callable[["Instruction"], tuple[int, ...]]:
+    """A getter of the registers named by *attrs*, as a tuple."""
+    if len(attrs) > 1:
+        return attrgetter(*attrs)
+    if attrs:
+        get = attrgetter(*attrs)
+        return lambda instr: (get(instr),)
+    return lambda instr: ()
+
+
+#: Per opcode: the registers it reads, in order, zero register included.
+_READERS: dict[Op, Callable[["Instruction"], tuple[int, ...]]] = {
+    op: _reader("ra", "rb") if op in (Op.OPR, Op.STW)
+    else _reader("ra") if op is Op.OPI or op in COND_BRANCH_OPS
+    else _reader("rb") if op in (Op.LDA, Op.LDAH, Op.LDW)
+    or OP_FORMAT[op] is Format.JMP
+    else _reader()
+    for op in OP_FORMAT
+}
+
+#: What SPC does, per PALF value; a value outside SysOp does nothing.
+_PALF_TRANSFERS = frozenset({SysOp.LONGJMP})
+_PALF_STOPS = frozenset({SysOp.HALT, SysOp.EXIT, SysOp.LONGJMP})
+#: READ writes v0 and t0, SETJMP v0; writes_reg reports v0.
+_PALF_WRITES = {SysOp.READ: REG_V0, SysOp.SETJMP: REG_V0}
+#: a0 and a1 (over-approximate: a1 only for longjmp).
+_PALF_READS = dict.fromkeys(
+    (SysOp.WRITE, SysOp.EXIT, SysOp.SETJMP, SysOp.LONGJMP),
+    (REG_A0, REG_A0 + 1),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,6 +154,10 @@ class Instruction:
         return tuple(parts)
 
     # -- classification helpers -------------------------------------------
+    #
+    # Each predicate is a lookup in the per-opcode tables above, plus the
+    # one operand two opcodes need: BR calls when it links, and SPC
+    # does what its PALF value says.
 
     @property
     def is_cond_branch(self) -> bool:
@@ -99,41 +167,43 @@ class Instruction:
     @property
     def is_uncond_branch(self) -> bool:
         """True for ``BR`` used as a plain jump (no live link register)."""
-        return self.op is Op.BR and self.ra == REG_ZERO
+        return self.op is _BR and self.ra == REG_ZERO
 
     @property
     def is_direct_call(self) -> bool:
         """True for a direct call (``BSR``, or ``BR`` with a link)."""
-        if self.op in DIRECT_CALL_OPS:
-            return True
-        return self.op is Op.BR and self.ra != REG_ZERO
+        if self.op is _BR:
+            return self.ra != REG_ZERO
+        return self.op in DIRECT_CALL_OPS
 
     @property
     def is_indirect_call(self) -> bool:
         """True for ``JSR`` (indirect call through a register)."""
-        return self.op is Op.JSR
+        return self.op is _JSR
 
     @property
     def is_call(self) -> bool:
         """True for any call instruction, direct or indirect."""
-        return self.is_direct_call or self.is_indirect_call
+        if self.op is _BR:
+            return self.ra != REG_ZERO
+        return self.op in _CALL_OPS
 
     @property
     def is_return(self) -> bool:
         """True for ``RET``."""
-        return self.op is Op.RET
+        return self.op is _RET
 
     @property
     def is_indirect_jump(self) -> bool:
         """True for ``JMP`` (indirect jump, e.g. through a jump table)."""
-        return self.op is Op.JMP
+        return self.op is _JMP
 
     @property
     def is_control_transfer(self) -> bool:
         """True for any instruction that can change the PC."""
-        if self.format in (Format.BRA, Format.JMP):
-            return True
-        return self.op is Op.SPC and self.imm == SysOp.LONGJMP
+        if self.op is _SPC:
+            return self.imm in _PALF_TRANSFERS
+        return self.op in _TRANSFER_OPS
 
     @property
     def has_fallthrough(self) -> bool:
@@ -143,64 +213,36 @@ class Instruction:
         branches, indirect jumps, returns, halt/exit and the sentinel do
         not.
         """
-        if self.is_cond_branch or self.is_call:
-            return True
-        if self.op in (Op.BR, Op.JMP, Op.RET):
-            return False
-        if self.op is Op.ILLEGAL:
-            return False
-        if self.op is Op.SPC and self.imm in (
-            SysOp.HALT,
-            SysOp.EXIT,
-            SysOp.LONGJMP,
-        ):
-            return False
-        return True
+        if self.op is _SPC:
+            return self.imm not in _PALF_STOPS
+        if self.op is _BR:
+            return self.ra != REG_ZERO
+        return self.op not in _STOP_OPS
 
     @property
     def writes_reg(self) -> int | None:
         """The register this instruction writes, or None.
 
-        Writes to the zero register are reported as None.
+        Writes to the zero register are reported as None.  READ writes
+        v0 and t0 and SETJMP writes v0; liveness analysis handles them
+        specially, and v0 is reported here.
         """
-        target: int | None = None
-        if self.format in (Format.OPR, Format.OPI):
-            target = self.rc
-        elif self.op in (Op.LDA, Op.LDAH, Op.LDW):
-            target = self.ra
-        elif self.format in (Format.BRA, Format.JMP):
-            target = self.ra
-        elif self.op is Op.SPC and self.imm in (SysOp.READ, SysOp.SETJMP):
-            # READ writes v0 and t0; SETJMP writes v0.  Handled specially
-            # by liveness analysis; report v0 here.
-            target = 0
-        if target == REG_ZERO:
+        if self.op is _SPC:
+            return _PALF_WRITES.get(self.imm)
+        attr = _WRITE_FIELD[self.op]
+        if attr is None:
             return None
-        return target
+        target = getattr(self, attr)
+        return None if target == REG_ZERO else target
 
     def reads_regs(self) -> tuple[int, ...]:
         """Registers this instruction reads (zero register excluded)."""
-        regs: list[int] = []
-        if self.format in (Format.OPR,):
-            regs = [self.ra, self.rb]
-        elif self.format is Format.OPI:
-            regs = [self.ra]
-        elif self.op in (Op.LDA, Op.LDAH, Op.LDW):
-            regs = [self.rb]
-        elif self.op is Op.STW:
-            regs = [self.ra, self.rb]
-        elif self.is_cond_branch:
-            regs = [self.ra]
-        elif self.format is Format.JMP:
-            regs = [self.rb]
-        elif self.op is Op.SPC and self.imm in (
-            SysOp.WRITE,
-            SysOp.EXIT,
-            SysOp.SETJMP,
-            SysOp.LONGJMP,
-        ):
-            regs = [16, 17]  # a0, a1 (over-approximate: a1 only for longjmp)
-        return tuple(r for r in regs if r != REG_ZERO)
+        if self.op is _SPC:
+            return _PALF_READS.get(self.imm, ())
+        regs = _READERS[self.op](self)
+        if REG_ZERO in regs:
+            return tuple([reg for reg in regs if reg != REG_ZERO])
+        return regs
 
     # -- display ------------------------------------------------------------
 

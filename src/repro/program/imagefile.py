@@ -92,7 +92,12 @@ def save_image(
     path: str | pathlib.Path,
     contexts: object = (),
 ) -> None:
-    """Write *image* to *path* (format version 3, with CRC footer).
+    """Write *image* to *path* (format version 3, with CRC footer)."""
+    pathlib.Path(path).write_bytes(image_bytes(image, contexts))
+
+
+def image_bytes(image: LoadedImage, contexts: object = ()) -> bytes:
+    """The file :func:`save_image` writes for *image*, as bytes.
 
     *contexts* holds the per-context codec table seals: an iterable of
     ``(kind, ctx, start_bit, end_bit, crc)`` tuples or objects with
@@ -135,7 +140,7 @@ def save_image(
         )
     payload = b"".join(parts)
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    pathlib.Path(path).write_bytes(payload + struct.pack("<I", crc))
+    return payload + struct.pack("<I", crc)
 
 
 def load_image(path: str | pathlib.Path) -> LoadedImage:

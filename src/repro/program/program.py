@@ -5,10 +5,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from repro.isa.opcodes import REG_AT, Op, SysOp
+from repro.isa.opcodes import OP_FORMAT, REG_AT, Format, Op, SysOp
 from repro.program.blocks import BasicBlock
 from repro.program.data import DataObject
 from repro.program.function import Function
+
+
+#: Opcodes whose rb and rc, too, must not name the stub register.
+_RB_RC_CHECKED_OPS = frozenset(
+    op for op, fmt in OP_FORMAT.items()
+    if fmt in (Format.OPR, Format.OPI, Format.JMP, Format.MEM, Format.MEMI)
+)
 
 
 class ValidationError(Exception):
@@ -138,15 +145,18 @@ class Program:
         if not block.instrs:
             raise ValidationError(f"{where} is empty")
 
+        last = len(block.instrs) - 1
         for index, instr in enumerate(block.instrs):
-            is_last = index == len(block.instrs) - 1
-            if instr.is_control_transfer and not is_last:
-                if not instr.is_call:
-                    raise ValidationError(
-                        f"{where}: control transfer {instr} not at block end"
-                    )
+            if (
+                instr.is_control_transfer
+                and index != last
+                and not instr.is_call
+            ):
+                raise ValidationError(
+                    f"{where}: control transfer {instr} not at block end"
+                )
             if instr.ra == REG_AT or (
-                instr.format.name in ("OPR", "OPI", "JMP", "MEM", "MEMI")
+                instr.op in _RB_RC_CHECKED_OPS
                 and REG_AT in (instr.rb, instr.rc)
             ):
                 raise ValidationError(

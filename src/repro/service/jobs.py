@@ -30,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import math
 import secrets
-import tempfile
 from dataclasses import dataclass, field
 
 from repro.errors import SpecError
@@ -228,15 +227,12 @@ class Job:
 
 
 def _image_digest(result) -> str:
-    """SHA-256 over the saved image + descriptor bytes — the
-    byte-identity witness comparing a service result against a direct
-    ``api.squash_benchmark`` call."""
-    with tempfile.TemporaryDirectory(prefix="repro-job-") as tmp:
-        image_path, meta_path = result.save(f"{tmp}/image")
-        digest = hashlib.sha256()
-        for path in (image_path, meta_path):
-            with open(path, "rb") as handle:
-                digest.update(handle.read())
+    """SHA-256 over the image + descriptor bytes ``result.save`` would
+    write — the byte-identity witness comparing a service result
+    against a direct ``api.squash_benchmark`` call."""
+    digest = hashlib.sha256()
+    for data in result.file_bytes():
+        digest.update(data)
     return digest.hexdigest()
 
 

@@ -33,6 +33,8 @@ ABSTRACT_LINK_REG = 25
 #: Window lengths that are fingerprinted, longest first.
 WINDOW_LENGTHS = (16, 8, 4)
 
+_SPC = Op.SPC
+
 
 @dataclass
 class AbstractionStats:
@@ -45,7 +47,7 @@ def _instr_ok(instr: Instruction) -> bool:
     """True if *instr* may be moved into an abstracted fragment."""
     if instr.is_control_transfer:
         return False
-    if instr.op is Op.SPC and instr.imm != 0:
+    if instr.op is _SPC and instr.imm != 0:
         return False  # syscalls stay put
     if ABSTRACT_LINK_REG in instr.reads_regs():
         return False
@@ -58,25 +60,35 @@ def _savings(n: int, length: int) -> int:
     return (n - 1) * length - n - 1
 
 
+#: Per instruction object, for one :func:`abstract_repeats` call: the
+#: instruction (held so its id stays unique) and its encoded word, or
+#: None when it may not move into a fragment.
+WordMemo = dict[int, tuple[Instruction, "int | None"]]
+
+
 def _collect_candidates(
-    program: Program,
+    program: Program, memo: WordMemo
 ) -> dict[tuple[int, ...], list[tuple[str, int, int]]]:
     """Fingerprint windows: key -> [(block label, start, length)]."""
     table: dict[tuple[int, ...], list[tuple[str, int, int]]] = {}
     for _, block in program.all_blocks():
         n = len(block.instrs)
-        words = [0] * n
-        ok = [False] * n
+        words: list[int | None] = [None] * n
         for index, instr in enumerate(block.instrs):
-            ok[index] = _instr_ok(instr) and index not in block.data_refs
-            if ok[index]:
-                words[index] = encode(instr)
+            entry = memo.get(id(instr))
+            if entry is None:
+                word = encode(instr) if _instr_ok(instr) else None
+                memo[id(instr)] = (instr, word)
+            else:
+                word = entry[1]
+            if index not in block.data_refs:
+                words[index] = word
         # Longest abstractable run starting at each index, excluding the
         # terminator so block structure stays intact.
         run = 0
         runs = [0] * n
         for index in range(n - 2, -1, -1):
-            run = run + 1 if ok[index] else 0
+            run = run + 1 if words[index] is not None else 0
             runs[index] = run
         for start in range(n - 1):
             available = runs[start]
@@ -92,14 +104,17 @@ def _collect_candidates(
 def abstract_repeats(program: Program, rounds: int = 2) -> AbstractionStats:
     """Perform procedural abstraction on *program* in place."""
     stats = AbstractionStats()
+    memo: WordMemo = {}
     for _ in range(rounds):
-        if not _one_round(program, stats):
+        if not _one_round(program, stats, memo):
             break
     return stats
 
 
-def _one_round(program: Program, stats: AbstractionStats) -> bool:
-    table = _collect_candidates(program)
+def _one_round(
+    program: Program, stats: AbstractionStats, memo: WordMemo
+) -> bool:
+    table = _collect_candidates(program, memo)
     groups = [
         (key, occs)
         for key, occs in table.items()

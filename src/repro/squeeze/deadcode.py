@@ -6,29 +6,51 @@ destination is dead are deleted.  The analysis is conservative at
 calls, returns, indirect jumps and system operations (standard ABI
 summaries: calls read argument registers and define caller-saves;
 returns keep the return value and callee-saves live).
+
+Register sets are int bitmasks.  Each instruction's (uses, defs), each
+block's successors and the live-out its terminator adds are computed
+once per function, so the fixpoint iterates over ints only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.isa.opcodes import Format, Op, SysOp
+from repro.isa.opcodes import OP_FORMAT, Format, Op, SysOp
 from repro.program.blocks import BasicBlock
 from repro.program.cfg import block_successors
 from repro.program.function import Function
 from repro.program.program import Program
+from repro.squeeze.abstraction import ABSTRACT_LINK_REG
 
+#: Register sets as bitmasks (bit r for register r).
 #: Registers a function must preserve / the caller may rely on after a
 #: call: return value v0, saved s0-s5, fp, sp, and gp-style r29.
-_LIVE_AT_RETURN = frozenset({0, 9, 10, 11, 12, 13, 14, 15, 29, 30})
+_LIVE_AT_RETURN = sum(1 << r for r in (0, 9, 10, 11, 12, 13, 14, 15, 29, 30))
 #: Registers read by a call (arguments + sp).
-_CALL_USES = frozenset({16, 17, 18, 19, 20, 21, 30})
+_CALL_USES = sum(1 << r for r in (16, 17, 18, 19, 20, 21, 30))
 #: Registers a call may define (caller-save: v0, t0-t7, a0-a5, t8-t11,
 #: ra).  Everything else survives the call.
-_CALL_DEFS = frozenset(
-    {0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25, 26}
+_CALL_DEFS = sum(
+    1 << r
+    for r in (0, 1, 2, 3, 4, 5, 6, 7, 8, 16, 17, 18, 19, 20, 21, 22, 23, 24,
+              25, 26)
 )
-_ALL_REGS = frozenset(range(31))  # r31 is the zero register
+_ALL_REGS = (1 << 31) - 1  # r31 is the zero register
+#: (uses, defs) of SPC per PALF value; any other value touches nothing.
+_SPC_USES_DEFS = {
+    SysOp.READ: (0, 1 << 0 | 1 << 1),
+    SysOp.WRITE: (1 << 16, 0),
+    SysOp.EXIT: (1 << 16, 0),
+    SysOp.SETJMP: (1 << 16 | 1 << 30 | 1 << 15 | 1 << 26, 1 << 0),
+    SysOp.LONGJMP: (1 << 16 | 1 << 17, 1 << 0 | 1 << 30 | 1 << 15 | 1 << 26),
+}
+#: Opcodes with no effect beyond their register write.
+_REMOVABLE_OPS = frozenset(
+    op for op, fmt in OP_FORMAT.items()
+    if fmt in (Format.OPR, Format.OPI) or op in (Op.LDA, Op.LDAH, Op.LDW)
+)
+_SPC, _RET, _JMP = Op.SPC, Op.RET, Op.JMP
 
 
 @dataclass
@@ -36,80 +58,47 @@ class DeadCodeStats:
     stores_removed: int = 0
 
 
-def _instr_uses_defs(instr) -> tuple[frozenset[int], frozenset[int]]:
-    """(uses, defs) of one instruction, with ABI summaries for calls."""
+def _uses_defs(instr) -> tuple[int, int]:
+    """(uses, defs) bitmasks of one instruction, with ABI summaries for
+    calls."""
     if instr.is_call:
-        from repro.squeeze.abstraction import ABSTRACT_LINK_REG
-
         if instr.is_direct_call and instr.ra == ABSTRACT_LINK_REG:
             # A call to an abstracted fragment is transparent: the
             # fragment reads and writes the caller's registers directly,
             # outside the normal ABI.  Treat it as fully opaque.
-            return _ALL_REGS, frozenset()
-        uses = set(_CALL_USES)
+            return _ALL_REGS, 0
+        uses = _CALL_USES
         if instr.is_indirect_call:
-            uses.add(instr.rb)
-        defs = set(_CALL_DEFS)
+            uses |= 1 << instr.rb
+        defs = _CALL_DEFS
         if instr.ra != 31:
-            defs.add(instr.ra)
-        return frozenset(uses), frozenset(defs)
-    if instr.op is Op.SPC:
-        if instr.imm == SysOp.READ:
-            return frozenset(), frozenset({0, 1})
-        if instr.imm in (SysOp.WRITE, SysOp.EXIT):
-            return frozenset({16}), frozenset()
-        if instr.imm == SysOp.SETJMP:
-            return frozenset({16, 30, 15, 26}), frozenset({0})
-        if instr.imm == SysOp.LONGJMP:
-            return frozenset({16, 17}), frozenset({0, 30, 15, 26})
-        return frozenset(), frozenset()
-    uses = frozenset(instr.reads_regs())
+            defs |= 1 << instr.ra
+        return uses, defs
+    if instr.op is _SPC:
+        return _SPC_USES_DEFS.get(instr.imm, (0, 0))
+    uses = 0
+    for reg in instr.reads_regs():
+        uses |= 1 << reg
     dest = instr.writes_reg
-    defs = frozenset() if dest is None else frozenset({dest})
-    return uses, defs
+    return uses, 0 if dest is None else 1 << dest
 
 
-def _removable(instr) -> bool:
-    """True if the instruction has no effect beyond its register write."""
-    return instr.format in (Format.OPR, Format.OPI) or instr.op in (
-        Op.LDA,
-        Op.LDAH,
-        Op.LDW,
-    )
-
-
-def _block_live_out(
-    program: Program, function: Function, block: BasicBlock,
-    live_in: dict[str, frozenset[int]],
-) -> set[int]:
+def _terminator_live_out(block: BasicBlock) -> int:
+    """Registers live after *block* whatever its successors need."""
     term = block.terminator
-    live: set[int] = set()
-    for succ in block_successors(program, block):
-        live |= live_in.get(succ, frozenset())
-    if term is not None:
-        from repro.squeeze.abstraction import ABSTRACT_LINK_REG
-
-        if term.is_return and term.rb == ABSTRACT_LINK_REG:
+    if term is None:
+        return 0
+    if term.op is _RET:
+        if term.rb == ABSTRACT_LINK_REG:
             # Returning from an abstracted fragment: every register may
             # be read by the continuation in the caller.
-            live |= _ALL_REGS
-        elif term.is_return:
-            live |= _LIVE_AT_RETURN
-        elif term.op is Op.SPC and term.imm == SysOp.LONGJMP:
-            live |= _LIVE_AT_RETURN
-        elif block.ends_in_indirect_jump and block.jump_table is None:
-            live |= _ALL_REGS  # unknown targets: assume everything live
-    return live
-
-
-def _transfer(block: BasicBlock, live_out: set[int]) -> frozenset[int]:
-    """Live-in of *block* given its live-out."""
-    live = set(live_out)
-    for instr in reversed(block.instrs):
-        uses, defs = _instr_uses_defs(instr)
-        live -= defs
-        live |= uses
-    return frozenset(live)
+            return _ALL_REGS
+        return _LIVE_AT_RETURN
+    if term.op is _SPC and term.imm == SysOp.LONGJMP:
+        return _LIVE_AT_RETURN
+    if term.op is _JMP and block.jump_table is None:
+        return _ALL_REGS  # unknown targets: assume everything live
+    return 0
 
 
 def eliminate_dead_stores(program: Program) -> DeadCodeStats:
@@ -121,42 +110,57 @@ def eliminate_dead_stores(program: Program) -> DeadCodeStats:
 
 
 def _process_function(program: Program, function: Function) -> int:
-    labels = list(function.blocks)
-    live_in: dict[str, frozenset[int]] = {label: frozenset() for label in labels}
+    # Everything the fixpoint reads is computed once: per block, each
+    # instruction's (uses, defs), its successors, and the live-out its
+    # terminator adds.
+    blocks = [
+        (
+            label,
+            block,
+            [_uses_defs(instr) for instr in block.instrs],
+            block_successors(program, block),
+            _terminator_live_out(block),
+        )
+        for label, block in function.blocks.items()
+    ]
+    live_in = dict.fromkeys(function.blocks, 0)
+
+    def live_out(succs: list[str], extra: int) -> int:
+        live = extra
+        for succ in succs:
+            live |= live_in.get(succ, 0)
+        return live
 
     changed = True
     while changed:
         changed = False
-        for label in reversed(labels):
-            block = function.blocks[label]
-            live_out = _block_live_out(program, function, block, live_in)
-            new_in = _transfer(block, live_out)
-            if new_in != live_in[label]:
-                live_in[label] = new_in
+        for label, _, effects, succs, extra in reversed(blocks):
+            live = live_out(succs, extra)
+            for uses, defs in reversed(effects):
+                live = live & ~defs | uses
+            if live != live_in[label]:
+                live_in[label] = live
                 changed = True
 
     removed = 0
-    for label in labels:
-        block = function.blocks[label]
-        live = set(_block_live_out(program, function, block, live_in))
+    for _, block, effects, succs, extra in blocks:
+        live = live_out(succs, extra)
+        instrs = block.instrs
+        last = len(instrs) - 1
         kept: list[int] = []
-        for index in range(len(block.instrs) - 1, -1, -1):
-            instr = block.instrs[index]
-            uses, defs = _instr_uses_defs(instr)
-            is_last = index == len(block.instrs) - 1
-            dead = (
-                _removable(instr)
-                and not is_last  # keep terminators in place
-                and instr.writes_reg is not None
-                and instr.writes_reg not in live
-            )
-            if dead:
+        for index in range(last, -1, -1):
+            uses, defs = effects[index]
+            if (
+                index != last  # keep terminators in place
+                and defs
+                and not live & defs
+                and instrs[index].op in _REMOVABLE_OPS
+            ):
                 removed += 1
                 continue
-            live -= defs
-            live |= uses
+            live = live & ~defs | uses
             kept.append(index)
         kept.reverse()
-        if len(kept) != len(block.instrs):
+        if len(kept) != len(instrs):
             block.rebuild(kept)
     return removed

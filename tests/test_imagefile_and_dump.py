@@ -1,5 +1,8 @@
 """Image file format and the objdump-style listings."""
 
+import hashlib
+import pathlib
+
 import pytest
 
 from repro.core.pipeline import (
@@ -67,6 +70,26 @@ class TestSquashedExecutable:
         run = machine.run(max_steps=10_000_000)
         assert run.output == mini_baseline.output
         assert runtime.stats.decompressions > 0
+
+    @pytest.mark.parametrize("variant", ["baseline", "ctx1"])
+    def test_job_digest_covers_the_saved_files(
+        self, mini_program, mini_profile, tmp_path, variant
+    ):
+        """A squash job hashes in memory exactly the two files that
+        ``save`` writes."""
+        from repro.service.jobs import _image_digest
+
+        result = squash(
+            mini_program,
+            mini_profile,
+            SquashConfig(theta=1.0, codec_variant=variant),
+        )
+        if variant == "ctx1":
+            assert result.descriptor.integrity.contexts
+        digest = hashlib.sha256()
+        for path in result.save(tmp_path / "mini"):
+            digest.update(pathlib.Path(path).read_bytes())
+        assert _image_digest(result) == digest.hexdigest()
 
     def test_descriptor_roundtrip(self, mini_program, mini_profile, tmp_path):
         result = squash(mini_program, mini_profile, SquashConfig(theta=1.0))

@@ -7,7 +7,10 @@ benchmark × θ cell it pins the SHA-256 of the emitted image (segments
 and memory words), the footprint, the baseline size, the modelled cycle
 count of the timing run, and the output digest.  The staged pipeline
 must reproduce all of them exactly — refactors of the stage modules
-are only mechanical if this suite stays green.
+are only mechanical if this suite stays green.  Every cell is checked
+twice: squashed from the in-memory squeezed program, and from a stage
+bundle put into and read back from a real artifact store, the way a
+sweep worker that did not warm the bundle gets it.
 
 ``REPRO_CODEC_VARIANT`` reruns the same grid against that variant's
 own golden file (``squash_golden_<variant>.json``, e.g. the pinned
@@ -28,8 +31,11 @@ import pathlib
 import pytest
 
 from repro import settings
+from repro.analysis import stagecache
 from repro.analysis.experiments import map_theta, squash_benchmark
-from repro.core.pipeline import SquashConfig
+from repro.core.metrics import baseline_code_words
+from repro.core.pipeline import SquashConfig, squash_program
+from repro.store import get_store
 from repro.workloads.mediabench import MEDIABENCH, mediabench_program
 
 #: Codec variant under test (the REPRO_CODEC_VARIANT knob); "" and
@@ -101,6 +107,58 @@ def test_staged_pipeline_matches_golden(name):
         assert run.cycles == want["cycles"], cell
         assert output_digest(run.output) == want["output_sha256"], cell
         assert run.exit_code == want["exit_code"], cell
+
+
+def _loaded_bundle(root, name):
+    """*name*'s stage bundle written to a real artifact store at *root*
+    and read back with the in-process memo cleared."""
+    bench = mediabench_program(name, scale=SCALE)
+    written = stagecache.StageBundle(
+        name=name,
+        scale=SCALE,
+        program=bench.squeezed,
+        profile=bench.profile,
+        baseline_words=baseline_code_words(bench.layout, bench.squeezed),
+        timing_input=list(bench.timing_input),
+        # squash never reads the baseline run; skipping it keeps the
+        # grid cheap.
+        base_cycles=0,
+        base_output=[],
+        base_exit_code=0,
+    )
+    get_store(root).put(
+        "stage",
+        stagecache.bundle_digest(name, SCALE),
+        stagecache._to_entry(written),
+    )
+    stagecache.reset_counters()
+    loaded = stagecache.load_bundle(root, name, SCALE)
+    assert stagecache.STAGE_COUNTERS["loaded"] == 1
+    return loaded
+
+
+@pytest.mark.parametrize("name", MEDIABENCH)
+def test_loaded_stage_bundle_matches_golden(name, tmp_path):
+    bundle = _loaded_bundle(tmp_path, name)
+    try:
+        for theta_paper in THETAS:
+            config = SquashConfig(
+                theta=map_theta(theta_paper), codec_variant=VARIANT
+            )
+            result = squash_program(
+                bundle.program,
+                bundle.profile,
+                config,
+                baseline_words=bundle.baseline_words,
+            )
+            want = GOLDEN["cells"][f"{name}@{theta_paper}"]
+            cell = f"{name}@{theta_paper} (loaded bundle)"
+            assert image_digest(result.image) == want["image_sha256"], cell
+            assert result.footprint.total == want["footprint_total"], cell
+            run, _ = result.run(bundle.timing_input, max_steps=500_000_000)
+            assert run.cycles == want["cycles"], cell
+    finally:
+        stagecache.reset_counters()
 
 
 def test_tracing_was_live_during_grid():

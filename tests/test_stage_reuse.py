@@ -1,9 +1,11 @@
 """Incremental sweep reuse of θ-invariant stage artifacts."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro import settings
 from repro.analysis import experiments, parallel, stagecache
 from repro.analysis.experiments import FIG7_THETAS
 from repro.program.serialize import program_from_dict, program_to_dict
@@ -16,6 +18,16 @@ THETAS = FIG7_THETAS
 
 def _golden(name, theta_paper):
     return GOLDEN["cells"][f"{name}@{theta_paper}"]
+
+
+def _index_map_items(program):
+    """Every index map of *program* as an ordered item list: the packer
+    breaks ties in ``call_targets`` order, so order is content here."""
+    return [
+        (block.label, list(block.call_targets.items()),
+         list(block.data_refs.items()))
+        for _, block in program.all_blocks()
+    ] + [(obj.name, list(obj.relocs.items())) for obj in program.data.values()]
 
 
 @pytest.fixture(autouse=True)
@@ -31,9 +43,13 @@ class TestBundleRoundTrip:
         from repro.workloads.mediabench import mediabench_program
 
         squeezed = mediabench_program("adpcm", scale=SCALE).squeezed
-        payload = program_to_dict(squeezed)
-        again = program_to_dict(program_from_dict(payload))
-        assert again == payload
+        # The artifact store writes JSON with sorted keys.
+        payload = json.loads(
+            json.dumps(program_to_dict(squeezed), sort_keys=True)
+        )
+        again = program_from_dict(payload)
+        assert program_to_dict(again) == program_to_dict(squeezed)
+        assert _index_map_items(again) == _index_map_items(squeezed)
 
     def test_warm_then_load_round_trips(self, tmp_path):
         bundle = stagecache.warm_bundle(tmp_path, "adpcm", SCALE)
@@ -47,6 +63,9 @@ class TestBundleRoundTrip:
         assert program_to_dict(fresh.program) == program_to_dict(
             bundle.program
         )
+        assert _index_map_items(fresh.program) == _index_map_items(
+            bundle.program
+        )
         assert fresh.profile.counts == bundle.profile.counts
         assert fresh.profile.tot_instr_ct == bundle.profile.tot_instr_ct
         assert fresh.baseline_words == bundle.baseline_words
@@ -58,6 +77,9 @@ class TestBundleRoundTrip:
         path.write_text("not a sealed entry")
         stagecache.reset_counters()
         assert stagecache.load_bundle(tmp_path, "adpcm", SCALE) is None
+        # The next warm recomputes the bundle.
+        stagecache.warm_bundle(tmp_path, "adpcm", SCALE)
+        assert stagecache.STAGE_COUNTERS["computed"] == 1
 
     def test_reuse_can_be_disabled(self, monkeypatch):
         monkeypatch.setenv("REPRO_STAGE_REUSE", "0")
@@ -162,3 +184,46 @@ class TestSweepReuse:
         result = experiments.squash_benchmark("adpcm", SCALE, config)
         assert cell["baseline_words"] == result.baseline_words
         assert cell["footprint_total"] == result.footprint.total
+
+
+class TestWarmInPool:
+    def test_parallel_sweep_warms_bundles_in_the_pool(self, tmp_path):
+        """Each benchmark's bundle is built and persisted by a warm task
+        in a pool worker, not in this process, and the cells then run
+        on the same leased pool and reproduce the golden grid."""
+        from repro.obs.metrics import get_registry
+
+        def reuses():
+            counters = get_registry().snapshot()["counters"]
+            return counters.get("pool.acquire.reuse", 0)
+
+        before = reuses()
+        thetas = (0.0, 1e-5)
+        cells = parallel.grid_cells("size", NAMES, SCALE, thetas)
+        results = parallel.compute_cells(cells, parallel=True, workers=2)
+        assert stagecache.STAGE_COUNTERS["computed"] == 0
+        for name in NAMES:
+            assert stagecache.bundle_path(tmp_path, name, SCALE).exists()
+        for cell, (name, theta) in zip(
+            cells, [(name, theta) for name in NAMES for theta in thetas]
+        ):
+            assert results[cell]["footprint_total"] == (
+                _golden(name, theta)["footprint_total"]
+            )
+        if settings.current().pool_persist:
+            assert reuses() > before
+
+    def test_lost_warm_task_is_not_fatal(self, monkeypatch):
+        """A warm task that keeps failing costs its retries, not the
+        sweep: the cell computes the bundle itself."""
+
+        def lost(payload):
+            raise RuntimeError("warm task lost")
+
+        monkeypatch.setattr(parallel, "_supervised_warm", lost)
+        cells = parallel.grid_cells("size", ("adpcm",), SCALE, (0.0,))
+        results = parallel.compute_cells(cells, parallel=False)
+        assert results[cells[0]]["footprint_total"] == (
+            _golden("adpcm", 0.0)["footprint_total"]
+        )
+        assert stagecache.STAGE_COUNTERS["computed"] == 1
