@@ -51,10 +51,7 @@ from repro.analysis.experiments import (
     Fig3Row,
     SizeRow,
     TimeRow,
-    baseline_run,
     map_theta,
-    squash_benchmark,
-    squashed_run,
 )
 from repro import settings as _settings
 from repro.analysis.stats import geometric_mean
@@ -132,8 +129,7 @@ def _cell_digest(kind: str, name: str, scale: float, config: SquashConfig) -> st
 
 
 def _stage_bundle(name: str, scale: float):
-    """The θ-invariant artifact bundle for a cell, or ``None`` when
-    stage reuse is disabled.
+    """The θ-invariant artifact bundle for a cell.
 
     A warm task per benchmark runs before the cells, so a worker
     finds the bundle in its memo (it ran that warm task) or persisted
@@ -143,8 +139,6 @@ def _stage_bundle(name: str, scale: float):
     """
     from repro.analysis import stagecache
 
-    if not stagecache.stage_reuse_enabled():
-        return None
     root = cache_dir()
     bundle = stagecache.load_bundle(root, name, scale)
     if bundle is None:
@@ -157,67 +151,44 @@ def _compute_cell(
 ) -> dict:
     """One experiment cell, executed in a worker process.
 
-    ``size`` cells squash only; ``time`` cells also run baseline and
-    squashed images on the timing input and verify output equivalence.
-    Both start from the shared θ-invariant stage artifacts (squeezed
-    program, profile, baseline layout and run) when available, so only
-    the cold-set stage onward is recomputed per cell.
+    ``size`` cells squash only; ``time`` cells also run the squashed
+    image on the timing input and verify output equivalence against
+    the baseline run.  Both start from the shared θ-invariant stage
+    artifacts (squeezed program, profile, baseline layout and run), so
+    only the cold-set stage onward is recomputed per cell.
     """
     from repro.core.pipeline import squash_program as squash
     from repro.program.layout import TEXT_BASE
 
+    if kind not in REQUIRED_KEYS:
+        raise ValueError(f"unknown cell kind {kind!r}")
     bundle = _stage_bundle(name, scale)
+    result = squash(
+        bundle.program,
+        bundle.profile,
+        config,
+        # The persisted baseline was laid out at the default text base;
+        # a nonstandard base must re-derive it.
+        baseline_words=bundle.baseline_words
+        if config.text_base == TEXT_BASE
+        else None,
+    )
     if kind == "size":
-        if bundle is not None:
-            result = squash(
-                bundle.program,
-                bundle.profile,
-                config,
-                # The persisted baseline was laid out at the default
-                # text base; a nonstandard base must re-derive it.
-                baseline_words=bundle.baseline_words
-                if config.text_base == TEXT_BASE
-                else None,
-            )
-        else:
-            result = squash_benchmark(name, scale, config)
         return {
             "footprint_total": result.footprint.total,
             "baseline_words": result.baseline_words,
             "reduction": result.reduction,
         }
-    if kind == "time":
-        if bundle is not None:
-            result = squash(
-                bundle.program,
-                bundle.profile,
-                config,
-                baseline_words=bundle.baseline_words
-                if config.text_base == TEXT_BASE
-                else None,
-            )
-            run, _ = result.run(
-                bundle.timing_input, max_steps=500_000_000
-            )
-            base_cycles = bundle.base_cycles
-            base_output = bundle.base_output
-            base_exit = bundle.base_exit_code
-        else:
-            base = baseline_run(name, scale)
-            run = squashed_run(name, scale, config)
-            base_cycles = base.cycles
-            base_output = base.output
-            base_exit = base.exit_code
-        if run.output != base_output or run.exit_code != base_exit:
-            raise AssertionError(
-                f"{name}: squashed output diverged at θ={config.theta}"
-            )
-        return {
-            "cycles": run.cycles,
-            "base_cycles": base_cycles,
-            "relative_time": run.cycles / base_cycles,
-        }
-    raise ValueError(f"unknown cell kind {kind!r}")
+    run, _ = result.run(bundle.timing_input, max_steps=500_000_000)
+    if run.output != bundle.base_output or run.exit_code != bundle.base_exit_code:
+        raise AssertionError(
+            f"{name}: squashed output diverged at θ={config.theta}"
+        )
+    return {
+        "cycles": run.cycles,
+        "base_cycles": bundle.base_cycles,
+        "relative_time": run.cycles / bundle.base_cycles,
+    }
 
 
 #: Keys a cached entry must carry to be trusted, per cell kind; an
@@ -326,10 +297,6 @@ def _warm_stage_bundles(
     baseline layout and timing run.  A lost warm task is not fatal:
     its cells compute the bundle themselves.
     """
-    from repro.analysis import stagecache
-
-    if not stagecache.stage_reuse_enabled():
-        return
     # Only MediaBench programs have bundles.  Largest first, so the
     # last warm to start is a short one.
     bundles = sorted(

@@ -25,8 +25,6 @@ store to pin this.  Bundles written before program format 2 kept
 ``call_targets`` in sorted-key order, which moves region-packing ties;
 :data:`STAGE_SALT` v2 retires them.
 
-``REPRO_STAGE_REUSE=0`` disables the whole mechanism (every cell falls
-back to :func:`~repro.workloads.mediabench.mediabench_program`).
 Counters in :data:`STAGE_COUNTERS` record how often the expensive path
 ran versus how often a bundle was reused — the sweep tests assert
 "once per benchmark" with them.
@@ -39,7 +37,6 @@ import json
 import pathlib
 from dataclasses import dataclass
 
-from repro import settings as _settings
 from repro.errors import StoreDegraded
 from repro.obs.metrics import get_registry
 from repro.program.program import Program
@@ -55,7 +52,6 @@ __all__ = [
     "bundle_path",
     "load_bundle",
     "reset_counters",
-    "stage_reuse_enabled",
     "warm_bundle",
 ]
 
@@ -97,11 +93,6 @@ def reset_counters() -> None:
     for key in STAGE_COUNTERS:
         STAGE_COUNTERS[key] = 0
     _MEMO.clear()
-
-
-def stage_reuse_enabled() -> bool:
-    """Stage-artifact reuse gate (``REPRO_STAGE_REUSE=0`` disables)."""
-    return _settings.current().stage_reuse
 
 
 @dataclass

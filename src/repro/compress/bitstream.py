@@ -82,32 +82,14 @@ class BitReader:
     VM memory, which is how the runtime decompressor reads the
     compressed area of the image.
 
-    Beyond the consuming ``read_bit``/``read_bits``, the reader offers
-    buffered ``peek_bits``/``skip_bits`` primitives: ``peek_bits``
-    returns upcoming bits without consuming them (zero-padded past the
-    end of the stream) through a cached multi-word window, which is what
-    makes table-driven Huffman decoding fast.
-
-    Zero-padding is a *lookahead* convenience only: any attempt to
-    consume bits past the end of the stream -- ``read_bit``,
-    ``read_bits``, or ``skip_bits`` -- raises
+    Any attempt to read past the end of the stream raises
     :class:`~repro.errors.TruncatedStreamError`, so a truncated
     compressed blob can never silently decode as trailing zeros.
     """
 
-    #: Words held in the peek window; bounds the largest peek at
-    #: ``(_WINDOW_WORDS - 1) * WORD_BITS`` bits from any bit offset.
-    _WINDOW_WORDS = 3
-
     def __init__(self, words: Sequence[int], bit_offset: int = 0):
         self._words = words
         self._pos = bit_offset
-        # Cached peek window: _WINDOW_WORDS consecutive words starting
-        # at word index _win_index (zero-padded past EOF).  The stream
-        # is immutable while being read, so the window never goes stale.
-        self._win_index = -1
-        self._win = 0
-        self._total_bits: int | None = None
 
     @property
     def bit_pos(self) -> int:
@@ -116,47 +98,6 @@ class BitReader:
 
     def seek(self, bit_offset: int) -> None:
         self._pos = bit_offset
-
-    def _fill_window(self, word_index: int) -> None:
-        win = 0
-        words = self._words
-        for index in range(word_index, word_index + self._WINDOW_WORDS):
-            try:
-                word = words[index]
-            except IndexError:
-                word = 0
-            win = (win << WORD_BITS) | word
-        self._win_index = word_index
-        self._win = win
-
-    def peek_bits(self, nbits: int) -> int:
-        """The next *nbits* bits without consuming them.
-
-        Bits past the end of the stream read as zero; consuming them
-        (via ``read_bits`` or ``skip_bits``) still raises ``EOFError``.
-        """
-        max_peek = (self._WINDOW_WORDS - 1) * WORD_BITS
-        if not 0 <= nbits <= max_peek:
-            raise ValueError(f"peek width {nbits} not in [0, {max_peek}]")
-        word_index, bit_index = divmod(self._pos, WORD_BITS)
-        if word_index != self._win_index:
-            self._fill_window(word_index)
-        shift = self._WINDOW_WORDS * WORD_BITS - bit_index - nbits
-        return (self._win >> shift) & ((1 << nbits) - 1)
-
-    def skip_bits(self, nbits: int) -> None:
-        """Advance past *nbits* bits (previously peeked)."""
-        if nbits < 0:
-            raise ValueError("negative bit count")
-        pos = self._pos + nbits
-        total = self._total_bits
-        if total is None:
-            total = self._total_bits = len(self._words) * WORD_BITS
-        if pos > total:
-            raise TruncatedStreamError(
-                f"bit position {pos} past end of stream", bit_offset=pos
-            )
-        self._pos = pos
 
     def read_bit(self) -> int:
         pos = self._pos

@@ -157,9 +157,10 @@ class CanonicalCode:
     # The reference DECODE above pulls one bit per iteration; a real
     # decoder peeks a K-bit chunk and resolves codewords of length <= K
     # with one table lookup ("MIPS code compression" uses the same
-    # trick).  The table is an implementation detail: it decodes the
-    # same symbol and consumes the same number of bits as DECODE, so
-    # every modelled per-bit cost stays unchanged.
+    # trick).  The tables below feed the codec's table loop
+    # (ProgramCodec._decode_region_table), which decodes the same
+    # symbols and consumes the same number of bits as DECODE, so every
+    # modelled per-bit cost stays unchanged.
 
     def decode_table(
         self, table_bits: int | None = None
@@ -212,37 +213,6 @@ class CanonicalCode:
             cached = (firsts, leads)
             object.__setattr__(self, "_overflow", cached)
         return cached
-
-    def fast_decode(
-        self, reader: BitReader, table_bits: int | None = None
-    ) -> int:
-        """Table-driven decode: same symbol, same bits consumed as
-        :meth:`decode`, via ``peek_bits``/``skip_bits``."""
-        k, table = self.decode_table(table_bits)
-        entry = table[reader.peek_bits(k)]
-        if entry is not None:
-            symbol, length = entry
-            reader.skip_bits(length)
-            return symbol
-        # Overflow: the codeword is longer than K bits.  Extend the
-        # peek one length class at a time; canonical codes keep the
-        # length-L codewords in [firsts[L-1], firsts[L-1] + N[L]), and
-        # all shorter lengths were already ruled out by the table.
-        counts = self.counts
-        firsts, leads = self.overflow_tables()
-        for length in range(k + 1, len(counts)):
-            count = counts[length]
-            if not count:
-                continue
-            value = reader.peek_bits(length)
-            base = firsts[length - 1]
-            if value < base + count:
-                reader.skip_bits(length)
-                return self.values[leads[length] + value - base]
-        raise CorruptBlobError(
-            "corrupt bitstream: ran past longest code",
-            bit_offset=reader.bit_pos,
-        )
 
     # -- serialisation -------------------------------------------------------
 

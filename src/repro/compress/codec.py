@@ -10,9 +10,16 @@ The whole compressed area of a squashed image is produced here:
 * a decoder that starts at any region's bit offset and decodes until
   the sentinel, exactly what the runtime decompressor does.
 
+Regions decode two ways: the paper-verbatim DECODE loop (the
+``reference`` backend, kept as the oracle) and one first-level-table
+loop (``table``, the default) that reads both table formats.  This
+module is the only place that knows how a region is decoded.
+
 Optionally, selected streams get a move-to-front pre-pass (Section 3's
 variant); the MTF recency list resets at region boundaries so regions
-remain independently decodable.
+remain independently decodable.  The ``ctx1`` variant conditions the
+opcode stream on the previous opcode; field streams are never
+conditioned.
 """
 
 from __future__ import annotations
@@ -30,12 +37,10 @@ from repro.errors import (
     TruncatedStreamError,
 )
 from repro.compress.model import (
-    MAX_CONTEXT_DOMAIN,
     MAX_CONTEXTS,
     StreamLayout,
     StreamModel,
     CodecModel,
-    context_domain,
     deserialise_stream_model,
     select_context_models,
     serialise_stream_model,
@@ -87,8 +92,8 @@ class CodecConfig:
     coder: str = "huffman"
     #: Field kinds whose table is conditioned on the stream's previous
     #: symbol (order-1 context modeling; empty = order-0 everywhere).
-    #: Conditioning is cost-driven per stream — a stream that does not
-    #: pay for its extra tables stays order-0.
+    #: Only the opcode stream may be conditioned, and only when that
+    #: pays for its extra tables (the cost model may keep it order-0).
     context_kinds: frozenset[FieldKind] = frozenset()
     #: Cap on contexts per conditioned stream (top-M previous symbols
     #: get singleton contexts, the rest share one).
@@ -98,22 +103,20 @@ class CodecConfig:
         if self.coder not in _CODER_IDS:
             raise ValueError(f"unknown coder {self.coder!r}")
         if self.context_kinds:
+            fields = self.context_kinds - {FieldKind.OPCODE}
+            if fields:
+                names = ", ".join(sorted(k.name for k in fields))
+                raise ValueError(
+                    f"only the opcode stream can be conditioned, not {names}"
+                )
             if self.coder != "huffman":
                 raise ValueError(
                     "context modeling requires the huffman coder"
                 )
-            overlap = self.context_kinds & self.mtf_kinds
-            if overlap:
-                names = ", ".join(sorted(k.name for k in overlap))
+            if FieldKind.OPCODE in self.mtf_kinds:
                 raise ValueError(
-                    f"context modeling cannot stack on MTF streams: {names}"
+                    "context modeling cannot stack on MTF streams: OPCODE"
                 )
-            for kind in self.context_kinds:
-                if context_domain(kind) > MAX_CONTEXT_DOMAIN:
-                    raise ValueError(
-                        f"stream {kind.name} is too wide to condition on "
-                        f"({context_domain(kind)} previous symbols)"
-                    )
             if not 2 <= self.max_contexts <= MAX_CONTEXTS:
                 raise ValueError(
                     f"max_contexts {self.max_contexts} outside "
@@ -149,22 +152,10 @@ CODEC_VARIANTS.register(
 #: Huffman codec (an alias of "huffman" by construction).
 CODEC_VARIANTS.register("baseline", CodecConfig)
 #: Order-1 opcode bigrams: the opcode stream's table is conditioned on
-#: the previous opcode.  Fully vector-native (the lane machine grows
-#: one LUT bank per opcode context).
+#: the previous opcode.
 CODEC_VARIANTS.register(
     "ctx1",
     lambda: CodecConfig(context_kinds=frozenset({FieldKind.OPCODE})),
-)
-#: ctx1 plus register-reuse locality: RA/RB streams conditioned on
-#: their previous register.  Conditioned field streams degrade the
-#: vector backend to the table path (same precedent as the dict coder).
-CODEC_VARIANTS.register(
-    "ctx1+reg",
-    lambda: CodecConfig(
-        context_kinds=frozenset(
-            {FieldKind.OPCODE, FieldKind.RA, FieldKind.RB}
-        )
-    ),
 )
 
 
@@ -394,41 +385,22 @@ class ProgramCodec:
                     kfreq = frequencies.setdefault(kind, {})
                     kfreq[value] = kfreq.get(value, 0) + 1
 
-        # Order-1 candidates: count per-stream bigrams under the
-        # region-reset convention, then let the exact cost model pick a
-        # context partition per stream (possibly order-0) with a global
-        # fallback that guarantees the context format never loses to
-        # the legacy one.
+        # Order-1 candidate: count opcode bigrams under the region-reset
+        # convention, then let the exact cost model pick a context
+        # partition (possibly order-0) with a global fallback that
+        # guarantees the context format never loses to the legacy one.
         models: dict[FieldKind, StreamModel] = {}
         if config.context_kinds:
-            bigrams: dict[FieldKind, dict[int, dict[int, int]]] = {
-                kind: {}
-                for kind in config.context_kinds
-                if kind in frequencies
-            }
+            bigrams: dict[int, dict[int, int]] = {}
             for region in closed:
-                prev = {kind: start_symbol(kind) for kind in bigrams}
+                prev = start_symbol(FieldKind.OPCODE)
                 for item in region:
-                    row = bigrams.get(FieldKind.OPCODE)
-                    if row is not None:
-                        by_prev = row.setdefault(
-                            prev[FieldKind.OPCODE], {}
-                        )
-                        by_prev[item.opcode] = (
-                            by_prev.get(item.opcode, 0) + 1
-                        )
-                        prev[FieldKind.OPCODE] = item.opcode
-                    for kind, value in zip(
-                        codec_fields(item.opcode), item.fields
-                    ):
-                        row = bigrams.get(kind)
-                        if row is not None:
-                            by_prev = row.setdefault(prev[kind], {})
-                            by_prev[value] = by_prev.get(value, 0) + 1
-                            prev[kind] = value
+                    by_prev = bigrams.setdefault(prev, {})
+                    by_prev[item.opcode] = by_prev.get(item.opcode, 0) + 1
+                    prev = item.opcode
             models = select_context_models(
-                {k: g for k, g in bigrams.items() if g},
-                {k: _value_bits(k, None) for k in bigrams},
+                {FieldKind.OPCODE: bigrams},
+                {FieldKind.OPCODE: _value_bits(FieldKind.OPCODE, None)},
                 max_contexts=config.max_contexts,
                 total_streams=len(frequencies),
             )
@@ -502,44 +474,26 @@ class ProgramCodec:
         writer: BitWriter,
         offsets: list[int],
     ) -> None:
-        """Context-aware encode of the merged stream.
+        """Encode the merged stream with a conditioned opcode stream.
 
-        Each conditioned stream tracks its previous symbol (reset per
-        region per :func:`~repro.compress.model.start_symbol`) and
-        encodes against the context that symbol maps to; order-0
-        streams use their single table exactly as the legacy loop
-        does, so a codec with no conditioned streams emits identical
-        bits either way.
+        The opcode is coded against the context its predecessor maps to
+        (reset per region per :func:`~repro.compress.model.start_symbol`);
+        field streams use their single table exactly as the order-0
+        loop in :meth:`build` does.
         """
-        banks = {
-            kind: tuple(t.encoder() for t in sm.tables)
-            for kind, sm in self.models.items()
-        }
-        flat = {
-            kind: code.encoder()
-            for kind, code in self.codes.items()
-            if kind not in self.models
-        }
-        op_model = self.models.get(FieldKind.OPCODE)
-        op_bank = banks.get(FieldKind.OPCODE)
-        op_flat = flat.get(FieldKind.OPCODE)
+        op_model = self.models[FieldKind.OPCODE]
+        op_bank = tuple(t.encoder() for t in op_model.tables)
+        encoders = {kind: code.encoder() for kind, code in self.codes.items()}
         for region in closed:
             offsets.append(writer.bit_length)
             transforms = {
                 kind: MoveToFront(alphabet)
                 for kind, alphabet in self.mtf_alphabets.items()
             }
-            prev = {
-                kind: start_symbol(kind) for kind in self.models
-            }
+            prev = start_symbol(FieldKind.OPCODE)
             for item in region:
-                if op_model is not None:
-                    encoder = op_bank[
-                        op_model.context_of(prev[FieldKind.OPCODE])
-                    ]
-                    prev[FieldKind.OPCODE] = item.opcode
-                else:
-                    encoder = op_flat
+                encoder = op_bank[op_model.context_of(prev)]
+                prev = item.opcode
                 code, length = encoder[item.opcode]
                 writer.write_bits(code, length)
                 for kind, value in zip(
@@ -547,13 +501,7 @@ class ProgramCodec:
                 ):
                     if kind in transforms:
                         value = transforms[kind].encode_one(value)
-                    sm = self.models.get(kind)
-                    if sm is not None:
-                        encoder = banks[kind][sm.context_of(prev[kind])]
-                        prev[kind] = value
-                    else:
-                        encoder = flat[kind]
-                    code, length = encoder[value]
+                    code, length = encoders[kind][value]
                     writer.write_bits(code, length)
 
     # -- table (de)serialisation ------------------------------------------
@@ -643,6 +591,15 @@ class ProgramCodec:
                 )
                 codes[kind] = model.tables[0]
                 if model.conditioned:
+                    if kind is not FieldKind.OPCODE:
+                        # The table loop conditions the opcode stream
+                        # only; decoding this with context 0's table
+                        # would be silently wrong.
+                        raise CodecTableError(
+                            f"corrupt tables: stream {kind.name} is "
+                            f"conditioned; only OPCODE may be",
+                            bit_offset=layout.mapping_start_bit,
+                        )
                     models[kind] = model
                 layouts[int(kind)] = layout
             else:
@@ -685,54 +642,23 @@ class ProgramCodec:
         The mechanics are chosen by :func:`resolve_decode_backend`
         (*backend* is an explicit override; the environment picks
         otherwise): ``reference`` is the paper-verbatim bit-at-a-time
-        loop, ``table`` the specialised first-level-table loop,
-        ``vector`` the numpy batch machine of
-        :mod:`repro.compress.vector`.  All three decode the same items
-        from the same bits.
+        loop, ``table`` the first-level-table loop of
+        :meth:`_decode_region_table`.  Both decode the same items from
+        the same bits and fail with the same typed error at the same
+        bit offset.
         """
         name = resolve_decode_backend(backend)
         return DECODE_BACKENDS.get(name)(self, words, bit_offset)
 
-    def decode_regions(
-        self,
-        words: Sequence[int],
-        bit_offsets: Sequence[int],
-        backend: str | None = None,
-    ) -> list[tuple[list[CodecInstr], int]]:
-        """Decode many regions of one stream, in order.
-
-        With the ``vector`` backend the whole batch decodes in one
-        lane-parallel pass -- this is the throughput entry point the
-        runtime warm path and the benchmarks use; other backends loop.
-        """
-        name = resolve_decode_backend(backend)
-        if name == "vector":
-            from repro.compress import vector
-
-            return vector.decode_regions(self, words, list(bit_offsets))
-        return [
-            self.decode_region(words, offset, backend=name)
-            for offset in bit_offsets
-        ]
-
     def _decode_region_generic(
-        self, words: Sequence[int], bit_offset: int, fast: bool
+        self, words: Sequence[int], bit_offset: int
     ) -> tuple[list[CodecInstr], int]:
-        """The coder-agnostic symbol loop behind the backends.
-
-        With *fast*, canonical Huffman streams use the table-driven
-        :meth:`~repro.compress.canonical.CanonicalCode.fast_decode`;
-        otherwise every stream uses its paper-verbatim ``decode``.
-        """
+        """The paper-verbatim symbol loop: every stream decodes through
+        its code's own ``decode`` (DECODE for canonical Huffman)."""
         if self.models:
-            return self._decode_region_generic_ctx(words, bit_offset, fast)
+            return self._decode_region_generic_ctx(words, bit_offset)
         reader = BitReader(words, bit_offset)
-        decoders = {
-            kind: code.fast_decode
-            if fast and isinstance(code, CanonicalCode)
-            else code.decode
-            for kind, code in self.codes.items()
-        }
+        decoders = {kind: code.decode for kind, code in self.codes.items()}
         opcode_decode = decoders[FieldKind.OPCODE]
         transforms = {
             kind: MoveToFront(alphabet)
@@ -758,7 +684,7 @@ class ProgramCodec:
         return items, reader.bit_pos - bit_offset
 
     def _decode_region_generic_ctx(
-        self, words: Sequence[int], bit_offset: int, fast: bool
+        self, words: Sequence[int], bit_offset: int
     ) -> tuple[list[CodecInstr], int]:
         """The generic loop for context-modeled codecs.
 
@@ -771,10 +697,7 @@ class ProgramCodec:
         for kind, code in self.codes.items():
             sm = self.models.get(kind)
             tables = sm.tables if sm is not None else (code,)
-            if fast:
-                banks[kind] = tuple(t.fast_decode for t in tables)
-            else:
-                banks[kind] = tuple(t.decode for t in tables)
+            banks[kind] = tuple(t.decode for t in tables)
         op_model = self.models.get(FieldKind.OPCODE)
         op_bank = banks[FieldKind.OPCODE]
         transforms = {
@@ -814,58 +737,62 @@ class ProgramCodec:
             items.append(CodecInstr(opcode=opcode, fields=tuple(values)))
         return items, reader.bit_pos - bit_offset
 
-    def _fast_tables(self) -> tuple[dict, dict, int]:
-        """Per-stream decode tables and per-opcode field plans.
+    def _decode_tables(self) -> tuple:
+        """The table loop's decode structures, built once per codec.
 
-        Returns ``(tables, plans, window)``: ``tables[kind]`` is
-        ``(K, table, overflow)`` for that stream's canonical code
-        (``overflow`` being ``(counts, firsts, leads, values,
-        max_length)`` for codewords longer than K); ``plans[opcode]``
-        is the pre-resolved ``(kind, K, table, overflow)`` sequence of
-        that opcode's field streams; ``window`` is the largest codeword
-        length over all streams (how many bits the decode loop keeps
-        buffered).
+        Returns ``(tables, op_mapping, op_triples, plans, window)``.
+        ``tables[kind]`` is ``(K, table, overflow)`` for the stream's
+        (context-0) canonical code, ``overflow`` being ``(counts,
+        firsts, leads, values, max_length)`` for codewords longer than
+        K.  ``op_mapping`` is ``None`` unless the opcode stream is
+        conditioned; then ``op_triples[op_mapping[prev]]`` is the triple
+        decoding the opcode after *prev*.  ``plans[opcode]`` (filled
+        lazily) is the ``(kind, K, table, overflow)`` sequence of that
+        opcode's field streams, and ``window`` the longest codeword
+        over every table (how many bits the loop keeps buffered).
         """
-        cached = getattr(self, "_fast_decode_tables", None)
+        cached = getattr(self, "_table_decoder", None)
         if cached is None:
-            tables = {}
-            window = 1
-            for kind, code in self.codes.items():
-                k, table = code.decode_table()
-                firsts, leads = code.overflow_tables()
-                overflow = (
-                    code.counts,
-                    firsts,
-                    leads,
-                    code.values,
-                    code.max_length,
-                )
-                tables[kind] = (k, table, overflow)
-                window = max(window, code.max_length)
-            plans: dict[int, tuple] = {}
-            cached = (tables, plans, window)
-            self._fast_decode_tables = cached
+            tables = {
+                kind: _table_triple(code)
+                for kind, code in self.codes.items()
+            }
+            op_model = self.models.get(FieldKind.OPCODE)
+            op_mapping = op_triples = None
+            op_codes: tuple = ()
+            if op_model is not None:
+                op_mapping = op_model.mapping
+                op_codes = op_model.tables
+                op_triples = tuple(_table_triple(t) for t in op_codes)
+            window = max(
+                (c.max_length for c in (*self.codes.values(), *op_codes)),
+                default=1,
+            )
+            cached = (tables, op_mapping, op_triples, {}, window)
+            self._table_decoder = cached
         return cached
 
-    def _decode_region_fast(
+    def _decode_region_table(
         self, words: Sequence[int], bit_offset: int
     ) -> tuple[list[CodecInstr], int]:
         """Table-driven region decode with the bit window in locals.
 
         Decodes exactly the items (and consumes exactly the bits) of
-        the generic loop in :meth:`decode_region`; only the mechanics
-        differ -- a K-bit prefix lookup per symbol instead of the
-        bit-at-a-time DECODE, and zero-padded whole-word refills with a
-        hard end-of-stream check wherever padding may have been
-        consumed.
+        the reference loop, for order-0 codecs and for codecs whose
+        opcode stream is conditioned; only the mechanics differ -- a
+        K-bit prefix lookup per symbol instead of the bit-at-a-time
+        DECODE, and zero-padded whole-word refills with a hard
+        end-of-stream check wherever padding may have been consumed.
         """
-        if self.models:
-            return self._decode_region_fast_ctx(words, bit_offset)
-        tables, plans, window = self._fast_tables()
-        opcode_tables = tables.get(FieldKind.OPCODE)
-        if opcode_tables is None:
-            raise CodecTableError("corrupt tables: no code for stream OPCODE")
-        op_k, op_table, op_overflow = opcode_tables
+        tables, op_mapping, op_triples, plans, window = self._decode_tables()
+        if op_mapping is not None:
+            op_k, op_table, op_overflow = op_triples[
+                op_mapping[start_symbol(FieldKind.OPCODE)]
+            ]
+        else:
+            op_k, op_table, op_overflow = _require_tables(
+                tables, FieldKind.OPCODE
+            )
         transforms = {
             kind: MoveToFront(alphabet)
             for kind, alphabet in self.mtf_alphabets.items()
@@ -923,6 +850,8 @@ class ProgramCodec:
                 )
             if opcode == OP_SENTINEL:
                 break
+            if op_mapping is not None:
+                op_k, op_table, op_overflow = op_triples[op_mapping[opcode]]
 
             plan = plans.get(opcode)
             if plan is None:
@@ -967,206 +896,38 @@ class ProgramCodec:
             items.append(item)
         return items, wi * 32 - navail - bit_offset
 
-    def _fast_tables_ctx(self) -> tuple[dict, dict, int]:
-        """Context-banked analogue of :meth:`_fast_tables`.
 
-        ``banks[kind]`` is ``(mapping, tables)``: ``mapping`` the
-        stream's previous-symbol -> context array (``None`` for
-        order-0 streams) and ``tables[ctx]`` the familiar
-        ``(K, table, overflow)`` triple of that context's code.
-        """
-        cached = getattr(self, "_fast_ctx_tables", None)
-        if cached is None:
-            banks = {}
-            window = 1
-            for kind, code in self.codes.items():
-                sm = self.models.get(kind)
-                triples = []
-                for ctx_code in (sm.tables if sm is not None else (code,)):
-                    k, table = ctx_code.decode_table()
-                    firsts, leads = ctx_code.overflow_tables()
-                    triples.append((
-                        k,
-                        table,
-                        (
-                            ctx_code.counts,
-                            firsts,
-                            leads,
-                            ctx_code.values,
-                            ctx_code.max_length,
-                        ),
-                    ))
-                    window = max(window, ctx_code.max_length)
-                banks[kind] = (
-                    sm.mapping if sm is not None else None,
-                    tuple(triples),
-                )
-            plans: dict[int, tuple] = {}
-            cached = (banks, plans, window)
-            self._fast_ctx_tables = cached
-        return cached
-
-    def _decode_region_fast_ctx(
-        self, words: Sequence[int], bit_offset: int
-    ) -> tuple[list[CodecInstr], int]:
-        """Table-driven region decode for context-modeled codecs.
-
-        The window mechanics (refills, hard end-of-stream checks) are
-        those of :meth:`_decode_region_fast` verbatim; the only
-        addition is per-stream previous-symbol tracking selecting the
-        ``(K, table, overflow)`` triple of the active context before
-        each lookup.
-        """
-        banks, plans, window = self._fast_tables_ctx()
-        op_bank = banks.get(FieldKind.OPCODE)
-        if op_bank is None:
-            raise CodecTableError("corrupt tables: no code for stream OPCODE")
-        op_mapping, op_tables = op_bank
-        transforms = {
-            kind: MoveToFront(alphabet)
-            for kind, alphabet in self.mtf_alphabets.items()
-        }
-        nwords = len(words)
-        hard_limit = nwords * 32
-        if bit_offset > hard_limit:
-            raise TruncatedStreamError(
-                f"bit position {bit_offset} past end of stream",
-                bit_offset=bit_offset,
-            )
-        new_instr = CodecInstr.__new__
-        instr_cls = CodecInstr
-        set_attr = object.__setattr__
-        word_index, bit_index = divmod(bit_offset, 32)
-        acc = 0
-        navail = 0
-        wi = word_index
-        if bit_index:
-            word = words[wi] if wi < nwords else 0
-            acc = word & ((1 << (32 - bit_index)) - 1)
-            navail = 32 - bit_index
-            wi += 1
-
-        op_prev = start_symbol(FieldKind.OPCODE)
-        prev: dict[FieldKind, int] = {
-            kind: start_symbol(kind)
-            for kind in self.models
-            if kind is not FieldKind.OPCODE
-        }
-        items: list[CodecInstr] = []
-        while True:
-            while navail < window:
-                acc <<= 32
-                if wi < nwords:
-                    acc |= words[wi]
-                wi += 1
-                navail += 32
-
-            if op_mapping is not None:
-                op_k, op_table, op_overflow = op_tables[op_mapping[op_prev]]
-            else:
-                op_k, op_table, op_overflow = op_tables[0]
-            entry = op_table[acc >> (navail - op_k)]
-            if entry is not None:
-                opcode, length = entry
-            else:
-                opcode, length = _overflow_at(
-                    acc, navail, op_k, op_overflow,
-                    wi * 32 - navail, hard_limit,
-                )
-            navail -= length
-            acc &= (1 << navail) - 1
-            if wi > nwords and wi * 32 - navail > hard_limit:
-                raise TruncatedStreamError(
-                    f"bit position {hard_limit} past end of stream",
-                    bit_offset=hard_limit,
-                )
-            if op_mapping is not None:
-                op_prev = opcode
-            if opcode == OP_SENTINEL:
-                break
-
-            plan = plans.get(opcode)
-            if plan is None:
-                plan = plans[opcode] = tuple(
-                    (kind, *_require_tables(banks, kind))
-                    for kind in codec_fields(opcode)
-                )
-            values_out: list[int] = []
-            for kind, mapping, ctx_tables in plan:
-                while navail < window:
-                    acc <<= 32
-                    if wi < nwords:
-                        acc |= words[wi]
-                    wi += 1
-                    navail += 32
-                if mapping is not None:
-                    k, table, overflow = ctx_tables[mapping[prev[kind]]]
-                else:
-                    k, table, overflow = ctx_tables[0]
-                entry = table[acc >> (navail - k)]
-                if entry is not None:
-                    symbol, length = entry
-                else:
-                    symbol, length = _overflow_at(
-                        acc, navail, k, overflow,
-                        wi * 32 - navail, hard_limit,
-                    )
-                navail -= length
-                acc &= (1 << navail) - 1
-                if wi > nwords and wi * 32 - navail > hard_limit:
-                    raise TruncatedStreamError(
-                        f"bit position {hard_limit} past end of stream",
-                        bit_offset=hard_limit,
-                    )
-                if mapping is not None:
-                    # Conditioning applies to the symbols as coded;
-                    # conditioned streams are never MTF streams.
-                    prev[kind] = symbol
-                if transforms:
-                    transform = transforms.get(kind)
-                    if transform is not None:
-                        symbol = transform.decode_one(symbol)
-                values_out.append(symbol)
-            item = new_instr(instr_cls)
-            set_attr(item, "opcode", opcode)
-            set_attr(item, "fields", tuple(values_out))
-            items.append(item)
-        return items, wi * 32 - navail - bit_offset
+def _table_triple(code: CanonicalCode) -> tuple:
+    """``(K, table, overflow)`` of *code* for the table loop."""
+    k, table = code.decode_table()
+    firsts, leads = code.overflow_tables()
+    return k, table, (
+        code.counts, firsts, leads, code.values, code.max_length
+    )
 
 
 # -- decode backends ---------------------------------------------------------
 #
 # Region decode mechanics are selected by name through the same
 # Registry machinery as the codec variants: "reference" is the paper's
-# bit-at-a-time loop, "table" the first-level-table loop above,
-# "vector" the numpy lane-parallel batch machine.  All three produce
-# identical items and bit counts; a backend that cannot express a
-# stream (vector with the dictionary coder) degrades to the next one
-# down rather than erroring.
+# bit-at-a-time loop, "table" the first-level-table loop above.  Both
+# produce identical items, bit counts and typed errors; the table
+# backend runs the dictionary coder through the reference loop, since
+# its codes have no first-level table.
 
 
 def _backend_reference(
     codec: ProgramCodec, words: Sequence[int], bit_offset: int
 ) -> tuple[list[CodecInstr], int]:
-    return codec._decode_region_generic(words, bit_offset, fast=False)
+    return codec._decode_region_generic(words, bit_offset)
 
 
 def _backend_table(
     codec: ProgramCodec, words: Sequence[int], bit_offset: int
 ) -> tuple[list[CodecInstr], int]:
     if codec.coder == "huffman":
-        return codec._decode_region_fast(words, bit_offset)
-    return codec._decode_region_generic(words, bit_offset, fast=True)
-
-
-def _backend_vector(
-    codec: ProgramCodec, words: Sequence[int], bit_offset: int
-) -> tuple[list[CodecInstr], int]:
-    from repro.compress import vector
-
-    if codec.coder == "huffman":
-        return vector.decode_region(codec, words, bit_offset)
-    return _backend_table(codec, words, bit_offset)
+        return codec._decode_region_table(words, bit_offset)
+    return codec._decode_region_generic(words, bit_offset)
 
 
 #: name -> f(codec, words, bit_offset) -> (items, bits).
@@ -1175,4 +936,3 @@ DECODE_BACKENDS: "Registry[Callable[..., tuple[list[CodecInstr], int]]]" = (
 )
 DECODE_BACKENDS.register("reference", _backend_reference)
 DECODE_BACKENDS.register("table", _backend_table)
-DECODE_BACKENDS.register("vector", _backend_vector)

@@ -6,9 +6,11 @@ context* plus a ``mapping`` from the stream's previous symbol to the
 context that codes the next one.  Order-0 streams (the paper's codec)
 are the one-context special case with an empty mapping.  Every codec
 consumer derives from this object: the encoder emits against it, the
-three decode backends compile their decode structures from it, the
+two decode backends compile their decode structures from it, the
 serialised table area stores it (with per-context CRC spans), and the
-verifier/fault-injection layers walk its contexts.
+verifier/fault-injection layers walk its contexts.  The codec
+conditions the opcode stream only (:class:`~repro.compress.codec.CodecConfig`
+and the table parser enforce it); the model itself is per-stream.
 
 Context selection is cost-driven and exact: for each conditionable
 stream the builder counts order-1 bigrams, tries giving the top-M
@@ -40,11 +42,6 @@ from repro.isa.fields import FIELD_WIDTHS, FieldKind
 
 #: The opcode stream's symbol domain: 6-bit opcodes incl. pseudo-ops.
 OPCODE_DOMAIN = 64
-
-#: Largest previous-symbol domain a stream may be conditioned on; the
-#: mapping array stores one entry per domain value, so wide streams
-#: (e.g. 21-bit branch displacements) may not be conditioned.
-MAX_CONTEXT_DOMAIN = 256
 
 #: Bits storing the per-stream context count in the serialised tables.
 N_CTX_BITS = 5
@@ -147,16 +144,6 @@ class CodecModel:
     @property
     def conditioned(self) -> bool:
         return any(sm.conditioned for sm in self.streams.values())
-
-    @property
-    def has_conditioned_fields(self) -> bool:
-        """True when any non-OPCODE stream is conditioned (the vector
-        backend's lane state machine only banks the opcode stream)."""
-        return any(
-            sm.conditioned
-            for kind, sm in self.streams.items()
-            if kind is not FieldKind.OPCODE
-        )
 
     @property
     def n_contexts(self) -> int:

@@ -202,7 +202,6 @@ class SquashRuntime:
         self._tracer = get_tracer()
         self._blob_digest: bytes | None = None
         self._image_verified = False
-        self._batch_warm_tried = False
 
     def services(self) -> dict[int, Callable[[Machine], None]]:
         """Trap handlers for every decompressor entry point."""
@@ -537,13 +536,6 @@ class SquashRuntime:
                 "decode_cache.miss", "runtime",
                 ts=machine.cycles, bit_offset=bit_offset,
             )
-        if self._warm_decode_cache(machine, codec, key[0]):
-            cached = _REGION_DECODE_CACHE.get(key)
-            if cached is not None:
-                items, bits, seal = cached
-                if _entry_seal(items, bits) == seal:
-                    _REGION_DECODE_CACHE.move_to_end(key)
-                    return items, bits
         stream = _MemWords(machine, desc.stream_addr, desc.stream_words)
         items, bits = codec.decode_region(stream, bit_offset)
         items = tuple(items)
@@ -551,59 +543,6 @@ class SquashRuntime:
         while len(_REGION_DECODE_CACHE) > REGION_CACHE_MAX_ENTRIES:
             _REGION_DECODE_CACHE.popitem(last=False)
         return items, bits
-
-    def _warm_decode_cache(
-        self, machine: Machine, codec: ProgramCodec, fingerprint: bytes
-    ) -> bool:
-        """Batch-decode every region into the cross-runtime cache.
-
-        With the ``vector`` backend the first cache miss pays one
-        lane-parallel pass over the whole offset table instead of a
-        per-region decode per miss -- every later miss of this blob
-        becomes a hit.  Tried once per runtime; any decode failure
-        falls back to the per-region path so errors keep their exact
-        per-region type, offset, and context attribution.
-        """
-        if self._batch_warm_tried:
-            return False
-        self._batch_warm_tried = True
-        from repro.compress.codec import resolve_decode_backend
-
-        if resolve_decode_backend() != "vector" or codec.coder != "huffman":
-            return False
-        from repro.compress import vector
-
-        desc = self.desc
-        offsets = [
-            machine.read_word(desc.offset_table_addr + index)
-            for index in range(len(desc.regions))
-        ]
-        words = list(
-            machine.mem[
-                desc.stream_addr : desc.stream_addr + desc.stream_words
-            ]
-        )
-        try:
-            results = vector.decode_regions(codec, words, offsets)
-        except (SquashError, ValueError):
-            return False
-        for offset, (items, bits) in zip(offsets, results):
-            items = tuple(items)
-            _REGION_DECODE_CACHE[(fingerprint, offset)] = (
-                items,
-                bits,
-                _entry_seal(items, bits),
-            )
-        while len(_REGION_DECODE_CACHE) > REGION_CACHE_MAX_ENTRIES:
-            _REGION_DECODE_CACHE.popitem(last=False)
-        _METRICS.inc("runtime.decode_batch.warms")
-        _METRICS.inc("runtime.decode_batch.regions", len(offsets))
-        if self._tracer.enabled:
-            self._tracer.emit(
-                "decode_batch.warm", "runtime",
-                ts=machine.cycles, regions=len(offsets),
-            )
-        return True
 
     def _blob_fingerprint(self, machine: Machine) -> bytes:
         if self._blob_digest is None:

@@ -129,7 +129,7 @@ class CorruptBlobError(SquashError, ValueError):
 class TruncatedStreamError(SquashError, EOFError):
     """A decode consumed bits past the end of the stream.
 
-    Lookahead (``BitReader.peek_bits``) still zero-pads past EOF;
+    The table decoder's lookahead window still zero-pads past EOF;
     *consuming* padded bits is what raises.
     """
 

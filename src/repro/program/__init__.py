@@ -19,7 +19,6 @@ from repro.program.cfg import (
     block_predecessors,
     reachable_blocks,
     call_graph,
-    cfg_to_networkx,
 )
 from repro.program.layout import layout, LayoutResult
 from repro.program.image import LoadedImage, Segment
@@ -35,7 +34,6 @@ __all__ = [
     "block_predecessors",
     "reachable_blocks",
     "call_graph",
-    "cfg_to_networkx",
     "layout",
     "LayoutResult",
     "LoadedImage",

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import deque
 
 from repro.program.blocks import BasicBlock
-from repro.program.function import Function
 from repro.program.program import Program
 
 
@@ -90,16 +89,3 @@ def call_graph(program: Program) -> dict[str, set[str]]:
                 graph[function.name].update(program.address_taken)
     return graph
 
-
-def cfg_to_networkx(program: Program, function: Function):
-    """The CFG of *function* as a ``networkx.DiGraph`` (for analysis/plots)."""
-    import networkx as nx
-
-    graph = nx.DiGraph(name=function.name)
-    for block in function.blocks.values():
-        graph.add_node(block.label, size=block.size)
-    for block in function.blocks.values():
-        for succ in block_successors(program, block):
-            if succ in function.blocks:
-                graph.add_edge(block.label, succ)
-    return graph

@@ -116,7 +116,7 @@ def _parse_quota(raw: str) -> int | None:
 
 
 #: Decode backend names accepted by ``REPRO_DECODE_BACKEND``.
-DECODE_BACKENDS = ("reference", "table", "vector")
+DECODE_BACKENDS = ("reference", "table")
 
 
 def _parse_backend(raw: str) -> str:
@@ -144,9 +144,6 @@ class Settings:
     #: On-disk cell/stage cache root (``REPRO_CACHE_DIR``; None:
     #: ``.repro-cache`` under the working directory).
     cache_dir: str | None = None
-    #: Reuse θ-invariant stage bundles across sweep cells
-    #: (``REPRO_STAGE_REUSE``).
-    stage_reuse: bool = True
 
     # -- resilience ---------------------------------------------------------
     #: Bounded retry attempts per sweep cell (``REPRO_CELL_RETRIES``).
@@ -168,7 +165,7 @@ class Settings:
     #: Cross-runtime region decode cache (``REPRO_REGION_CACHE``).
     region_cache: bool = True
     #: Region decode backend (``REPRO_DECODE_BACKEND``): ``reference``
-    #: (the paper's bit-at-a-time DECODE), ``table`` or ``vector``.
+    #: (the paper's bit-at-a-time DECODE) or ``table``.
     decode_backend: str = "table"
     #: Codec variant name from the codec registry
     #: (``REPRO_CODEC_VARIANT``; "" keeps the config's own codec, and
@@ -256,7 +253,6 @@ ENV_KNOBS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "bench_workers": ("REPRO_BENCH_WORKERS", _parse_workers),
     "bench_scale": ("REPRO_BENCH_SCALE", _parse_float),
     "cache_dir": ("REPRO_CACHE_DIR", _parse_str),
-    "stage_reuse": ("REPRO_STAGE_REUSE", _parse_bool),
     "cell_retries": ("REPRO_CELL_RETRIES", _parse_retries),
     "cell_backoff": ("REPRO_CELL_BACKOFF", _parse_backoff),
     "cell_deadline": ("REPRO_CELL_DEADLINE", _parse_deadline),

@@ -427,11 +427,16 @@ class ArtifactStore:
 
         Either step losing an O_EXCL/EEXIST race reuses the winner's
         file; a crash between the two leaves an orphan object that gc
-        collects.  All failure modes surface as OSError for the retry
+        collects.  An existing object whose bytes differ from *payload*
+        was damaged (refs are hard links, so damage through a ref
+        reaches the object): it is replaced, never deduplicated
+        against.  All failure modes surface as OSError for the retry
         loop above.
         """
         deduped = True
-        if not obj_path.exists():
+        present = obj_path.exists()
+        damaged = present and not _holds(obj_path, payload)
+        if damaged or not present:
             obj_path.parent.mkdir(parents=True, exist_ok=True)
             tmp = obj_path.parent / (
                 f".tmp-{os.getpid()}-{secrets.token_hex(4)}"
@@ -445,7 +450,11 @@ class ArtifactStore:
                 finally:
                     os.close(fd)
                 try:
-                    os.link(tmp, obj_path)
+                    if damaged:
+                        os.replace(tmp, obj_path)
+                        _METRICS.inc("store.objects_healed")
+                    else:
+                        os.link(tmp, obj_path)
                     deduped = False
                 except FileExistsError:
                     pass  # another writer published the same content
@@ -1021,6 +1030,16 @@ class ArtifactStore:
             },
             "tenant_quota_bytes": cfg.tenant_quota_bytes,
         }
+
+
+def _holds(path: pathlib.Path, payload: bytes) -> bool:
+    """Whether the file at *path* holds exactly *payload*."""
+    try:
+        if path.stat().st_size != len(payload):
+            return False
+        return path.read_bytes() == payload
+    except OSError:
+        return False
 
 
 def _fsync_dir(directory: pathlib.Path) -> None:

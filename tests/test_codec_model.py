@@ -1,15 +1,18 @@
 """The CodecModel layer: context-conditioned streams are exactly as
-decodable as order-0 ones, on every backend, with sealed tables.
+decodable as order-0 ones, on both backends, with sealed tables.
 
-Property tests drive random symbol streams through the encoder and all
-three registered decode backends under ``baseline``, ``ctx1``, and
-``ctx1+reg``, requiring identical items (including from a codec
-re-parsed out of its own serialised table words) and identical error
-shapes on truncated or corrupted streams.  Separate unit tests pin the
-cost-model guarantee (a context variant never produces a larger blob
-than ``baseline``), the per-context seal checks, the image-format-v3
-round trip, the variant-registry fallback, and both CodecModel fault
-kinds of the injection harness.
+Property tests drive symbol streams through the encoder and the
+``reference`` and ``table`` decode backends under ``baseline``,
+``ctx1``, ``mtf+huffman`` and ``dict``, requiring identical items
+(including from a codec re-parsed out of its own serialised table
+words) and identical error shapes on truncated or corrupted streams.
+The ``ctx1`` cases draw first-order opcode chains, under which
+conditioning pays, and keep only examples whose opcode stream is
+conditioned.  Separate unit tests pin the cost-model guarantee (a
+context variant never produces a larger blob than ``baseline``), the
+opcode-only conditioning rule, the per-context seal checks, the
+image-format-v3 round trip, the variant-registry fallback, and both
+CodecModel fault kinds of the injection harness.
 """
 
 from __future__ import annotations
@@ -19,11 +22,16 @@ import random
 import warnings
 
 import pytest
-from hypothesis import given, settings as hyp_settings, strategies as st
+from hypothesis import assume, given, settings as hyp_settings, strategies as st
 
-from repro.compress import vector
+from repro.compress.bitstream import BitWriter
+from repro.compress.canonical import CanonicalCode
 from repro.compress.codec import (
+    _CTX_CODER_ID,
+    _KIND_BITS,
     CODEC_VARIANTS,
+    DECODE_BACKENDS,
+    CodecConfig,
     ProgramCodec,
     codec_variant,
     resolve_codec_variant,
@@ -33,6 +41,7 @@ from repro.compress.model import (
     StreamModel,
     context_bits,
     context_domain,
+    serialise_stream_model,
 )
 from repro.compress.streams import OP_SENTINEL, CodecInstr, codec_fields
 from repro.core.integrity import (
@@ -49,7 +58,9 @@ from repro.faultinject.inject import (
 )
 from repro.isa.fields import FIELD_WIDTHS, FieldKind
 
-VARIANTS = ("baseline", "ctx1", "ctx1+reg")
+VARIANTS = ("baseline", "ctx1", "mtf+huffman", "dict")
+
+BACKENDS = ("reference", "table")
 
 
 def _opcode_table():
@@ -88,6 +99,56 @@ def regions_strategy(draw, max_regions=5, max_instrs=12):
     )
 
 
+@st.composite
+def opcode_chains(draw, regions=6, max_instrs=200, n_opcodes=12):
+    """Regions whose opcodes follow a first-order chain over
+    *n_opcodes* opcodes: each keeps its fixed successor with
+    probability 0.95.  Streams of this size and shape condition the
+    opcode stream under ``ctx1`` for most seeds (uniform streams of
+    any tier-1 size never do)."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    ops = rng.sample(OPCODES, n_opcodes)
+    successor = {op: rng.choice(ops) for op, _kinds in ops}
+    out = []
+    for _ in range(regions):
+        current = rng.choice(ops)
+        region = []
+        for _ in range(rng.randint(0, max_instrs)):
+            op, kinds = current
+            region.append(
+                CodecInstr(
+                    opcode=op,
+                    fields=tuple(
+                        rng.randrange(1 << FIELD_WIDTHS[kind])
+                        for kind in kinds
+                    ),
+                )
+            )
+            current = (
+                successor[op] if rng.random() < 0.95 else rng.choice(ops)
+            )
+        out.append(region)
+    return out
+
+
+def _regions_for(variant, data, **small):
+    """ctx1 draws opcode chains; the other variants small uniform
+    streams (*small* sizes them)."""
+    if variant == "ctx1":
+        return data.draw(opcode_chains())
+    return data.draw(regions_strategy(**small))
+
+
+def _build(variant, regions):
+    codec, blob = ProgramCodec.build(regions, codec_variant(variant))
+    if variant == "ctx1":
+        # Only a conditioned codec runs the context decoders; if the
+        # strategy stops conditioning, Hypothesis fails its health
+        # check instead of passing vacuously.
+        assume(codec.models)
+    return codec, blob
+
+
 def _error_shape(exc: BaseException):
     return (type(exc), getattr(exc, "bit_offset", None), str(exc))
 
@@ -103,6 +164,17 @@ def _decode_all(codec, words, offsets, backend):
     return [
         codec.decode_region(words, off, backend=backend) for off in offsets
     ]
+
+
+def _assert_error_parity(codec, words, offsets):
+    for off in offsets:
+        reference, table = (
+            _decode_or_error(
+                lambda b=backend: codec.decode_region(words, off, backend=b)
+            )
+            for backend in BACKENDS
+        )
+        assert table == reference
 
 
 def _descriptor(**kw):
@@ -139,117 +211,160 @@ def _descriptor(**kw):
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-@given(regions=regions_strategy())
+@given(data=st.data())
 @hyp_settings(max_examples=40, deadline=None)
-def test_all_backends_decode_identically(variant, regions):
-    codec, blob = ProgramCodec.build(regions, codec_variant(variant))
+def test_all_backends_decode_identically(variant, data):
+    regions = _regions_for(variant, data)
+    codec, blob = _build(variant, regions)
     words = list(blob.stream_words)
     offsets = list(blob.region_bit_offsets)
     reference = _decode_all(codec, words, offsets, "reference")
     assert _decode_all(codec, words, offsets, "table") == reference
-    assert _decode_all(codec, words, offsets, "vector") == reference
     # The decoded items are the encoded items.
     assert [items for items, _bits in reference] == [
         list(region) for region in regions
     ]
 
 
-@pytest.mark.parametrize("variant", VARIANTS)
-@given(regions=regions_strategy(max_regions=4, max_instrs=10))
+@pytest.mark.parametrize("variant", ("baseline", "ctx1"))
+@given(data=st.data())
 @hyp_settings(max_examples=25, deadline=None)
-def test_reparsed_codec_decodes_identically(variant, regions):
+def test_reparsed_codec_decodes_identically(variant, data):
     """A codec re-parsed from its own serialised table words is the
     same decoder: same layouts, same models, same decodes."""
-    codec, blob = ProgramCodec.build(regions, codec_variant(variant))
+    regions = _regions_for(variant, data, max_regions=4, max_instrs=10)
+    codec, blob = _build(variant, regions)
     reparsed = ProgramCodec.from_table_words(blob.table_words)
     words = list(blob.stream_words)
     offsets = list(blob.region_bit_offsets)
     assert set(reparsed.models) == set(codec.models)
-    for backend in ("reference", "table", "vector"):
+    for backend in BACKENDS:
         assert _decode_all(reparsed, words, offsets, backend) == _decode_all(
             codec, words, offsets, backend
         )
 
 
-@given(regions=regions_strategy(max_regions=4, max_instrs=10))
+# -- error parity ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", ("baseline", "ctx1"))
+@given(data=st.data())
 @hyp_settings(max_examples=25, deadline=None)
-def test_ctx1_vector_batch_matches_table(regions):
-    """ctx1 stays on the true vector LUT machine (one bank per opcode
-    context), and the batch path agrees with the table path."""
-    codec, blob = ProgramCodec.build(regions, codec_variant("ctx1"))
-    words = list(blob.stream_words)
-    offsets = list(blob.region_bit_offsets)
-    table = _decode_all(codec, words, offsets, "table")
-    assert vector.decode_batch([(codec, words, offsets)])[0] == table
-
-
-# -- error parity under ctx1 -------------------------------------------------
-
-
-@pytest.mark.parametrize("variant", ("ctx1", "ctx1+reg"))
-@given(regions=regions_strategy(max_regions=3, max_instrs=8), data=st.data())
-@hyp_settings(max_examples=25, deadline=None)
-def test_truncated_stream_error_parity(variant, regions, data):
-    codec, blob = ProgramCodec.build(regions, codec_variant(variant))
+def test_truncated_stream_error_parity(variant, data):
+    regions = _regions_for(variant, data, max_regions=3, max_instrs=8)
+    codec, blob = _build(variant, regions)
     words = list(blob.stream_words)
     if len(words) < 2:
         return
     cut = data.draw(st.integers(0, len(words) - 1))
-    truncated = words[:cut]
-    for off in blob.region_bit_offsets:
-        results = [
-            _decode_or_error(
-                lambda b=backend, o=off: codec.decode_region(
-                    truncated, o, backend=b
-                )
-            )
-            for backend in ("reference", "table", "vector")
-        ]
-        assert results[1] == results[0]
-        assert results[2] == results[0]
+    _assert_error_parity(codec, words[:cut], blob.region_bit_offsets)
 
 
-@pytest.mark.parametrize("variant", ("ctx1", "ctx1+reg"))
-@given(
-    regions=regions_strategy(max_regions=3, max_instrs=8),
-    data=st.data(),
-)
+@pytest.mark.parametrize("variant", ("baseline", "ctx1"))
+@given(data=st.data())
 @hyp_settings(max_examples=25, deadline=None)
-def test_corrupt_stream_error_parity(variant, regions, data):
-    codec, blob = ProgramCodec.build(regions, codec_variant(variant))
+def test_corrupt_stream_error_parity(variant, data):
+    regions = _regions_for(variant, data, max_regions=3, max_instrs=8)
+    codec, blob = _build(variant, regions)
     words = list(blob.stream_words)
     if not words:
         return
     flip = data.draw(st.integers(0, len(words) - 1))
     corrupt = list(words)
     corrupt[flip] ^= 0xFFFFFFFF
-    for off in blob.region_bit_offsets:
-        results = [
-            _decode_or_error(
-                lambda b=backend, o=off: codec.decode_region(
-                    corrupt, o, backend=b
-                )
-            )
-            for backend in ("reference", "table", "vector")
-        ]
-        assert results[1] == results[0]
-        assert results[2] == results[0]
+    _assert_error_parity(codec, corrupt, blob.region_bit_offsets)
 
 
 # -- cost model guarantee ----------------------------------------------------
 
 
-@given(regions=regions_strategy())
+@given(regions=st.one_of(regions_strategy(), opcode_chains()))
 @hyp_settings(max_examples=40, deadline=None)
 def test_context_variants_never_larger_than_baseline(regions):
     """The cost-driven context selection falls back to order-0 whenever
     conditioning does not pay for its own mapping + table overhead, so
     a context variant's blob is never bigger than baseline's."""
     _, base = ProgramCodec.build(regions, codec_variant("baseline"))
-    base_bits = base.table_bits + base.stream_bits
-    for variant in ("ctx1", "ctx1+reg"):
-        _, blob = ProgramCodec.build(regions, codec_variant(variant))
-        assert blob.table_bits + blob.stream_bits <= base_bits
+    _, blob = ProgramCodec.build(regions, codec_variant("ctx1"))
+    assert (
+        blob.table_bits + blob.stream_bits
+        <= base.table_bits + base.stream_bits
+    )
+
+
+# -- only the opcode stream is conditioned -----------------------------------
+
+
+def test_config_rejects_field_stream_contexts():
+    for kinds in ({FieldKind.RA}, {FieldKind.OPCODE, FieldKind.RB}):
+        with pytest.raises(ValueError, match="only the opcode stream"):
+            CodecConfig(context_kinds=frozenset(kinds))
+
+
+def _conditioned_ra_tables() -> list[int]:
+    """Context-format tables (hand-serialised) whose RA stream is
+    conditioned on the previous register."""
+    opcode = CanonicalCode.from_lengths({0x31: 1, OP_SENTINEL: 1})
+    rb = CanonicalCode.from_lengths({0: 1, 1: 1})
+    ra = StreamModel(
+        FieldKind.RA,
+        (
+            CanonicalCode.from_lengths({1: 1, 2: 1}),
+            CanonicalCode.from_lengths({3: 1, 4: 1}),
+        ),
+        tuple(prev % 2 for prev in range(context_domain(FieldKind.RA))),
+    )
+    streams = (
+        StreamModel(FieldKind.OPCODE, (opcode,)),
+        ra,
+        StreamModel(FieldKind.RB, (rb,)),
+    )
+    writer = BitWriter()
+    writer.write_bits(len(streams), _KIND_BITS)
+    writer.write_bits(_CTX_CODER_ID, 2)
+    for model in streams:
+        writer.write_bits(int(model.kind), _KIND_BITS)
+        writer.write_bits(0, 1)  # no MTF alphabet
+        value_bits = 6 if model.kind is FieldKind.OPCODE else (
+            FIELD_WIDTHS[model.kind]
+        )
+        serialise_stream_model(writer, model, value_bits)
+    return writer.to_words()
+
+
+def test_conditioned_field_stream_is_a_parse_error():
+    with pytest.raises(CodecTableError, match="stream RA is conditioned"):
+        ProgramCodec.from_table_words(_conditioned_ra_tables())
+
+
+def test_runtime_rejects_conditioned_field_stream(mini_program, mini_profile):
+    """An image whose tables condition RA fails at table parse, through
+    the runtime, with the same typed error."""
+    from repro.core.pipeline import SquashConfig, squash_program
+    from repro.core.runtime import SquashRuntime
+    from repro.vm.machine import Machine
+    from tests.conftest import MINI_TIMING_INPUT
+
+    result = squash_program(
+        mini_program, mini_profile, SquashConfig(theta=1.0)
+    )
+    # Without integrity metadata the table CRC and seals do not run
+    # first, so the parser sees the tables.
+    desc = dataclasses.replace(result.descriptor, integrity=None)
+    tables = _conditioned_ra_tables()
+    assert len(tables) <= desc.table_words
+    memory = list(result.image.memory)
+    start = desc.table_addr - result.image.base
+    memory[start : start + desc.table_words] = tables + [0] * (
+        desc.table_words - len(tables)
+    )
+    image = dataclasses.replace(result.image, memory=memory)
+    runtime = SquashRuntime(desc, region_cache=False)
+    machine = Machine(
+        image, input_words=MINI_TIMING_INPUT, services=runtime.services()
+    )
+    with pytest.raises(CodecTableError, match="stream RA is conditioned"):
+        machine.run(max_steps=5_000_000)
 
 
 # -- model layer validation --------------------------------------------------
@@ -425,7 +540,13 @@ def test_image_v3_without_contexts(tmp_path):
 
 def test_registry_lists_context_variants():
     names = set(CODEC_VARIANTS.names())
-    assert {"baseline", "ctx1", "ctx1+reg"} <= names
+    assert names == {
+        "huffman", "mtf+huffman", "dict", "mtf+dict", "baseline", "ctx1",
+    }
+
+
+def test_decode_backend_registry():
+    assert set(DECODE_BACKENDS.names()) == {"reference", "table"}
 
 
 def test_baseline_is_order0_huffman():

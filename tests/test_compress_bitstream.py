@@ -105,59 +105,6 @@ def test_read_from_arbitrary_offset(prefix_bits, data):
     assert reader.read_bits(16) == payload
 
 
-def test_peek_does_not_consume():
-    writer = BitWriter()
-    writer.write_bits(0b1011_0110, 8)
-    reader = BitReader(writer.to_words())
-    assert reader.peek_bits(5) == 0b10110
-    assert reader.bit_pos == 0
-    assert reader.peek_bits(8) == 0b10110110
-    reader.skip_bits(3)
-    assert reader.peek_bits(5) == 0b10110
-    assert reader.read_bits(5) == 0b10110
-
-
-def test_peek_zero_pads_past_eof_but_skip_raises():
-    writer = BitWriter()
-    writer.write_bits(0xF, 4)
-    reader = BitReader(writer.to_words())
-    # the partial final word really holds 32 bits (zero padding)
-    assert reader.peek_bits(40) == 0xF << 36
-    reader.skip_bits(32)
-    with pytest.raises(EOFError):
-        reader.skip_bits(1)
-
-
-def test_peek_across_word_boundaries():
-    writer = BitWriter()
-    writer.write_bits(0xDEADBEEF, 32)
-    writer.write_bits(0xCAFEBABE, 32)
-    reader = BitReader(writer.to_words(), bit_offset=28)
-    assert reader.peek_bits(8) == 0xFC
-    reader.skip_bits(8)
-    assert reader.read_bits(28) == 0xAFEBABE
-
-
-@given(
-    st.lists(
-        st.tuples(st.integers(0, (1 << 24) - 1), st.integers(1, 24)),
-        min_size=1,
-        max_size=60,
-    )
-)
-def test_peek_skip_agrees_with_read(pairs):
-    writer = BitWriter()
-    for value, width in pairs:
-        writer.write_bits(value & ((1 << width) - 1), width)
-    words = writer.to_words()
-    reading = BitReader(words)
-    peeking = BitReader(words)
-    for value, width in pairs:
-        assert peeking.peek_bits(width) == reading.read_bits(width)
-        peeking.skip_bits(width)
-        assert peeking.bit_pos == reading.bit_pos
-
-
 @given(
     st.lists(st.tuples(st.integers(0, 255), st.integers(1, 8)), max_size=30),
     st.lists(

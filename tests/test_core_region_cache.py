@@ -54,14 +54,7 @@ def test_cycles_identical_with_and_without_cache(multi_region):
     info = region_decode_cache_info()
     assert info["entries"] > 0
     assert info["hits"] > 0  # the warm run decoded nothing bit-by-bit
-    from repro.compress.codec import resolve_decode_backend
-
-    if resolve_decode_backend() == "vector":
-        # One miss batch-decodes the whole offset table, so a single
-        # miss can account for every entry of the blob.
-        assert info["misses"] <= info["entries"]
-    else:
-        assert info["misses"] == info["entries"]
+    assert info["misses"] == info["entries"]
 
 
 def test_cache_not_shared_across_different_blobs(

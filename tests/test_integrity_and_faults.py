@@ -24,6 +24,7 @@ from repro.errors import (
     TruncatedStreamError,
 )
 from repro.faultinject import run_sweep
+from repro.isa.fields import FieldKind
 from repro.program.imagefile import (
     ImageFormatError,
     load_image,
@@ -84,14 +85,57 @@ def test_reading_past_eof_raises_truncated():
     reader2 = BitReader([0xDEADBEEF], bit_offset=30)
     with pytest.raises(TruncatedStreamError):
         reader2.read_bits(4)
-    reader3 = BitReader([0xDEADBEEF])
-    with pytest.raises(TruncatedStreamError):
-        reader3.skip_bits(33)
+
+
+def _word_aligned_region():
+    """A codec whose longest codeword (20 bits, PALF) sets the table
+    decoder's lookahead window, and the stream of one region whose
+    codewords end exactly on its last word."""
+    from repro.compress.bitstream import BitWriter
+    from repro.compress.codec import ProgramCodec
+    from repro.compress.streams import OP_SENTINEL, CodecInstr
+
+    one_bit = CanonicalCode.from_lengths({1: 1, 2: 1})
+    palf = CanonicalCode.from_lengths(
+        {**{s: s for s in range(1, 20)}, 20: 19}
+    )
+    codec = ProgramCodec(
+        codes={
+            FieldKind.OPCODE: CanonicalCode.from_lengths(
+                {0x31: 1, OP_SENTINEL: 1}
+            ),
+            FieldKind.RA: one_bit,
+            FieldKind.RB: one_bit,
+            FieldKind.PALF: palf,
+        }
+    )
+    region = [CodecInstr(opcode=0x31, fields=(1, 2))] * 21
+    writer = BitWriter()
+    for item in region:
+        codec.codes[FieldKind.OPCODE].encode(writer, item.opcode)
+        one_bit.encode(writer, item.fields[0])
+        one_bit.encode(writer, item.fields[1])
+    codec.codes[FieldKind.OPCODE].encode(writer, OP_SENTINEL)
+    assert writer.bit_length == 64
+    return codec, region, writer.to_words()
 
 
 def test_peek_still_zero_pads_for_lookahead():
-    reader = BitReader([0xFFFFFFFF], bit_offset=24)
-    assert reader.peek_bits(16) == 0xFF00
+    """The table decoder's window looks past the last word (zero
+    padding) but consumes only real bits: a region ending exactly on
+    the last word decodes, as with DECODE; one word short, both
+    loops raise the same truncation."""
+    codec, region, words = _word_aligned_region()
+    for backend in ("reference", "table"):
+        assert codec.decode_region(words, 0, backend=backend) == (
+            region, 64
+        )
+    shapes = []
+    for backend in ("reference", "table"):
+        with pytest.raises(TruncatedStreamError) as err:
+            codec.decode_region(words[:1], 0, backend=backend)
+        shapes.append((err.value.bit_offset, str(err.value)))
+    assert shapes[0] == shapes[1]
 
 
 def _tiny_code():
@@ -109,16 +153,16 @@ def test_truncated_stream_raises_on_reference_decode():
             code.decode(reader)
 
 
-def test_truncated_stream_raises_on_fast_decode():
-    code = _tiny_code()
-    reader = BitReader([0], bit_offset=31)
-    with pytest.raises((TruncatedStreamError, CorruptBlobError)):
-        while True:
-            code.fast_decode(reader)
+def test_truncated_stream_raises_on_table_decode():
+    codec, _region, words = _word_aligned_region()
+    with pytest.raises(TruncatedStreamError):
+        codec.decode_region(words[:1], 0, backend="table")
+    with pytest.raises(TruncatedStreamError):
+        codec.decode_region([], 0, backend="table")
 
 
 def test_both_decode_paths_raise_identically(squashed):
-    """Reference and fast decode reject the same truncated stream."""
+    """Reference and table decode reject the same truncated stream."""
     desc = squashed.descriptor
     image = squashed.image
     start = desc.stream_addr - image.base

@@ -10,7 +10,6 @@ from repro.program import (
     block_predecessors,
     block_successors,
     call_graph,
-    cfg_to_networkx,
     reachable_blocks,
 )
 
@@ -109,12 +108,3 @@ def test_call_graph_direct_and_indirect():
     graph = call_graph(program)
     assert graph["main"] == {"f", "g"}  # g via the indirect call
     assert graph["f"] == set()
-
-
-def test_cfg_to_networkx():
-    program = diamond_program()
-    graph = cfg_to_networkx(program, program.functions["main"])
-    assert set(graph.nodes) == {"m.a", "m.b", "m.c", "m.d"}
-    assert graph.has_edge("m.a", "m.b")
-    assert graph.has_edge("m.a", "m.c")
-    assert graph.nodes["m.a"]["size"] == 1

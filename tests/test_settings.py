@@ -106,8 +106,8 @@ class TestPrecedence:
         assert settings.current().cell_retries == 9
 
     def test_environment_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE_REUSE", "0")
-        assert settings.current().stage_reuse is False
+        monkeypatch.setenv("REPRO_REGION_CACHE", "0")
+        assert settings.current().region_cache is False
 
     def test_overrides_nest_latest_wins(self):
         with settings.use_settings(vm_watchdog=10):
@@ -156,12 +156,16 @@ class TestConsumers:
         with settings.use_settings(cache_dir=str(tmp_path / "other")):
             assert cache_dir() == tmp_path / "other"
 
-    def test_stage_reuse_gate_honours_overrides(self):
-        from repro.analysis.stagecache import stage_reuse_enabled
+    def test_decode_backend_resolves_through_settings(self):
+        from repro.compress.codec import resolve_decode_backend
 
-        assert stage_reuse_enabled() is True
-        with settings.use_settings(stage_reuse=False):
-            assert stage_reuse_enabled() is False
+        # The explicit backend argument wins over the settings knob.
+        with settings.use_settings(decode_backend="reference"):
+            assert resolve_decode_backend(backend="table") == "table"
+            # Then the settings knob.
+            assert resolve_decode_backend() == "reference"
+        # Finally the default.
+        assert resolve_decode_backend() == "table"
 
 
 class TestEffectiveBenchWorkers:
@@ -198,8 +202,17 @@ class TestEffectiveBenchWorkers:
 class TestNewKnobs:
     def test_decode_backend_default_and_env(self, monkeypatch):
         assert settings.current().decode_backend == "table"
-        monkeypatch.setenv("REPRO_DECODE_BACKEND", "vector")
-        assert settings.current().decode_backend == "vector"
+        monkeypatch.setenv("REPRO_DECODE_BACKEND", "REFERENCE")
+        assert settings.current().decode_backend == "reference"
+
+    @pytest.mark.parametrize("raw", ["vector", "warp-drive"])
+    def test_unknown_decode_backend_keeps_default_and_is_flagged(
+        self, monkeypatch, raw
+    ):
+        monkeypatch.setenv("REPRO_DECODE_BACKEND", raw)
+        resolved = settings.current()
+        assert resolved.decode_backend == "table"
+        assert "REPRO_DECODE_BACKEND" in resolved.invalid
 
     def test_pool_persist_default_and_env(self, monkeypatch):
         assert settings.current().pool_persist is True

@@ -77,15 +77,15 @@ class TestBundleRoundTrip:
         path.write_text("not a sealed entry")
         stagecache.reset_counters()
         assert stagecache.load_bundle(tmp_path, "adpcm", SCALE) is None
-        # The next warm recomputes the bundle.
+        # The next warm recomputes the bundle and heals the slot: the
+        # ref is a hard link to the content object, so the write above
+        # damaged the object too, and the put replaces it instead of
+        # deduplicating against it.
         stagecache.warm_bundle(tmp_path, "adpcm", SCALE)
         assert stagecache.STAGE_COUNTERS["computed"] == 1
-
-    def test_reuse_can_be_disabled(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STAGE_REUSE", "0")
-        assert not stagecache.stage_reuse_enabled()
-        monkeypatch.setenv("REPRO_STAGE_REUSE", "1")
-        assert stagecache.stage_reuse_enabled()
+        stagecache.reset_counters()
+        assert stagecache.load_bundle(tmp_path, "adpcm", SCALE) is not None
+        assert stagecache.STAGE_COUNTERS["loaded"] == 1
 
 
 class TestSweepReuse:
@@ -156,21 +156,6 @@ class TestSweepReuse:
             + stagecache.STAGE_COUNTERS["memo"]
             >= len(NAMES)
         )
-
-    def test_rows_identical_with_reuse_disabled(
-        self, monkeypatch, tmp_path
-    ):
-        with_reuse = parallel.fig6_rows(
-            ("adpcm",), scale=SCALE, thetas=(0.0, 1e-5), parallel=False
-        )
-        monkeypatch.setenv("REPRO_STAGE_REUSE", "0")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "off"))
-        stagecache.reset_counters()
-        without = parallel.fig6_rows(
-            ("adpcm",), scale=SCALE, thetas=(0.0, 1e-5), parallel=False
-        )
-        assert without == with_reuse
-        assert stagecache.STAGE_COUNTERS["computed"] == 0
 
     def test_nonstandard_text_base_rederives_baseline(self):
         from repro.analysis.parallel import _compute_cell

@@ -124,6 +124,19 @@ class TestCorruption:
         assert store.put("cell", key, {"x": 2})
         assert store.get("cell", key) == {"x": 2}
 
+    def test_rewrite_of_same_content_replaces_damaged_object(self, store):
+        """The ref is a hard link, so writing through it damages the
+        content object too; putting the same content again must
+        replace that object, not deduplicate against it."""
+        key = _key("heal")
+        store.put("cell", key, {"x": 1})
+        store.ref_path("cell", key).write_bytes(b"\x00garbage\x00")
+        assert store.get("cell", key, ("x",)) is None
+        healed = get_registry().counter("store.objects_healed").value
+        assert store.put("cell", key, {"x": 1})
+        assert store.get("cell", key, ("x",)) == {"x": 1}
+        assert get_registry().counter("store.objects_healed").value == healed + 1
+
     def test_hit_preserves_mtime(self, store):
         """Recency bumps ride the atime; the mtime is the resume
         generation stamp and must never move on read."""
