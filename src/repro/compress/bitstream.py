@@ -8,6 +8,7 @@ within each word.
 
 from __future__ import annotations
 
+import struct
 from typing import Sequence
 
 from repro.errors import TruncatedStreamError
@@ -73,6 +74,19 @@ class BitWriter:
         if self._filled:
             words.append(self._current << (WORD_BITS - self._filled))
         return words
+
+
+def bits_to_words(bits: str) -> list[int]:
+    """The ``"0"``/``"1"`` string *bits* as MSB-first 32-bit words,
+    zero-padded at the end: what :meth:`BitWriter.to_words` returns
+    after the same bits were written."""
+    nwords = -(-len(bits) // WORD_BITS)
+    if not nwords:
+        return []
+    value = int(bits, 2) << (nwords * WORD_BITS - len(bits))
+    return list(
+        struct.unpack(f">{nwords}I", value.to_bytes(4 * nwords, "big"))
+    )
 
 
 class BitReader:

@@ -25,10 +25,11 @@ conditioned.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro.compress.bitstream import BitReader, BitWriter
+from repro.compress.bitstream import BitReader, BitWriter, bits_to_words
 from repro.compress.canonical import CanonicalCode
 from repro.compress.dictionary import DictionaryCode
 from repro.errors import (
@@ -51,7 +52,6 @@ from repro.compress.streams import (
     CodecInstr,
     OP_SENTINEL,
     codec_fields,
-    sentinel_item,
 )
 from repro.isa.fields import FIELD_WIDTHS, FieldKind
 from repro.pipeline.registry import Registry, RegistryError
@@ -268,7 +268,9 @@ def _overflow_at(
         ) from None
 
 
-def _require_tables(tables: dict, kind: FieldKind) -> tuple:
+def _require_tables(tables: dict, kind: FieldKind):
+    """*kind*'s entry in the per-stream dict *tables*; a missing stream
+    is a :class:`CodecTableError` naming it."""
     entry = tables.get(kind)
     if entry is None:
         raise CodecTableError(
@@ -285,6 +287,37 @@ def _value_bits(kind: FieldKind, mtf_alphabet_size: int | None) -> int:
     if mtf_alphabet_size is not None:
         width = max(1, math.ceil(math.log2(max(2, mtf_alphabet_size))))
     return width
+
+
+#: The key of the end-of-region sentinel item.
+_SENTINEL_KEY = (OP_SENTINEL, ())
+
+
+def _region_keys(
+    region: Sequence[CodecInstr],
+    mtf_alphabets: dict[FieldKind, tuple[int, ...]],
+) -> list[tuple[int, tuple[int, ...]]]:
+    """``(opcode, fields)`` of every item of *region* and its sentinel,
+    MTF streams transformed with the recency lists reset here."""
+    if not mtf_alphabets:
+        keys = [(item.opcode, item.fields) for item in region]
+    else:
+        transforms = {
+            kind: MoveToFront(alphabet)
+            for kind, alphabet in mtf_alphabets.items()
+        }
+        keys = []
+        for item in region:
+            kinds = codec_fields(item.opcode)
+            fields = tuple(
+                transforms[kind].encode_one(value)
+                if kind in transforms
+                else value
+                for kind, value in zip(kinds, item.fields)
+            )
+            keys.append((item.opcode, fields))
+    keys.append(_SENTINEL_KEY)
+    return keys
 
 
 @dataclass
@@ -343,18 +376,21 @@ class ProgramCodec:
 
         A sentinel is appended to every region.  Returns the codec and
         the compressed blob (tables + merged stream + region offsets).
+
+        One pass for every variant: each item becomes a key -- its
+        opcode and (MTF-transformed) fields, plus the previous opcode
+        when the opcode stream may be conditioned -- and each distinct
+        key is counted, then coded, once.  Every stream's frequency
+        dict lists its symbols in the order they first appear in the
+        merged stream (the sentinel right after region 0's items),
+        because the Huffman and dictionary builders break ties by that
+        order.
         """
         config = config or CodecConfig()
-        closed: list[list[CodecInstr]] = [
-            [*region, sentinel_item()] for region in regions
-        ]
-
-        # Pass 1: gather per-kind value sequences (with per-region MTF
-        # reset) and count frequencies.
         mtf_alphabets: dict[FieldKind, tuple[int, ...]] = {}
         if config.mtf_kinds:
             raw_values: dict[FieldKind, set[int]] = {}
-            for region in closed:
+            for region in regions:
                 for item in region:
                     for kind, value in zip(
                         codec_fields(item.opcode), item.fields
@@ -365,39 +401,52 @@ class ProgramCodec:
                 kind: tuple(sorted(values))
                 for kind, values in raw_values.items()
             }
+        by_prev = bool(config.context_kinds)
 
+        # Pass 1: one key per item (MTF reset per region), counted in
+        # first-appearance order.
+        region_keys: list[list] = []
+        counts: Counter = Counter()
+        for region in regions:
+            keys: list = _region_keys(region, mtf_alphabets)
+            if by_prev:
+                prevs = [start_symbol(FieldKind.OPCODE)]
+                prevs += [key[0] for key in keys[:-1]]
+                keys = list(zip(prevs, keys))
+            counts.update(keys)
+            region_keys.append(keys)
+
+        # Stream frequencies (and opcode bigrams) from the distinct
+        # keys: a symbol first appears with the first key holding it.
         frequencies: dict[FieldKind, dict[int, int]] = {
             FieldKind.OPCODE: {}
         }
-        for region in closed:
-            transforms = {
-                kind: MoveToFront(alphabet)
-                for kind, alphabet in mtf_alphabets.items()
-            }
-            for item in region:
-                opfreq = frequencies[FieldKind.OPCODE]
-                opfreq[item.opcode] = opfreq.get(item.opcode, 0) + 1
-                for kind, value in zip(
-                    codec_fields(item.opcode), item.fields
-                ):
-                    if kind in transforms:
-                        value = transforms[kind].encode_one(value)
-                    kfreq = frequencies.setdefault(kind, {})
-                    kfreq[value] = kfreq.get(value, 0) + 1
+        opfreq = frequencies[FieldKind.OPCODE]
+        bigrams: dict[int, dict[int, int]] = {}
+        # opcode -> the frequency dicts of its field streams.
+        freq_plans: dict[int, tuple[dict[int, int], ...]] = {}
+        for key, n in counts.items():
+            if by_prev:
+                prev, key = key
+                row = bigrams.setdefault(prev, {})
+                row[key[0]] = row.get(key[0], 0) + n
+            opcode, fields = key
+            opfreq[opcode] = opfreq.get(opcode, 0) + n
+            plan = freq_plans.get(opcode)
+            if plan is None:
+                plan = freq_plans[opcode] = tuple(
+                    frequencies.setdefault(kind, {})
+                    for kind in codec_fields(opcode)
+                )
+            for kfreq, value in zip(plan, fields):
+                kfreq[value] = kfreq.get(value, 0) + n
 
-        # Order-1 candidate: count opcode bigrams under the region-reset
-        # convention, then let the exact cost model pick a context
-        # partition (possibly order-0) with a global fallback that
-        # guarantees the context format never loses to the legacy one.
+        # Order-1 candidate: let the exact cost model pick a context
+        # partition of the opcode bigrams (possibly order-0) with a
+        # global fallback that guarantees the context format never
+        # loses to the legacy one.
         models: dict[FieldKind, StreamModel] = {}
-        if config.context_kinds:
-            bigrams: dict[int, dict[int, int]] = {}
-            for region in closed:
-                prev = start_symbol(FieldKind.OPCODE)
-                for item in region:
-                    by_prev = bigrams.setdefault(prev, {})
-                    by_prev[item.opcode] = by_prev.get(item.opcode, 0) + 1
-                    prev = item.opcode
+        if by_prev:
             models = select_context_models(
                 {FieldKind.OPCODE: bigrams},
                 {FieldKind.OPCODE: _value_bits(FieldKind.OPCODE, None)},
@@ -429,80 +478,56 @@ class ProgramCodec:
             models=models,
         )
 
-        # Pass 2: encode the merged stream.
-        writer = BitWriter()
+        # Pass 2: each distinct key's bits once (the opcode coded in
+        # the context of its predecessor when conditioned), then each
+        # region is one join.
+        encoders = {kind: code.encoder() for kind, code in codes.items()}
+        op_model = models.get(FieldKind.OPCODE)
+        op_bank = (
+            tuple(t.encoder() for t in op_model.tables) if op_model else ()
+        )
+        op_encoder = encoders[FieldKind.OPCODE]
+        # opcode -> the encoders of its field streams.
+        code_plans = {
+            opcode: tuple(encoders[kind] for kind in codec_fields(opcode))
+            for opcode in opfreq
+        }
+        bits_of: dict = {}
+        for key in counts:
+            if by_prev:
+                prev, (opcode, fields) = key
+                if op_model is not None:
+                    op_encoder = op_bank[op_model.context_of(prev)]
+            else:
+                opcode, fields = key
+            word, nbits = op_encoder[opcode]
+            for encoder, value in zip(code_plans[opcode], fields):
+                code, length = encoder[value]
+                word = (word << length) | code
+                nbits += length
+            bits_of[key] = format(word, f"0{nbits}b")
+
         offsets: list[int] = []
-        if models:
-            codec._encode_stream_ctx(closed, writer, offsets)
-        else:
-            encoders = {
-                kind: code.encoder() for kind, code in codes.items()
-            }
-            for region in closed:
-                offsets.append(writer.bit_length)
-                transforms = {
-                    kind: MoveToFront(alphabet)
-                    for kind, alphabet in mtf_alphabets.items()
-                }
-                for item in region:
-                    code, length = encoders[FieldKind.OPCODE][item.opcode]
-                    writer.write_bits(code, length)
-                    for kind, value in zip(
-                        codec_fields(item.opcode), item.fields
-                    ):
-                        if kind in transforms:
-                            value = transforms[kind].encode_one(value)
-                        code, length = encoders[kind][value]
-                        writer.write_bits(code, length)
+        chunks: list[str] = []
+        stream_bits = 0
+        for keys in region_keys:
+            offsets.append(stream_bits)
+            chunk = "".join(map(bits_of.__getitem__, keys))
+            chunks.append(chunk)
+            stream_bits += len(chunk)
 
         table_writer = BitWriter()
         spans: list[tuple[int, int, int, int]] = []
         codec._serialise_tables(table_writer, spans)
         blob = CompressedBlob(
             table_words=table_writer.to_words(),
-            stream_words=writer.to_words(),
+            stream_words=bits_to_words("".join(chunks)),
             region_bit_offsets=offsets,
             table_bits=table_writer.bit_length,
-            stream_bits=writer.bit_length,
+            stream_bits=stream_bits,
             context_spans=spans,
         )
         return codec, blob
-
-    def _encode_stream_ctx(
-        self,
-        closed: Sequence[Sequence[CodecInstr]],
-        writer: BitWriter,
-        offsets: list[int],
-    ) -> None:
-        """Encode the merged stream with a conditioned opcode stream.
-
-        The opcode is coded against the context its predecessor maps to
-        (reset per region per :func:`~repro.compress.model.start_symbol`);
-        field streams use their single table exactly as the order-0
-        loop in :meth:`build` does.
-        """
-        op_model = self.models[FieldKind.OPCODE]
-        op_bank = tuple(t.encoder() for t in op_model.tables)
-        encoders = {kind: code.encoder() for kind, code in self.codes.items()}
-        for region in closed:
-            offsets.append(writer.bit_length)
-            transforms = {
-                kind: MoveToFront(alphabet)
-                for kind, alphabet in self.mtf_alphabets.items()
-            }
-            prev = start_symbol(FieldKind.OPCODE)
-            for item in region:
-                encoder = op_bank[op_model.context_of(prev)]
-                prev = item.opcode
-                code, length = encoder[item.opcode]
-                writer.write_bits(code, length)
-                for kind, value in zip(
-                    codec_fields(item.opcode), item.fields
-                ):
-                    if kind in transforms:
-                        value = transforms[kind].encode_one(value)
-                    code, length = encoders[kind][value]
-                    writer.write_bits(code, length)
 
     # -- table (de)serialisation ------------------------------------------
 
@@ -612,6 +637,10 @@ class ProgramCodec:
                     mapping_start_bit=-1,
                     spans=((start, reader.bit_pos),),
                 )
+        # Every stream is driven by the opcode stream (build always
+        # writes it: the sentinel is in it); without it no region
+        # decodes, on any backend.
+        _require_tables(codes, FieldKind.OPCODE)
         coder_name = (
             "huffman"
             if is_ctx

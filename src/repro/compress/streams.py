@@ -20,6 +20,7 @@ field streams follow.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.isa.fields import FieldKind, check_field, from_bits
 from repro.isa.instruction import FIELD_PLANS, Instruction
@@ -93,6 +94,24 @@ def instruction_to_codec(instr: Instruction) -> CodecInstr:
                 check_field(kind, value)
             fields.append(value & mask)
     return CodecInstr(opcode=opcode, fields=tuple(fields))
+
+
+#: Bound on the distinct instructions :func:`program_instruction_to_codec`
+#: keeps converted (a few programs' worth).
+CONVERSION_CACHE_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=CONVERSION_CACHE_SIZE)
+def program_instruction_to_codec(instr: Instruction) -> CodecInstr:
+    """:func:`instruction_to_codec`, remembered per instruction.
+
+    For a program's own instructions, which every squash of the
+    program converts again (block copies share them); instructions
+    rebuilt per squash, such as resolved branches, should take the
+    uncached :func:`instruction_to_codec`.  A range error is raised
+    again on every call: exceptions are never cached.
+    """
+    return instruction_to_codec(instr)
 
 
 def codec_to_instruction(item: CodecInstr) -> Instruction:

@@ -14,6 +14,7 @@ from repro.compress.streams import (
     OP_XCALLD,
     OP_XCALLI,
     instruction_to_codec,
+    program_instruction_to_codec,
 )
 from repro.core.classify import (
     CATEGORY_CALL_CT,
@@ -65,15 +66,34 @@ def encode_region(
 
     for label in plan.region.blocks:
         block = ctx.blocks[label]
+        last = len(block.instrs) - 1
         for index, instr in enumerate(block.instrs):
             category = plan.categories[(label, index)]
             here = base + slot
-            is_terminator = index == len(block.instrs) - 1
-            if category == CATEGORY_PLAIN and index in block.data_refs:
-                resolved = resolve_data_ref(
-                    instr, layout.data_addr[block.data_refs[index]]
-                )
-                items.append(instruction_to_codec(resolved))
+            if category == CATEGORY_PLAIN:
+                if index in block.data_refs:
+                    resolved = resolve_data_ref(
+                        instr, layout.data_addr[block.data_refs[index]]
+                    )
+                    items.append(instruction_to_codec(resolved))
+                elif index == last and (
+                    instr.is_cond_branch or block.ends_in_uncond_branch
+                ):
+                    target_label = block.branch_target
+                    assert target_label is not None
+                    if target_label in region_set:
+                        disp = plan.block_slots[target_label] - (slot + 1)
+                    else:
+                        disp = resolve_external(target_label) - (here + 1)
+                    items.append(
+                        instruction_to_codec(
+                            Instruction(instr.op, ra=instr.ra, imm=disp)
+                        )
+                    )
+                else:
+                    # The program's own instruction, unchanged: converted
+                    # once across every squash of the program.
+                    items.append(program_instruction_to_codec(instr))
                 slot += 1
             elif category in (CATEGORY_CALL_SAFE, CATEGORY_CALL_INTRA):
                 target_fn = block.call_targets[index]
@@ -124,24 +144,6 @@ def encode_region(
                     CodecInstr(OP_XCALLI, (instr.ra, instr.rb))
                 )
                 slot += 2
-            elif is_terminator and (
-                instr.is_cond_branch or block.ends_in_uncond_branch
-            ):
-                target_label = block.branch_target
-                assert target_label is not None
-                if target_label in region_set:
-                    disp = plan.block_slots[target_label] - (slot + 1)
-                else:
-                    disp = resolve_external(target_label) - (here + 1)
-                items.append(
-                    instruction_to_codec(
-                        Instruction(instr.op, ra=instr.ra, imm=disp)
-                    )
-                )
-                slot += 1
-            else:
-                items.append(instruction_to_codec(instr))
-                slot += 1
         if label in plan.trailing_br:
             target_label = block.fallthrough
             assert target_label is not None

@@ -16,6 +16,7 @@ SquashDescriptor` (it is the squashed executable's header) and survives
 
 from __future__ import annotations
 
+import struct
 from array import array
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -52,35 +53,23 @@ def bit_range_crc(words: Sequence[int], start_bit: int, end_bit: int) -> int:
 
     *words* may be any word-indexable source (a list, or the runtime's
     view of machine memory); a trailing partial byte is left-aligned.
+    The covering words are read once, by index and masked to 32 bits,
+    and the range is cut out of them as one integer.
     """
     if not 0 <= start_bit <= end_bit:
         raise ValueError(f"bad bit range [{start_bit}, {end_bit})")
-    out = bytearray()
-    pos = start_bit
-    remaining = end_bit - start_bit
-    while remaining >= 8:
-        take = min(remaining, 32) & ~7  # whole bytes, at most one word
-        out.extend(_read_bits(words, pos, take).to_bytes(take // 8, "big"))
-        pos += take
-        remaining -= take
-    if remaining:
-        out.append(_read_bits(words, pos, remaining) << (8 - remaining))
-    return crc32(bytes(out))
-
-
-def _read_bits(words: Sequence[int], pos: int, nbits: int) -> int:
-    """Read *nbits* MSB-first at absolute bit position *pos*."""
-    value = 0
-    while nbits > 0:
-        word_index, bit_index = divmod(pos, 32)
-        take = min(nbits, 32 - bit_index)
-        word = words[word_index]
-        value = (value << take) | (
-            (word >> (32 - bit_index - take)) & ((1 << take) - 1)
-        )
-        pos += take
-        nbits -= take
-    return value
+    nbits = end_bit - start_bit
+    if not nbits:
+        return crc32(b"")
+    first = start_bit >> 5
+    last = (end_bit - 1) >> 5
+    covering = [words[i] & 0xFFFFFFFF for i in range(first, last + 1)]
+    value = int.from_bytes(
+        struct.pack(f">{len(covering)}I", *covering), "big"
+    )
+    value = (value >> ((last + 1) * 32 - end_bit)) & ((1 << nbits) - 1)
+    pad = -nbits % 8
+    return crc32((value << pad).to_bytes((nbits + pad) // 8, "big"))
 
 
 @dataclass

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from repro.errors import (
     JobExpired,
     ServiceOverloaded,
+    SquashError,
     TenantQuotaExceeded,
 )
 from repro.faultinject import chaos
@@ -447,6 +448,15 @@ def _wait_terminal(journal, job_id: str, timeout: float) -> dict | None:
     return None
 
 
+def _live_state(client, job_id: str) -> str | None:
+    """*job_id*'s state from the serving process's status endpoint
+    (None when the server does not answer)."""
+    try:
+        return client.status(job_id).get("state")
+    except (SquashError, OSError, ValueError):
+        return None
+
+
 def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
                  scale: float) -> None:
     from repro.service import JobJournal, ServiceClient
@@ -476,21 +486,22 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
                 client.submit(_squash_spec(theta, scale)).id
                 for theta in thetas
             ]
-        report.kill_jobs = len(job_ids)
-        # Kill the instant the journal shows a job mid-run; the
-        # deadline below bounds a server that never gets there.
-        deadline = time.monotonic() + 120.0
-        while time.monotonic() < deadline:
-            if any(
-                (journal.load(job_id) or {}).get("state") == "running"
-                for job_id in job_ids
-            ):
-                server.send_signal(signal.SIGKILL)
-                report.kill_delivered = True
-                break
-            if server.poll() is not None:
-                break
-            time.sleep(0.01)
+            report.kill_jobs = len(job_ids)
+            # Kill the instant the server reports a job mid-run (its
+            # journal records only queued and terminal states); the
+            # deadline below bounds a server that never gets there.
+            deadline = time.monotonic() + 120.0
+            while time.monotonic() < deadline:
+                if any(
+                    _live_state(client, job_id) == "running"
+                    for job_id in job_ids
+                ):
+                    server.send_signal(signal.SIGKILL)
+                    report.kill_delivered = True
+                    break
+                if server.poll() is not None:
+                    break
+                time.sleep(0.01)
         server.wait(timeout=30.0)
     finally:
         if server.poll() is None:

@@ -11,7 +11,9 @@ derived from the observed job duration, so overload produces fast
 typed failures instead of unbounded latency.  Draining or stopped
 engines shed everything.  An accepted job is journaled before
 ``submit`` returns — from that instant it is crash-recoverable and the
-engine guarantees a terminal state for it.
+engine guarantees a terminal state for it.  The journal holds two
+records per job, ``queued`` and the terminal state; a running job's
+live state is in :meth:`JobEngine.status`.
 
 **Scheduling** — strict priority classes (``interactive`` before
 ``batch``), round-robin across tenants inside a class, and a
@@ -635,6 +637,9 @@ class JobEngine:
                 pass
 
     def _start_job(self, job: Job, now: float) -> None:
+        # Not journaled: recovery re-runs a queued record exactly as it
+        # would a running one, so the record stays "queued" until the
+        # terminal one, and a job costs two fsynced puts.
         job.state = "running"
         job.started_at = now
         tenant = job.spec.tenant
@@ -642,7 +647,6 @@ class JobEngine:
         self._tenant_running[tenant] = (
             self._tenant_running.get(tenant, 0) + 1
         )
-        self._journal(job)
         wait = now - job.submitted_at
         _METRICS.observe("service.wait_seconds", wait)
         _METRICS.observe(f"service.tenant.{tenant}.wait_seconds", wait)
@@ -707,7 +711,7 @@ class JobEngine:
             result, error = None, exc
         loop = self._loop
         if loop is None:
-            return  # engine stopped mid-callback; journal kept "running"
+            return  # engine stopped mid-callback; journal kept "queued"
         try:
             loop.call_soon_threadsafe(
                 self._finish_running, job, result, error

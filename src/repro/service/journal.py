@@ -1,11 +1,13 @@
 """Crash-safe job journal on the unified artifact store.
 
-Every state transition of every accepted job is persisted as one
-sealed record in the store's ``job`` namespace (hardlinked,
-CRC-sealed, written with the O_EXCL temp + fsync + atomic replace
-discipline of :mod:`repro.store`).  A SIGKILLed service therefore
-restarts with the full picture: which jobs were queued, which were
-running, which already finished — :meth:`JobJournal.recover` hands the
+Every accepted job is persisted as one sealed record in the store's
+``job`` namespace (hardlinked, CRC-sealed, written with the O_EXCL
+temp + fsync + atomic replace discipline of :mod:`repro.store`),
+written twice: ``queued`` on admission, then the terminal state (or
+``requeued`` by a drain).  The start of execution is not recorded,
+since recovery treats a queued job and a running one alike.  A
+SIGKILLed service therefore restarts knowing which jobs had not
+finished and which had — :meth:`JobJournal.recover` hands the
 non-terminal ones back to the engine to resume, so an accepted job is
 never silently lost.
 
@@ -108,10 +110,10 @@ class JobJournal:
     def recover(self) -> list[Job]:
         """Rebuild the non-terminal jobs a dead service left behind.
 
-        Queued, running, and requeued records come back as fresh
-        ``queued`` jobs flagged ``recovered`` (execution is
-        deterministic and store-cached, so re-running is safe); every
-        other record is left as it is.
+        Queued, running (written by older engines), and requeued
+        records come back as fresh ``queued`` jobs flagged
+        ``recovered`` (execution is deterministic and store-cached, so
+        re-running is safe); every other record is left as it is.
         """
         jobs: list[Job] = []
         for job_id, record in sorted(self.load_all().items()):

@@ -332,14 +332,27 @@ def _conditioned_ra_tables() -> list[int]:
     return writer.to_words()
 
 
+def _ra_only_tables() -> list[int]:
+    """Order-0 tables (hand-serialised) listing only an RA stream."""
+    writer = BitWriter()
+    writer.write_bits(1, _KIND_BITS)
+    writer.write_bits(0, 2)  # huffman
+    writer.write_bits(int(FieldKind.RA), _KIND_BITS)
+    writer.write_bits(0, 1)  # no MTF alphabet
+    CanonicalCode.from_lengths({1: 1, 2: 1}).serialise(
+        writer, FIELD_WIDTHS[FieldKind.RA]
+    )
+    return writer.to_words()
+
+
 def test_conditioned_field_stream_is_a_parse_error():
     with pytest.raises(CodecTableError, match="stream RA is conditioned"):
         ProgramCodec.from_table_words(_conditioned_ra_tables())
 
 
-def test_runtime_rejects_conditioned_field_stream(mini_program, mini_profile):
-    """An image whose tables condition RA fails at table parse, through
-    the runtime, with the same typed error."""
+def _machine_with_tables(mini_program, mini_profile, tables: list[int]):
+    """A machine running the mini program's squashed image with its
+    table area replaced by *tables*."""
     from repro.core.pipeline import SquashConfig, squash_program
     from repro.core.runtime import SquashRuntime
     from repro.vm.machine import Machine
@@ -351,7 +364,6 @@ def test_runtime_rejects_conditioned_field_stream(mini_program, mini_profile):
     # Without integrity metadata the table CRC and seals do not run
     # first, so the parser sees the tables.
     desc = dataclasses.replace(result.descriptor, integrity=None)
-    tables = _conditioned_ra_tables()
     assert len(tables) <= desc.table_words
     memory = list(result.image.memory)
     start = desc.table_addr - result.image.base
@@ -360,11 +372,38 @@ def test_runtime_rejects_conditioned_field_stream(mini_program, mini_profile):
     )
     image = dataclasses.replace(result.image, memory=memory)
     runtime = SquashRuntime(desc, region_cache=False)
-    machine = Machine(
+    return Machine(
         image, input_words=MINI_TIMING_INPUT, services=runtime.services()
+    )
+
+
+def test_runtime_rejects_conditioned_field_stream(mini_program, mini_profile):
+    """An image whose tables condition RA fails at table parse, through
+    the runtime, with the same typed error."""
+    machine = _machine_with_tables(
+        mini_program, mini_profile, _conditioned_ra_tables()
     )
     with pytest.raises(CodecTableError, match="stream RA is conditioned"):
         machine.run(max_steps=5_000_000)
+
+
+def test_tables_without_opcode_stream_are_rejected(mini_program, mini_profile):
+    """Tables with no OPCODE stream fail at parse with a typed error
+    naming it, directly and through the runtime (not a raw KeyError
+    from the reference decoder at the first region)."""
+    from repro import settings
+
+    with pytest.raises(CodecTableError, match="no code for stream OPCODE"):
+        ProgramCodec.from_table_words(_ra_only_tables())
+    for backend in BACKENDS:
+        machine = _machine_with_tables(
+            mini_program, mini_profile, _ra_only_tables()
+        )
+        with settings.use_settings(decode_backend=backend):
+            with pytest.raises(
+                CodecTableError, match="no code for stream OPCODE"
+            ):
+                machine.run(max_steps=5_000_000)
 
 
 # -- model layer validation --------------------------------------------------

@@ -1,5 +1,6 @@
 """The crash-safe job journal."""
 
+import threading
 import time
 
 from repro.errors import StoreDegraded
@@ -98,6 +99,43 @@ class TestJournal:
                 assert status["recovered"]
         finally:
             engine.stop(drain_timeout=0.5)
+
+    def test_engine_journals_queued_then_terminal_only(self, tmp_path):
+        """Two records per job: the start of execution is not
+        journaled, so a running job reads ``queued`` on disk (recovery
+        re-runs it alike) and ``running`` on the status endpoint."""
+        release = threading.Event()
+
+        def blocked(spec):
+            release.wait(10.0)
+            return _echo(spec)
+
+        engine = _engine(tmp_path, execute_fn=blocked)
+        written = []
+        record = engine.journal.record
+
+        def spy(job):
+            written.append((job.id, job.state))
+            return record(job)
+
+        engine.journal.record = spy
+        engine.start(recover=False)
+        try:
+            job = engine.submit(_spec(value=5))
+            deadline = time.monotonic() + 10.0
+            while engine.status(job.id)["state"] != "running":
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            assert engine.journal.load(job.id)["state"] == "queued"
+            release.set()
+            assert engine.result(job.id, timeout=10.0) == {"value": 5}
+        finally:
+            release.set()
+            engine.stop(drain_timeout=0.5)
+        assert [state for job_id, state in written if job_id == job.id] == [
+            "queued", "done",
+        ]
+        assert engine.journal.load(job.id)["state"] == "done"
 
     def test_dead_store_degrades_journal_not_jobs(self, tmp_path):
         engine = _engine(tmp_path)
