@@ -16,10 +16,10 @@ synthetic Alpha-like RISC substrate built from scratch:
   Huffman codes (Section 3 of the paper).
 * :mod:`repro.core` -- the paper's contribution: cold-code
   identification, compressible-region formation, buffer-safe analysis,
-  unswitching, stubs, the staged binary rewriter, and the runtime
-  decompressor.
-* :mod:`repro.pipeline` -- the pass manager running the stage DAG,
-  typed fingerprinted artifacts, and the plugin registries.
+  unswitching, stubs, the binary rewriter's six stages, and the
+  runtime decompressor.
+* :mod:`repro.pipeline` -- per-stage wall time and counters
+  (:class:`~repro.pipeline.manager.StageReport`).
 * :mod:`repro.workloads` -- seeded synthetic MediaBench-like programs.
 * :mod:`repro.analysis` -- statistics and table/figure rendering for
   the paper's experiments.
@@ -58,8 +58,6 @@ _EXPORTS = {
     "enable_tracing": ("repro.obs.trace", "enable_tracing"),
     "BufferStrategy": ("repro.core.runtime", "BufferStrategy"),
     "squeeze": ("repro.squeeze.pipeline", "squeeze"),
-    "PassManager": ("repro.pipeline.manager", "PassManager"),
-    "Stage": ("repro.pipeline.manager", "Stage"),
     "StageReport": ("repro.pipeline.manager", "StageReport"),
     "Machine": ("repro.vm.machine", "Machine"),
     "RunResult": ("repro.vm.machine", "RunResult"),

@@ -38,6 +38,7 @@ rows from them.
 from __future__ import annotations
 
 import dataclasses
+import enum
 import hashlib
 import json
 import pathlib
@@ -59,14 +60,13 @@ from repro.core.pipeline import SquashConfig
 from repro.errors import SpecError, StoreDegraded
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.pipeline.artifacts import canonical
 from repro.resilience import (
-    CacheStats,
     Supervisor,
     SupervisorConfig,
     Task,
 )
 from repro.store import get_store
+from repro.store.sealed import CacheStats
 from repro.workloads.mediabench import MEDIABENCH, mediabench_spec
 
 __all__ = [
@@ -112,6 +112,25 @@ def _workers() -> int:
             stacklevel=2,
         )
     return _settings.effective_bench_workers(resolved)
+
+
+def canonical(value):
+    """A JSON-stable form of configs (dataclasses, enums, sets,
+    tuples): the configuration part of a cell's cache key."""
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {
+            f.name: canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (frozenset, set)):
+        return sorted(canonical(item) for item in value)
+    if isinstance(value, (list, tuple)):
+        return [canonical(item) for item in value]
+    if isinstance(value, dict):
+        return {str(key): canonical(val) for key, val in value.items()}
+    return value
 
 
 def _cell_digest(kind: str, name: str, scale: float, config: SquashConfig) -> str:

@@ -6,9 +6,9 @@ three pipeline stages — squeeze, profile collection, baseline layout
 :class:`~repro.core.config.SquashConfig` knob.  This module persists
 exactly those artifacts, keyed by ``(benchmark, scale)`` content
 digests, through the same crash-safe sealed-entry format as the cell
-cache (:mod:`repro.resilience.cache`), so a θ-grid sweep performs the
+cache (:mod:`repro.store.sealed`), so a θ-grid sweep performs the
 invariant work once per benchmark and every cell resumes from the
-``ColdSet`` stage onward.
+``cold`` stage onward.
 
 A sweep builds each benchmark's bundle in one warm task ahead of its
 cells (:func:`repro.analysis.parallel.compute_cells`), in the pool the

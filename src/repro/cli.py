@@ -282,29 +282,27 @@ def _print_codec_contexts(result) -> None:
     )
 
 
-def _print_registries() -> None:
-    """Every pluggable registry of the pipeline, by name."""
+def _print_choices() -> None:
+    """Every named choice of the pipeline."""
     from repro.compress.codec import CODEC_VARIANTS, DECODE_BACKENDS
-    from repro.core.classify import BUFFER_STRATEGIES, RESTORE_SCHEMES
+    from repro.core.descriptor import BufferStrategy, RestoreStubScheme
     from repro.core.plan import REGION_STRATEGIES
-    from repro.squeeze.pipeline import SQUEEZE_PASSES
 
-    print("registries:")
-    for label, registry in (
+    print("choices:")
+    for label, names in (
         ("region strategies", REGION_STRATEGIES),
-        ("buffer strategies", BUFFER_STRATEGIES),
-        ("restore schemes", RESTORE_SCHEMES),
-        ("squeeze passes", SQUEEZE_PASSES),
+        ("buffer strategies", [member.value for member in BufferStrategy]),
+        ("restore schemes", [member.value for member in RestoreStubScheme]),
         ("codec variants", CODEC_VARIANTS),
         ("decode backends", DECODE_BACKENDS),
     ):
-        print(f"  {label}: {', '.join(registry.names())}")
+        print(f"  {label}: {', '.join(sorted(names))}")
 
 
 def _cmd_stages(args) -> None:
-    """Registered pipeline plugins, then per-stage wall time and
+    """The pipeline's named choices, then per-stage wall time and
     counters for each selected benchmark."""
-    _print_registries()
+    _print_choices()
     print()
     for name in args.names:
         config = _squash_config(args)
@@ -471,8 +469,7 @@ def _cmd_store(args) -> int:
         quota = stats["quota_bytes"]
         print(f"  usage: {stats['usage_bytes']}B"
               + (f" / {quota}B quota" if quota else " (no quota)"))
-        print(f"  policy: {stats['policy']}  "
-              f"breaker: {'OPEN' if stats['breaker_open'] else 'closed'}")
+        print(f"  breaker: {'OPEN' if stats['breaker_open'] else 'closed'}")
         return 0
     if action == "gc":
         report = api.store_gc()
@@ -749,7 +746,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--variant", default="",
-        help="codec variant from the codec registry (squash/stages/"
+        help="codec variant, one of those `stages` lists (squash/stages/"
         "faultsweep commands; default: the config's own codec, or "
         "REPRO_CODEC_VARIANT)",
     )

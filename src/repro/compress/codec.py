@@ -54,7 +54,6 @@ from repro.compress.streams import (
     codec_fields,
 )
 from repro.isa.fields import FIELD_WIDTHS, FieldKind
-from repro.pipeline.registry import Registry, RegistryError
 
 _OPCODE_BITS = 6
 _KIND_BITS = 5
@@ -124,44 +123,35 @@ class CodecConfig:
                 )
 
 
-#: Named codec presets: variant name -> f() -> CodecConfig.  The
-#: experiment harness and CLI select codecs by these names; a new
-#: variant (different coder, different MTF stream selection) is added
-#: by registering a factory, not by editing call sites.
-CODEC_VARIANTS: "Registry[Callable[[], CodecConfig]]" = Registry(
-    "codec variant"
-)
+_MTF_FIELDS = frozenset({FieldKind.RA, FieldKind.RB, FieldKind.LIT8})
 
-CODEC_VARIANTS.register("huffman", CodecConfig)
-CODEC_VARIANTS.register(
-    "mtf+huffman",
-    lambda: CodecConfig(
-        mtf_kinds=frozenset({FieldKind.RA, FieldKind.RB, FieldKind.LIT8})
-    ),
-)
-CODEC_VARIANTS.register("dict", lambda: CodecConfig(coder="dict"))
-CODEC_VARIANTS.register(
-    "mtf+dict",
-    lambda: CodecConfig(
-        coder="dict",
-        mtf_kinds=frozenset({FieldKind.RA, FieldKind.RB, FieldKind.LIT8}),
-    ),
-)
-#: "baseline" is the reference point the context variants are measured
-#: against on the Fig. 6/7 frontier: the paper's order-0 canonical
-#: Huffman codec (an alias of "huffman" by construction).
-CODEC_VARIANTS.register("baseline", CodecConfig)
-#: Order-1 opcode bigrams: the opcode stream's table is conditioned on
-#: the previous opcode.
-CODEC_VARIANTS.register(
-    "ctx1",
-    lambda: CodecConfig(context_kinds=frozenset({FieldKind.OPCODE})),
-)
+#: Named codec presets: variant name -> f() -> CodecConfig.  The
+#: experiment harness and CLI select codecs by these names.
+CODEC_VARIANTS: dict[str, Callable[[], CodecConfig]] = {
+    "huffman": CodecConfig,
+    "mtf+huffman": lambda: CodecConfig(mtf_kinds=_MTF_FIELDS),
+    "dict": lambda: CodecConfig(coder="dict"),
+    "mtf+dict": lambda: CodecConfig(coder="dict", mtf_kinds=_MTF_FIELDS),
+    # The reference point the context variants are measured against
+    # on the Fig. 6/7 frontier: the paper's order-0 canonical Huffman
+    # codec (an alias of "huffman" by construction).
+    "baseline": CodecConfig,
+    # Order-1 opcode bigrams: the opcode stream's table is conditioned
+    # on the previous opcode.
+    "ctx1": lambda: CodecConfig(context_kinds=frozenset({FieldKind.OPCODE})),
+}
 
 
 def codec_variant(name: str) -> CodecConfig:
-    """The preset :class:`CodecConfig` registered under *name*."""
-    return CODEC_VARIANTS.get(name)()
+    """The preset :class:`CodecConfig` named *name*; an unknown name
+    raises a ``ValueError`` listing the known ones."""
+    factory = CODEC_VARIANTS.get(name)
+    if factory is None:
+        raise ValueError(
+            f"unknown codec variant {name!r}; known: "
+            f"{', '.join(sorted(CODEC_VARIANTS))}"
+        )
+    return factory()
 
 
 _VARIANT_FALLBACK = "baseline"
@@ -170,27 +160,25 @@ _VARIANT_WARNED: set[str] = set()
 
 def resolve_codec_variant(name: str) -> CodecConfig:
     """Like :func:`codec_variant`, but an unknown *name* warns once and
-    falls back to ``baseline`` (mirroring the artifact store's
-    eviction-policy registry) instead of failing the squash — variant
+    falls back to ``baseline`` instead of failing the squash — variant
     names arrive from the environment, and a typo'd knob should cost a
     warning, not a pipeline."""
-    try:
-        return CODEC_VARIANTS.get(name)()
-    except RegistryError:
-        import warnings
+    if name in CODEC_VARIANTS:
+        return CODEC_VARIANTS[name]()
+    import warnings
 
-        from repro.obs.metrics import get_registry
+    from repro.obs.metrics import get_registry
 
-        if name not in _VARIANT_WARNED:
-            _VARIANT_WARNED.add(name)
-            warnings.warn(
-                f"unknown codec variant {name!r}; falling back to "
-                f"{_VARIANT_FALLBACK!r} (known: "
-                f"{', '.join(sorted(CODEC_VARIANTS.names()))})",
-                stacklevel=2,
-            )
-        get_registry().inc("codec.variant_fallback")
-        return CODEC_VARIANTS.get(_VARIANT_FALLBACK)()
+    if name not in _VARIANT_WARNED:
+        _VARIANT_WARNED.add(name)
+        warnings.warn(
+            f"unknown codec variant {name!r}; falling back to "
+            f"{_VARIANT_FALLBACK!r} (known: "
+            f"{', '.join(sorted(CODEC_VARIANTS))})",
+            stacklevel=2,
+        )
+    get_registry().inc("codec.variant_fallback")
+    return CODEC_VARIANTS[_VARIANT_FALLBACK]()
 
 
 @dataclass
@@ -677,7 +665,7 @@ class ProgramCodec:
         bit offset.
         """
         name = resolve_decode_backend(backend)
-        return DECODE_BACKENDS.get(name)(self, words, bit_offset)
+        return DECODE_BACKENDS[name](self, words, bit_offset)
 
     def _decode_region_generic(
         self, words: Sequence[int], bit_offset: int
@@ -937,10 +925,9 @@ def _table_triple(code: CanonicalCode) -> tuple:
 
 # -- decode backends ---------------------------------------------------------
 #
-# Region decode mechanics are selected by name through the same
-# Registry machinery as the codec variants: "reference" is the paper's
-# bit-at-a-time loop, "table" the first-level-table loop above.  Both
-# produce identical items, bit counts and typed errors; the table
+# Region decode mechanics are selected by name: "reference" is the
+# paper's bit-at-a-time loop, "table" the first-level-table loop above.
+# Both produce identical items, bit counts and typed errors; the table
 # backend runs the dictionary coder through the reference loop, since
 # its codes have no first-level table.
 
@@ -960,8 +947,7 @@ def _backend_table(
 
 
 #: name -> f(codec, words, bit_offset) -> (items, bits).
-DECODE_BACKENDS: "Registry[Callable[..., tuple[list[CodecInstr], int]]]" = (
-    Registry("decode backend")
-)
-DECODE_BACKENDS.register("reference", _backend_reference)
-DECODE_BACKENDS.register("table", _backend_table)
+DECODE_BACKENDS: dict[str, Callable[..., tuple[list[CodecInstr], int]]] = {
+    "reference": _backend_reference,
+    "table": _backend_table,
+}

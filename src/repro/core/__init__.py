@@ -12,12 +12,11 @@ Pipeline (mirrors Sections 2-6 of the paper):
 4. :mod:`repro.core.buffersafe` -- find functions whose calls need no
    restore stubs (Section 6.1).
 5. :mod:`repro.core.plan` / :mod:`repro.core.classify` /
-   :mod:`repro.core.layout` / :mod:`repro.core.emit` -- the staged
-   rewriter producing the squashed image: stubs, function offset
-   table, decompressor, compressed code, stub area, runtime buffer
-   (Section 2; :mod:`repro.core.rewriter` keeps the one-call
-   ``rewrite()`` interface, and the stages run under
-   :mod:`repro.pipeline`).
+   :mod:`repro.core.layout` / :mod:`repro.core.emit` -- the rewriter
+   stages producing the squashed image: stubs, function offset table,
+   decompressor, compressed code, stub area, runtime buffer
+   (Section 2); :func:`repro.core.pipeline.squash_program` runs them
+   in order.
 6. :mod:`repro.core.runtime` -- the runtime decompressor / CreateStub
    service with reference-counted restore stubs (Sections 2.2-2.3).
 """

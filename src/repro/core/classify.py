@@ -7,11 +7,9 @@ becomes the CreateStub expansion (runtime scheme) or a branch to a
 pre-built stub (compile-time scheme).
 
 How a call site is treated depends on the buffer strategy and the
-restore-stub scheme; both are plugin points here.  A
-:class:`BufferPolicy` / :class:`RestorePolicy` pair is looked up in
-:data:`BUFFER_STRATEGIES` / :data:`RESTORE_SCHEMES` by the enum value
-carried in the config, so a new strategy registers its policy instead
-of adding branches to the classifier.
+restore-stub scheme the config carries: under ``DECOMPRESS_ONCE`` no
+call needs protection, and only the runtime scheme expands protected
+calls into CreateStub pseudo ops.
 """
 
 from __future__ import annotations
@@ -22,16 +20,11 @@ from repro.core.buffersafe import buffer_safe_functions
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
 from repro.core.plan import RegionPlanResult, RewriteInfo
 from repro.core.regions import Region, RegionContext
-from repro.pipeline.registry import Registry
 from repro.program.blocks import BasicBlock
 from repro.program.layout import needs_fallthrough_br
 from repro.program.program import Program
 
 __all__ = [
-    "BUFFER_STRATEGIES",
-    "RESTORE_SCHEMES",
-    "BufferPolicy",
-    "RestorePolicy",
     "ClassifiedSites",
     "RegionSitePlan",
     "classify_sites",
@@ -57,49 +50,6 @@ CATEGORY_XCALLI = "xcalli"
 _TWO_SLOT = (CATEGORY_XCALLD, CATEGORY_XCALLI)
 
 
-@dataclass(frozen=True)
-class BufferPolicy:
-    """Classification consequences of a buffer-management strategy."""
-
-    strategy: BufferStrategy
-    #: Decompressed code is never overwritten, so no call from a
-    #: region ever needs protection (DECOMPRESS_ONCE).
-    calls_never_protected: bool = False
-
-
-@dataclass(frozen=True)
-class RestorePolicy:
-    """Classification consequences of a restore-stub scheme."""
-
-    scheme: RestoreStubScheme
-    #: Protected calls expand to the two-instruction CreateStub pseudo
-    #: ops (runtime scheme) rather than branching to pre-built stubs.
-    runtime_expansion: bool = True
-
-
-BUFFER_STRATEGIES: Registry[BufferPolicy] = Registry("buffer strategy")
-for _strategy in BufferStrategy:
-    BUFFER_STRATEGIES.register(
-        _strategy.value,
-        BufferPolicy(
-            strategy=_strategy,
-            calls_never_protected=(
-                _strategy is BufferStrategy.DECOMPRESS_ONCE
-            ),
-        ),
-    )
-
-RESTORE_SCHEMES: Registry[RestorePolicy] = Registry("restore scheme")
-for _scheme in RestoreStubScheme:
-    RESTORE_SCHEMES.register(
-        _scheme.value,
-        RestorePolicy(
-            scheme=_scheme,
-            runtime_expansion=(_scheme is RestoreStubScheme.RUNTIME),
-        ),
-    )
-
-
 def classify_site(
     prog: Program,
     ctx: RegionContext,
@@ -109,13 +59,19 @@ def classify_site(
     region_set: set[str],
     safe: set[str],
     all_indirect_safe: bool,
-    restore: RestorePolicy,
-    buffer: BufferPolicy,
+    decompress_once: bool,
+    runtime_stubs: bool,
 ) -> str:
-    """Category of one instruction inside a compressed region."""
+    """Category of one instruction inside a compressed region.
+
+    *decompress_once*: decompressed code is never overwritten, so no
+    call from a region needs protection.  *runtime_stubs*: protected
+    calls expand to the two-instruction CreateStub pseudo ops rather
+    than branching to pre-built stubs.
+    """
     if index in block.call_targets:
         target = block.call_targets[index]
-        if buffer.calls_never_protected:
+        if decompress_once:
             # DECOMPRESS_ONCE never overwrites decompressed code, so
             # every call can be ordinary: intra-region calls are
             # area-relative, the rest go to the callee (or its entry
@@ -131,19 +87,11 @@ def classify_site(
             # address stays valid because every escape from the region
             # during its execution is itself call-protected.
             return CATEGORY_CALL_INTRA
-        return (
-            CATEGORY_XCALLD
-            if restore.runtime_expansion
-            else CATEGORY_CALL_CT
-        )
+        return CATEGORY_XCALLD if runtime_stubs else CATEGORY_CALL_CT
     if instr.is_indirect_call:
-        if buffer.calls_never_protected or all_indirect_safe:
+        if decompress_once or all_indirect_safe:
             return CATEGORY_PLAIN
-        return (
-            CATEGORY_XCALLI
-            if restore.runtime_expansion
-            else CATEGORY_ICALL_CT
-        )
+        return CATEGORY_XCALLI if runtime_stubs else CATEGORY_ICALL_CT
     return CATEGORY_PLAIN
 
 
@@ -174,8 +122,8 @@ class RegionSitePlan:
         config,
         info: RewriteInfo,
     ) -> "RegionSitePlan":
-        restore = RESTORE_SCHEMES.get(config.restore_scheme.value)
-        buffer = BUFFER_STRATEGIES.get(config.strategy.value)
+        decompress_once = config.strategy is BufferStrategy.DECOMPRESS_ONCE
+        runtime_stubs = config.restore_scheme is RestoreStubScheme.RUNTIME
         region_set = set(region.blocks)
         block_slots: dict[str, int] = {}
         categories: dict[tuple[str, int], str] = {}
@@ -191,7 +139,7 @@ class RegionSitePlan:
             for index, instr in enumerate(block.instrs):
                 category = classify_site(
                     prog, ctx, block, index, instr, region_set, safe,
-                    all_indirect_safe, restore, buffer,
+                    all_indirect_safe, decompress_once, runtime_stubs,
                 )
                 categories[(label, index)] = category
                 if category in (CATEGORY_CALL_CT, CATEGORY_ICALL_CT):

@@ -1,11 +1,4 @@
-"""The squash configuration: every knob, defined exactly once.
-
-Historically the rewriter kept its own hand-copied ``RewriteConfig``
-mirror of :class:`SquashConfig`; a knob added to one could silently
-never reach the other.  There is now a single frozen dataclass and
-``RewriteConfig`` is an alias for it — a new field is visible to every
-layer the moment it is declared here.
-"""
+"""The squash configuration: every knob, defined exactly once."""
 
 from __future__ import annotations
 
@@ -16,7 +9,7 @@ from repro.core.costmodel import CostModel
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
 from repro.program.layout import TEXT_BASE
 
-__all__ = ["SquashConfig", "RewriteConfig"]
+__all__ = ["SquashConfig"]
 
 
 @dataclass(frozen=True)
@@ -36,7 +29,7 @@ class SquashConfig:
     unswitch: bool = True
     #: Skip decoding when the requested region is already buffered.
     buffer_caching: bool = True
-    #: Region construction plugin (see
+    #: Region construction (a key of
     #: :data:`repro.core.plan.REGION_STRATEGIES`): "dfs" (Section 4)
     #: or "whole_function" (the future-work alternative of Section 9).
     region_strategy: str = "dfs"
@@ -66,8 +59,3 @@ class SquashConfig:
             return resolve_codec_variant(variant)
         return self.codec
 
-
-#: The rewriter consumes the same knobs the pipeline exposes.  Keeping
-#: this an *alias* (not a copy) is what guarantees a newly added knob
-#: can never be dropped between the two layers.
-RewriteConfig = SquashConfig

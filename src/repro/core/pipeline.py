@@ -12,24 +12,29 @@ Typical use (through the stable facade — see :mod:`repro.api`)::
     machine, runtime = result.make_machine(timing_input)
     run = machine.run()
 
-:func:`squash_program` runs the staged pipeline (cold → plan →
-classify → layout → encode → emit; see :mod:`repro.pipeline`) and
-keeps the per-stage wall-time/counter report on the result — ``repro
-squash --explain`` prints it.
+:func:`squash_program` runs the six stages in order — cold code
+(Section 5), region planning (Section 4), call-site classification
+(Section 2), layout, encoding (Section 3) and emission — and keeps the
+per-stage wall-time/counter report on the result; ``repro squash
+--explain`` prints it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.config import RewriteConfig, SquashConfig  # noqa: F401
+from repro.core.classify import classify_sites
+from repro.core.coldcode import identify_cold_blocks
+from repro.core.config import SquashConfig
 from repro.core.descriptor import SquashDescriptor
+from repro.core.emit import build_blob, emit_image
+from repro.core.layout import build_layout
 from repro.core.metrics import (
     Footprint,
     baseline_code_words,
     squashed_footprint,
 )
-from repro.core.plan import RewriteInfo
+from repro.core.plan import RewriteInfo, plan_regions
 from repro.core.runtime import SquashRuntime
 from repro.pipeline.manager import StageReport
 from repro.program.image import LoadedImage
@@ -206,22 +211,74 @@ def squash_program(
     baseline layout across cells) passing it skips the baseline's
     address pass, which validates *program* but encodes nothing.
     """
-    from repro.pipeline.stages import run_squash_pipeline
-
     config = config or SquashConfig()
-    emitted, report, _ = run_squash_pipeline(program, profile, config)
+    info = RewriteInfo()
+    report = StageReport()
+    with report.stage("cold") as counters:
+        cold = identify_cold_blocks(profile, config.theta).cold
+        counters["cold_blocks"] = len(cold)
+    with report.stage("plan") as counters:
+        # Unswitching rewrites the program in place: plan on copies.
+        plan = plan_regions(
+            program.copy(),
+            Profile(
+                counts=dict(profile.counts),
+                sizes=dict(profile.sizes),
+                tot_instr_ct=profile.tot_instr_ct,
+            ),
+            config,
+            info,
+            cold,
+        )
+        counters["regions"] = len(plan.regions)
+        counters["compressible_blocks"] = len(plan.compressible)
+        counters["excluded_blocks"] = len(plan.excluded)
+    with report.stage("classify") as counters:
+        classified = classify_sites(plan, config, info)
+        counters["site_plans"] = len(classified.plans)
+        counters["safe_functions"] = len(classified.safe_functions)
+        counters["xcall_sites"] = info.xcall_sites
+    with report.stage("layout") as counters:
+        layout = build_layout(plan, classified, config)
+        info.entry_stub_count = len(layout.entry_stubs)
+        info.never_compressed_words = layout.text_words
+        counters["entry_stubs"] = len(layout.entry_stubs)
+        counters["text_words"] = layout.text_words
+        counters["buffer_words"] = layout.buffer_words
+    with report.stage("encode") as counters:
+        blob = build_blob(
+            classified.plans, plan.ctx, layout, config.effective_codec()
+        )
+        info.blob = blob
+        info.compressed_original_instrs = sum(
+            p.original_instrs for p in classified.plans
+        )
+        info.jump_table_words = sum(
+            obj.size
+            for obj in plan.program.data.values()
+            if obj.is_jump_table
+        )
+        counters["codec_contexts"] = len(blob.context_spans)
+        counters["codec_conditioned_streams"] = len(
+            {span[0] for span in blob.context_spans if span[1] > 0}
+        )
+        counters["compressed_words"] = blob.total_words
+        counters["original_instrs"] = info.compressed_original_instrs
+    with report.stage("emit") as counters:
+        image, descriptor = emit_image(
+            plan.ctx, layout, classified.plans, blob, config
+        )
+        counters["image_words"] = len(image.memory)
+
     if baseline_words is None:
         baseline_words = baseline_code_words(
             assign_addresses(program, text_base=config.text_base), program
         )
-    footprint = squashed_footprint(
-        emitted.image, emitted.info.jump_table_words
-    )
     return SquashResult(
-        image=emitted.image,
-        descriptor=emitted.descriptor,
-        info=emitted.info,
-        footprint=footprint,
+        image=image,
+        descriptor=descriptor,
+        info=info,
+        footprint=squashed_footprint(image, info.jump_table_words),
         baseline_words=baseline_words,
         config=config,
         stage_report=report,

@@ -1,15 +1,10 @@
-"""Stage 1 of the rewriter: cold code, exclusions, region formation.
+"""Stage 1 of the rewriter: exclusions and region formation.
 
-Turns (program, profile, θ) into a :class:`RegionPlanResult`: the
-working program copy (unswitching may rewrite cold jump-table
+Turns (program, profile, cold set) into a :class:`RegionPlanResult`:
+the working program copy (unswitching may rewrite cold jump-table
 dispatches in place), the compressible block set, and the packed
-regions that will be compressed as units.
-
-Region construction is a plugin point: :data:`REGION_STRATEGIES` maps
-strategy names to formation callables, so an alternative partitioner
-(the paper's Section 9 future work, or the access-pattern and
-function-granularity schemes of the related MIPS / APCC work) is added
-by registering a function, not by editing this module.
+regions that will be compressed as units.  :data:`REGION_STRATEGIES`
+names the two ways to form regions.
 """
 
 from __future__ import annotations
@@ -18,7 +13,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from repro.compress.codec import CompressedBlob
-from repro.core.coldcode import identify_cold_blocks
 from repro.core.descriptor import BufferStrategy
 from repro.core.regions import (
     Region,
@@ -28,7 +22,6 @@ from repro.core.regions import (
     pack_regions,
 )
 from repro.core.unswitch import UnswitchResult, unswitch_cold_tables
-from repro.pipeline.registry import Registry
 from repro.program.program import Program
 from repro.vm.profiler import Profile
 
@@ -40,11 +33,12 @@ __all__ = [
     "plan_regions",
 ]
 
-#: Region-formation plugins: name -> f(program, compressible, cost,
-#: ctx) -> list[Region].  ``SquashConfig.region_strategy`` selects one.
-REGION_STRATEGIES: Registry[Callable] = Registry("region strategy")
-REGION_STRATEGIES.register("dfs", form_regions)
-REGION_STRATEGIES.register("whole_function", form_regions_whole_function)
+#: Region formation: name -> f(program, compressible, cost, ctx) ->
+#: list[Region].  ``SquashConfig.region_strategy`` selects one.
+REGION_STRATEGIES: dict[str, Callable] = {
+    "dfs": form_regions,
+    "whole_function": form_regions_whole_function,
+}
 
 
 @dataclass
@@ -111,21 +105,15 @@ def plan_regions(
     profile: Profile,
     config,
     info: RewriteInfo,
-    cold: set[str] | None = None,
+    cold: set[str],
 ) -> RegionPlanResult:
     """Exclusions, unswitching, and region packing (Sections 4-5).
 
     *program* is mutated in place (unswitching); callers pass a copy.
-    *cold* is the cold-code stage's output; when omitted it is derived
-    here (Section 5).
+    *cold* is the cold-code stage's output (Section 5).
     """
     cost = config.cost
-
-    # -- cold code (Section 5) ------------------------------------------
-    if cold is None:
-        cold = set(identify_cold_blocks(profile, config.theta).cold)
-    else:
-        cold = set(cold)
+    cold = set(cold)
     info.cold = set(cold)
 
     # -- unswitching / exclusions (Sections 2.2, 6.2) -------------------
@@ -164,6 +152,11 @@ def plan_regions(
     ctx.forced_entries |= data_refs
 
     form = REGION_STRATEGIES.get(config.region_strategy)
+    if form is None:
+        raise ValueError(
+            f"unknown region strategy {config.region_strategy!r}; "
+            f"known: {', '.join(sorted(REGION_STRATEGIES))}"
+        )
     regions = form(program, compressible, cost, ctx)
     if config.pack:
         regions = pack_regions(program, regions, cost, ctx)

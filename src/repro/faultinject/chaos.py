@@ -57,7 +57,7 @@ import pathlib
 import random
 from dataclasses import dataclass, field
 
-from repro.resilience.cache import seal_text
+from repro.store.sealed import seal_text
 
 __all__ = [
     "PROCESS_FAULT_KINDS",

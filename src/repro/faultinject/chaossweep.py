@@ -47,7 +47,8 @@ from repro.analysis.experiments import (
 )
 from repro.core.pipeline import SquashConfig
 from repro.faultinject import chaos
-from repro.resilience import CacheStats, RetryPolicy, SupervisorConfig
+from repro.resilience import RetryPolicy, SupervisorConfig
+from repro.store.sealed import CacheStats
 
 __all__ = ["ChaosSweepReport", "chaos_cells", "run_chaos_sweep"]
 

@@ -254,7 +254,7 @@ def sweep_program(
 ) -> SweepReport:
     """Convenience: squash one MediaBench benchmark and sweep it.
 
-    *codec_variant* selects a codec registry entry (see
+    *codec_variant* names a codec variant (see
     :data:`repro.compress.codec.CODEC_VARIANTS`).  When *kinds* is left
     at its default, the CodecModel fault kinds are appended
     automatically for images that qualify: ``context-seal-corrupt``

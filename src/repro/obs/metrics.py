@@ -3,8 +3,9 @@
 One process-wide :class:`MetricsRegistry` holds every named counter,
 gauge, and histogram the harness produces.  Components that grew their
 own counter dicts (the stage cache's ``STAGE_COUNTERS``, the cell
-cache's :class:`~repro.resilience.cache.CacheStats`, the supervisor's
-report tallies, the pass manager's per-stage counters) keep their
+cache's :class:`~repro.store.sealed.CacheStats`, the supervisor's
+report tallies, the per-stage counters of
+:class:`~repro.pipeline.manager.StageReport`) keep their
 local structures for backwards compatibility but *mirror* every
 increment here, so a sweep leaves one coherent, queryable snapshot —
 ``repro metrics`` renders it.

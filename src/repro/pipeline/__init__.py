@@ -1,70 +1,6 @@
-"""Staged pipeline infrastructure: pass manager, typed artifacts,
-plugin registries.
+"""Per-stage wall time and counters of the squash pipeline and the
+squeeze passes (:class:`~repro.pipeline.manager.StageReport`)."""
 
-The squash system is naturally staged — squeeze → profile → cold-code
-(Section 5) → region formation/packing (Section 4) →
-classification/stub emission (Section 2) → coding (Section 3) — and
-this package makes that structure explicit:
+from repro.pipeline.manager import StageReport, StageTiming
 
-* :mod:`repro.pipeline.manager` — the :class:`Stage` DAG node,
-  :class:`PassManager` executor, and per-stage
-  :class:`StageReport` instrumentation.
-* :mod:`repro.pipeline.artifacts` — typed, content-fingerprinted
-  intermediate artifacts (``SqueezedProgram`` → ``ProfileArtifact`` →
-  ``ColdSet`` → ``RegionPlan`` → ``ClassifiedSites`` → ``Layout`` →
-  ``EmittedImage``).
-* :mod:`repro.pipeline.registry` — the generic plugin
-  :class:`Registry` behind region strategies, squeeze passes, codec
-  variants, buffer strategies, and restore schemes.
-* :mod:`repro.pipeline.stages` — the squash stage definitions wiring
-  :mod:`repro.core` into the manager.
-
-Exports resolve lazily to keep import edges one-directional: the core
-layers import only :mod:`repro.pipeline.registry` /
-:mod:`repro.pipeline.manager`, while :mod:`repro.pipeline.stages`
-imports the core layers.
-"""
-
-_EXPORTS = {
-    "ArtifactStore": ("repro.pipeline.manager", "ArtifactStore"),
-    "PassManager": ("repro.pipeline.manager", "PassManager"),
-    "PipelineError": ("repro.pipeline.manager", "PipelineError"),
-    "Stage": ("repro.pipeline.manager", "Stage"),
-    "StageContext": ("repro.pipeline.manager", "StageContext"),
-    "StageReport": ("repro.pipeline.manager", "StageReport"),
-    "StageTiming": ("repro.pipeline.manager", "StageTiming"),
-    "Registry": ("repro.pipeline.registry", "Registry"),
-    "RegistryError": ("repro.pipeline.registry", "RegistryError"),
-    "canonical": ("repro.pipeline.artifacts", "canonical"),
-    "stable_digest": ("repro.pipeline.artifacts", "stable_digest"),
-    "program_fingerprint": (
-        "repro.pipeline.artifacts",
-        "program_fingerprint",
-    ),
-    "profile_fingerprint": (
-        "repro.pipeline.artifacts",
-        "profile_fingerprint",
-    ),
-    "squash_stages": ("repro.pipeline.stages", "squash_stages"),
-    "run_squash_pipeline": (
-        "repro.pipeline.stages",
-        "run_squash_pipeline",
-    ),
-}
-
-__all__ = list(_EXPORTS)
-
-
-def __getattr__(name: str):
-    try:
-        module_name, attr = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module 'repro.pipeline' has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    module = importlib.import_module(module_name)
-    value = getattr(module, attr)
-    globals()[name] = value
-    return value
+__all__ = ["StageReport", "StageTiming"]

@@ -1,69 +1,26 @@
-"""The pass manager: an explicit DAG of stages over typed artifacts.
+"""Per-stage instrumentation: wall time and counters for each stage.
 
-A :class:`Stage` declares what artifact it *provides*, which artifacts
-it *requires*, and a function that computes the artifact from them.
-:class:`PassManager` resolves the declared dependencies into a
-topological order, runs each stage once, stores every artifact in a
-:class:`ArtifactStore` keyed by artifact name, and collects wall-time
-and stage counters into a :class:`StageReport`.
-
-Artifacts already present in the store before the run (e.g. a squeeze
-output reused from a previous sweep cell) satisfy dependencies without
-executing their producing stage — that stage is recorded as ``reused``
-in the report, which is how the incremental sweep harness proves that
-θ-invariant work ran once per benchmark.
+Squash runs its six stages (cold → plan → classify → layout → encode
+→ emit, :func:`repro.core.pipeline.squash_program`) and squeeze its
+four passes (:func:`repro.squeeze.pipeline.squeeze`) as ordinary calls
+in a fixed order, each inside :meth:`StageReport.stage`.  That one
+context manager times the stage, opens its ``stage.<name>`` span and
+mirrors the stage into the metrics registry as
+``pipeline.stage.<name>.executed``, ``.seconds`` and one counter per
+stage counter.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Iterator
 
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 
-__all__ = [
-    "ArtifactStore",
-    "PassManager",
-    "PipelineError",
-    "Stage",
-    "StageContext",
-    "StageReport",
-    "StageTiming",
-]
-
-
-class PipelineError(Exception):
-    """A malformed stage DAG (cycle, missing or duplicate provider)."""
-
-
-@dataclass(frozen=True)
-class Stage:
-    """One node of the pipeline DAG.
-
-    ``fn`` is called as ``fn(ctx, **artifacts)`` where *ctx* is a
-    :class:`StageContext` and *artifacts* maps each required artifact
-    name to its stored value; the return value becomes the ``provides``
-    artifact.
-    """
-
-    name: str
-    provides: str
-    fn: Callable[..., Any]
-    requires: tuple[str, ...] = ()
-
-
-@dataclass
-class StageContext:
-    """Handed to every stage; carries counters back to the report."""
-
-    stage: str
-    counters: dict[str, int] = field(default_factory=dict)
-
-    def count(self, key: str, amount: int = 1) -> None:
-        """Bump a named stage counter (shown in the stage report)."""
-        self.counters[key] = self.counters.get(key, 0) + amount
+__all__ = ["StageReport", "StageTiming"]
 
 
 @dataclass
@@ -71,11 +28,7 @@ class StageTiming:
     """One stage's contribution to a :class:`StageReport`."""
 
     name: str
-    provides: str
     seconds: float = 0.0
-    #: True when the artifact was already in the store and the stage
-    #: body never ran.
-    reused: bool = False
     counters: dict[str, int] = field(default_factory=dict)
 
 
@@ -84,6 +37,27 @@ class StageReport:
     """Per-stage instrumentation for one pipeline run."""
 
     stages: list[StageTiming] = field(default_factory=list)
+
+    @contextmanager
+    def stage(self, name: str) -> Iterator[dict[str, int]]:
+        """Run the body as stage *name*; yields its counter dict.
+
+        When the body returns, the stage's wall time and counters are
+        appended to the report and mirrored into the metrics registry.
+        A body that raises adds nothing to either (its span still
+        closes).
+        """
+        counters: dict[str, int] = {}
+        start = time.perf_counter()
+        with get_tracer().span(f"stage.{name}", "pipeline"):
+            yield counters
+        elapsed = time.perf_counter() - start
+        self.stages.append(StageTiming(name, elapsed, counters))
+        metrics = get_registry()
+        metrics.inc(f"pipeline.stage.{name}.executed")
+        metrics.observe(f"pipeline.stage.{name}.seconds", elapsed)
+        for key, value in counters.items():
+            metrics.inc(f"pipeline.stage.{name}.{key}", value)
 
     @property
     def total_seconds(self) -> float:
@@ -95,171 +69,26 @@ class StageReport:
                 return stage
         raise KeyError(name)
 
-    def executed(self) -> list[str]:
-        """Names of the stages whose bodies actually ran."""
-        return [s.name for s in self.stages if not s.reused]
-
     def counter(self, stage: str, key: str, default: int = 0) -> int:
         return self.timing(stage).counters.get(key, default)
 
-    def merged_counters(self) -> dict[str, int]:
-        merged: dict[str, int] = {}
-        for stage in self.stages:
-            for key, value in stage.counters.items():
-                merged[f"{stage.name}.{key}"] = value
-        return merged
-
     def render(self) -> str:
         """An aligned, human-readable per-stage table."""
-        rows = [("stage", "artifact", "seconds", "counters")]
+        rows = [("stage", "seconds", "counters")]
         for stage in self.stages:
             counters = ", ".join(
                 f"{k}={v}" for k, v in sorted(stage.counters.items())
             )
-            seconds = "reused" if stage.reused else f"{stage.seconds:.4f}"
-            rows.append((stage.name, stage.provides, seconds, counters))
-        rows.append(
-            ("total", "", f"{self.total_seconds:.4f}", "")
-        )
-        widths = [
-            max(len(row[col]) for row in rows) for col in range(3)
-        ]
+            rows.append((stage.name, f"{stage.seconds:.4f}", counters))
+        rows.append(("total", f"{self.total_seconds:.4f}", ""))
+        widths = [max(len(row[col]) for row in rows) for col in range(2)]
         lines = []
         for index, row in enumerate(rows):
             line = "  ".join(
-                [row[col].ljust(widths[col]) for col in range(3)]
-                + ([row[3]] if row[3] else [])
+                [row[col].ljust(widths[col]) for col in range(2)]
+                + ([row[2]] if row[2] else [])
             ).rstrip()
             lines.append(line)
             if index == 0:
                 lines.append("-" * max(len(l) for l in lines))
         return "\n".join(lines)
-
-    def to_dict(self) -> dict:
-        return {
-            "total_seconds": self.total_seconds,
-            "stages": [
-                {
-                    "name": s.name,
-                    "provides": s.provides,
-                    "seconds": s.seconds,
-                    "reused": s.reused,
-                    "counters": dict(s.counters),
-                }
-                for s in self.stages
-            ],
-        }
-
-
-class ArtifactStore(dict):
-    """Artifacts by name.  A plain dict with a clearer error."""
-
-    def __missing__(self, key: str):
-        raise PipelineError(
-            f"artifact {key!r} was never produced; "
-            f"available: {', '.join(sorted(self)) or '<none>'}"
-        )
-
-
-class PassManager:
-    """Runs a stage DAG in dependency order with instrumentation."""
-
-    def __init__(self, stages: list[Stage] | tuple[Stage, ...]) -> None:
-        self.stages = list(stages)
-        providers: dict[str, Stage] = {}
-        for stage in self.stages:
-            if stage.provides in providers:
-                raise PipelineError(
-                    f"artifact {stage.provides!r} has two providers: "
-                    f"{providers[stage.provides].name!r} and "
-                    f"{stage.name!r}"
-                )
-            providers[stage.provides] = stage
-        self._providers = providers
-
-    def order(self, preloaded: set[str] = frozenset()) -> list[Stage]:
-        """Topological execution order (Kahn), stable in declaration
-        order among ready stages.  *preloaded* artifact names satisfy
-        dependencies without a provider."""
-        satisfied = set(preloaded)
-        remaining = list(self.stages)
-        ordered: list[Stage] = []
-        while remaining:
-            # A stage is ready when every requirement is preloaded or
-            # produced by an already-ordered stage.
-            ready = [
-                stage
-                for stage in remaining
-                if all(req in satisfied for req in stage.requires)
-            ]
-            if not ready:
-                missing = {
-                    req
-                    for stage in remaining
-                    for req in stage.requires
-                    if req not in satisfied and req not in self._providers
-                }
-                if missing:
-                    raise PipelineError(
-                        "unsatisfiable stage requirements: "
-                        + ", ".join(sorted(missing))
-                    )
-                raise PipelineError(
-                    "stage cycle among: "
-                    + ", ".join(sorted(s.name for s in remaining))
-                )
-            for stage in ready:
-                ordered.append(stage)
-                satisfied.add(stage.provides)
-                remaining.remove(stage)
-        return ordered
-
-    def run(
-        self,
-        store: ArtifactStore | dict | None = None,
-        report: StageReport | None = None,
-    ) -> tuple[ArtifactStore, StageReport]:
-        """Execute every stage whose artifact is not already in *store*.
-
-        Returns the (possibly pre-seeded) store and the stage report.
-        """
-        artifacts = (
-            store
-            if isinstance(store, ArtifactStore)
-            else ArtifactStore(store or {})
-        )
-        report = report if report is not None else StageReport()
-        tracer = get_tracer()
-        metrics = get_registry()
-        for stage in self.order(preloaded=set(artifacts)):
-            if stage.provides in artifacts:
-                report.stages.append(
-                    StageTiming(
-                        name=stage.name,
-                        provides=stage.provides,
-                        reused=True,
-                    )
-                )
-                metrics.inc(f"pipeline.stage.{stage.name}.reused")
-                continue
-            ctx = StageContext(stage=stage.name)
-            inputs = {req: artifacts[req] for req in stage.requires}
-            start = time.perf_counter()
-            with tracer.span(
-                f"stage.{stage.name}", "pipeline", provides=stage.provides
-            ):
-                artifacts[stage.provides] = stage.fn(ctx, **inputs)
-            elapsed = time.perf_counter() - start
-            report.stages.append(
-                StageTiming(
-                    name=stage.name,
-                    provides=stage.provides,
-                    seconds=elapsed,
-                    counters=ctx.counters,
-                )
-            )
-            metrics.inc(f"pipeline.stage.{stage.name}.executed")
-            metrics.observe(f"pipeline.stage.{stage.name}.seconds", elapsed)
-            for key, value in ctx.counters.items():
-                metrics.inc(f"pipeline.stage.{stage.name}.{key}", value)
-        return artifacts, report

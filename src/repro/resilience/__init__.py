@@ -4,15 +4,12 @@
 sweep exactly one *recorded* cell, never the sweep: the
 :class:`Supervisor` adds per-task deadlines, bounded retries with
 deterministic backoff, automatic pool replacement, and a per-class
-circuit breaker on top of ``ProcessPoolExecutor``; :mod:`.cache`
-provides the crash-safe, checksummed on-disk entry format the sweep
-persists into as each cell completes.  Failure modes surface as typed
-errors from :mod:`repro.errors` (:class:`~repro.errors.CellFailure`,
-:class:`~repro.errors.BreakerOpen`,
+circuit breaker on top of ``ProcessPoolExecutor``.  Failure modes
+surface as typed errors from :mod:`repro.errors`
+(:class:`~repro.errors.CellFailure`, :class:`~repro.errors.BreakerOpen`,
 :class:`~repro.errors.WatchdogExpired`).
 """
 
-from repro.resilience.cache import CacheStats, read_entry, seal_text, write_entry
 from repro.resilience.policy import CircuitBreaker, RetryPolicy
 from repro.resilience.supervisor import (
     FailureEvent,
@@ -30,10 +27,6 @@ from repro.resilience.workerpool import (
 )
 
 __all__ = [
-    "CacheStats",
-    "read_entry",
-    "seal_text",
-    "write_entry",
     "CircuitBreaker",
     "RetryPolicy",
     "FailureEvent",

@@ -167,7 +167,7 @@ class Settings:
     #: Region decode backend (``REPRO_DECODE_BACKEND``): ``reference``
     #: (the paper's bit-at-a-time DECODE) or ``table``.
     decode_backend: str = "table"
-    #: Codec variant name from the codec registry
+    #: Codec variant name, a key of ``compress.codec.CODEC_VARIANTS``
     #: (``REPRO_CODEC_VARIANT``; "" keeps the config's own codec, and
     #: unknown names warn once and fall back to ``baseline`` at the
     #: resolution site).
@@ -182,10 +182,6 @@ class Settings:
     #: (``REPRO_STORE_QUOTA_BYTES``; None/0 disables quota
     #: enforcement entirely — no lock, no eviction).
     store_quota_bytes: int | None = None
-    #: Eviction policy name from the store policy registry
-    #: (``REPRO_STORE_POLICY``; unknown names fall back to LRU with a
-    #: warning at the eviction site).
-    store_policy: str = "lru"
     #: Retry attempts for transient store write failures
     #: (``REPRO_STORE_RETRIES``; 0 disables retrying).
     store_retries: int = 2
@@ -263,7 +259,6 @@ ENV_KNOBS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "codec_variant": ("REPRO_CODEC_VARIANT", _parse_str),
     "pool_persist": ("REPRO_POOL_PERSIST", _parse_strict_bool),
     "store_quota_bytes": ("REPRO_STORE_QUOTA_BYTES", _parse_quota),
-    "store_policy": ("REPRO_STORE_POLICY", _parse_str),
     "store_retries": ("REPRO_STORE_RETRIES", _parse_nonneg_int),
     "store_backoff": ("REPRO_STORE_BACKOFF", _parse_backoff),
     "store_breaker_threshold": (

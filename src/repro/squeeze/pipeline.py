@@ -1,75 +1,23 @@
-"""The squeeze pipeline: all compaction passes, run by the pass manager.
+"""The squeeze pipeline: the four compaction passes, in a fixed order.
 
-Each compaction pass is a plugin in :data:`SQUEEZE_PASSES`; the
-default order and per-pass round counts live in
-:data:`DEFAULT_SQUEEZE_ORDER` as plain data, so an experiment can
-reorder, drop, or repeat passes without editing this module::
-
-    from repro.squeeze.pipeline import SQUEEZE_PASSES, squeeze
-
-    @SQUEEZE_PASSES.register("my_pass")
-    def my_pass(program, rounds):
-        ...
-        return MyStats()
-
-    small, stats = squeeze(program, order=(("unreachable", 1),
-                                           ("my_pass", 1)))
+Reachability runs first (it exposes nothing for later passes but
+shrinks their work), then no-op removal, dead-store elimination, and
+procedural abstraction.  Each pass is timed as one stage of a
+:class:`~repro.pipeline.manager.StageReport`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-from repro.pipeline.manager import (
-    ArtifactStore,
-    PassManager,
-    Stage,
-    StageReport,
-)
-from repro.pipeline.registry import Registry
+from repro.pipeline.manager import StageReport
 from repro.program.program import Program
 from repro.squeeze.abstraction import AbstractionStats, abstract_repeats
 from repro.squeeze.deadcode import DeadCodeStats, eliminate_dead_stores
 from repro.squeeze.nops import NopStats, remove_nops
 from repro.squeeze.unreachable import UnreachableStats, remove_unreachable
 
-__all__ = [
-    "DEFAULT_SQUEEZE_ORDER",
-    "SQUEEZE_PASSES",
-    "SqueezeStats",
-    "squeeze",
-]
-
-#: Compaction-pass plugins: name -> f(program, rounds) -> stats.
-#: Passes mutate the program in place and return their statistics
-#: object (stored on :class:`SqueezeStats` under the pass name).
-SQUEEZE_PASSES: Registry[Callable] = Registry("squeeze pass")
-
-SQUEEZE_PASSES.register(
-    "unreachable", lambda program, rounds: remove_unreachable(program)
-)
-SQUEEZE_PASSES.register(
-    "nops", lambda program, rounds: remove_nops(program)
-)
-SQUEEZE_PASSES.register(
-    "dead", lambda program, rounds: eliminate_dead_stores(program)
-)
-SQUEEZE_PASSES.register(
-    "abstraction",
-    lambda program, rounds: abstract_repeats(program, rounds=rounds),
-)
-
-#: Default pass order as data: (pass name, rounds).  Reachability runs
-#: first (it exposes nothing for later passes but shrinks their work),
-#: then no-op removal, dead-store elimination, and procedural
-#: abstraction.
-DEFAULT_SQUEEZE_ORDER: tuple[tuple[str, int], ...] = (
-    ("unreachable", 1),
-    ("nops", 1),
-    ("dead", 1),
-    ("abstraction", 2),
-)
+__all__ = ["SqueezeStats", "squeeze"]
 
 
 @dataclass
@@ -91,61 +39,27 @@ class SqueezeStats:
         return 1.0 - self.output_size / self.input_size
 
 
-def _squeeze_stages(
-    order: tuple[tuple[str, int], ...], stats: SqueezeStats
-) -> list[Stage]:
-    """One manager stage per (pass, rounds) entry, chained linearly.
-
-    Each stage rethreads the (mutated) program artifact so the manager
-    sees an explicit dependency chain and times every pass.
-    """
-    stages: list[Stage] = []
-    prev = "program"
-    for position, (name, rounds) in enumerate(order):
-        fn = SQUEEZE_PASSES.get(name)
-        out = f"program@{position + 1}"
-
-        def run(ctx, _fn=fn, _name=name, _rounds=rounds, **inputs):
-            program = inputs[next(iter(inputs))]
-            before = program.code_size
-            pass_stats = _fn(program, _rounds)
-            if hasattr(stats, _name):
-                setattr(stats, _name, pass_stats)
-            ctx.count("words_removed", before - program.code_size)
-            return program
-
-        stages.append(Stage(name, out, run, requires=(prev,)))
-        prev = out
-    return stages
-
-
 def squeeze(
-    program: Program,
-    abstraction_rounds: int = 2,
-    order: tuple[tuple[str, int], ...] | None = None,
-    report: StageReport | None = None,
+    program: Program, abstraction_rounds: int = 2
 ) -> tuple[Program, SqueezeStats]:
     """Compact *program*; returns a new program and statistics.
 
-    *order* overrides :data:`DEFAULT_SQUEEZE_ORDER`; when omitted, the
-    default order runs with *abstraction_rounds* rounds of procedural
-    abstraction.  Pass a :class:`StageReport` as *report* to collect
-    per-pass wall time and words-removed counters.
+    Procedural abstraction runs *abstraction_rounds* rounds.
     """
-    if order is None:
-        order = tuple(
-            (name, abstraction_rounds if name == "abstraction" else rounds)
-            for name, rounds in DEFAULT_SQUEEZE_ORDER
-        )
     result = program.copy()
     stats = SqueezeStats(input_size=program.code_size)
-    stages = _squeeze_stages(order, stats)
-    manager = PassManager(stages)
-    store = ArtifactStore({"program": result})
-    _, stage_report = manager.run(store)
-    if report is not None:
-        report.stages.extend(stage_report.stages)
-    result = store[stages[-1].provides] if stages else result
+    report = StageReport()
+    for name, run in (
+        ("unreachable", remove_unreachable),
+        ("nops", remove_nops),
+        ("dead", eliminate_dead_stores),
+        ("abstraction",
+         lambda prog: abstract_repeats(prog, rounds=abstraction_rounds)),
+    ):
+        with report.stage(name) as counters:
+            before = result.code_size
+            setattr(stats, name, run(result))
+            counters["words_removed"] = before - result.code_size
     stats.output_size = result.code_size
     result.validate()
     return result, stats

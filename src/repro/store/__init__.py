@@ -2,9 +2,9 @@
 
 :func:`get_store` is the entry point: it hands back one
 :class:`~repro.store.store.ArtifactStore` per root per process, so
-breaker state and warn-once flags are shared by every caller hitting
-the same directory (the sweep cell cache, the stage bundles, images,
-profiles).
+breaker state is shared by every caller hitting the same directory
+(the sweep cell cache, the stage bundles, images, profiles).
+:mod:`repro.store.sealed` is the entry format every ref holds.
 """
 
 from __future__ import annotations
@@ -12,13 +12,6 @@ from __future__ import annotations
 import pathlib
 
 from repro.store.locks import LockTimeout, StoreLock
-from repro.store.policies import (
-    DEFAULT_POLICY,
-    available_policies,
-    eviction_order,
-    get_policy,
-    register_policy,
-)
 from repro.store.store import (
     NAMESPACES,
     ArtifactStore,
@@ -27,18 +20,13 @@ from repro.store.store import (
 )
 
 __all__ = [
-    "DEFAULT_POLICY",
     "NAMESPACES",
     "ArtifactStore",
     "LockTimeout",
     "ManifestEntry",
     "StoreConfig",
     "StoreLock",
-    "available_policies",
-    "eviction_order",
-    "get_policy",
     "get_store",
-    "register_policy",
     "reset_stores",
 ]
 

@@ -3,7 +3,7 @@
 One content-addressed store replaces the backing I/O of every on-disk
 cache the harness grew — the sweep cell cache, the θ-invariant stage
 bundles, and any saved images/profiles — behind a single API keyed by
-the content fingerprints of :mod:`repro.pipeline.artifacts`.
+content fingerprints (namespace + key digest).
 
 Layout (under one root, ``REPRO_CACHE_DIR`` / ``.repro-cache``)::
 
@@ -16,7 +16,7 @@ Layout (under one root, ``REPRO_CACHE_DIR`` / ``.repro-cache``)::
     <root>/store-manifest.json            sealed manifest snapshot (gc)
 
 Every **object** holds one sealed entry (the CRC-sealed two-line format
-of :mod:`repro.resilience.cache`), written with the same O_EXCL temp +
+of :mod:`repro.store.sealed`), written with the same O_EXCL temp +
 fsync + atomic-link discipline; every **ref** is a hard link to its
 object, so identical stage bundles, images, or profiles are stored once
 no matter how many keys map to them (``store.dedup_saves`` counts the
@@ -33,12 +33,12 @@ Robustness is the headline feature:
 * **Quota** — with ``REPRO_STORE_QUOTA_BYTES`` set, admission and
   eviction run under a crash-tolerant lock (:mod:`repro.store.locks`):
   usage is re-measured inside the critical section, victims are chosen
-  by the configured policy (:mod:`repro.store.policies`), and each
-  victim is re-checked against its **generation stamp** (inode +
-  mtime + atime captured at scan time) immediately before the unlink —
-  an entry rewritten or touched by a racing worker is skipped, never
-  clobbered.  On-disk usage never exceeds the quota: the check happens
-  before bytes are added, under the lock.
+  least recently accessed first, and each victim is re-checked against
+  its **generation stamp** (inode + mtime + atime captured at scan
+  time) immediately before the unlink — an entry rewritten or touched
+  by a racing worker is skipped, never clobbered.  On-disk usage
+  never exceeds the quota: the check happens before bytes are added,
+  under the lock.
 * **Graceful degradation** — transient write failures retry with
   backoff (``REPRO_STORE_RETRIES`` / ``REPRO_STORE_BACKOFF``); a run
   of failures opens a breaker (``REPRO_STORE_BREAKER_THRESHOLD`` /
@@ -68,9 +68,14 @@ from dataclasses import dataclass
 from repro import settings as _settings
 from repro.errors import StoreDegraded, TenantQuotaExceeded
 from repro.obs.metrics import get_registry
-from repro.resilience.cache import CacheStats, read_entry, seal_text
-from repro.store import policies as _policies
 from repro.store.locks import LockTimeout, StoreLock
+from repro.store.sealed import (
+    CacheStats,
+    _fsync_dir,
+    read_entry,
+    seal_text,
+    write_entry,
+)
 
 __all__ = [
     "NAMESPACES",
@@ -117,7 +122,6 @@ class StoreConfig:
     """The store knobs, resolved from :mod:`repro.settings`."""
 
     quota_bytes: int | None
-    policy: str
     retries: int
     backoff: float
     breaker_threshold: int
@@ -140,7 +144,6 @@ class StoreConfig:
             )
         return cls(
             quota_bytes=resolved.store_quota_bytes,
-            policy=resolved.store_policy,
             retries=resolved.store_retries,
             backoff=resolved.store_backoff,
             breaker_threshold=resolved.store_breaker_threshold,
@@ -179,7 +182,6 @@ class ArtifactStore:
         self.root = pathlib.Path(root)
         self._breaker_failures = 0
         self._breaker_open_until = 0.0
-        self._policy_warned = False
 
     # -- paths ---------------------------------------------------------------
 
@@ -385,7 +387,7 @@ class ArtifactStore:
             entries = self.scan()
             if tenant_quota is not None:
                 if self._admit_tenant_locked(
-                    entries, ns, key, size, tenant, tenant_quota, cfg
+                    entries, ns, key, size, tenant, tenant_quota
                 ):
                     entries = self.scan()
             if cfg.quota_bytes is not None:
@@ -401,7 +403,7 @@ class ArtifactStore:
                         }
                     freed = self._evict_locked(
                         entries, usage + new_bytes - cfg.quota_bytes,
-                        cfg, protect=protect,
+                        protect=protect,
                     )
                     usage -= freed
                     if usage + new_bytes > cfg.quota_bytes:
@@ -601,16 +603,15 @@ class ArtifactStore:
         size: int,
         tenant: str,
         quota: int,
-        cfg: StoreConfig,
     ) -> int:
         """Make room for a *size*-byte write inside *tenant*'s budget.
 
         Caller holds the store lock.  Victims come exclusively from
-        the tenant's own refs, in policy order with the generation
-        stamp re-checked — one tenant's pressure never touches another
-        tenant's working set.  Returns the number of refs evicted;
-        raises :class:`~repro.errors.TenantQuotaExceeded` when even
-        that cannot fit the write.
+        the tenant's own refs, least recently accessed first, with the
+        generation stamp re-checked — one tenant's pressure never
+        touches another tenant's working set.  Returns the number of
+        refs evicted; raises :class:`~repro.errors.TenantQuotaExceeded`
+        when even that cannot fit the write.
         """
         refs = self.tenant_refs(tenant, entries)
         live = [
@@ -629,10 +630,9 @@ class ArtifactStore:
 
         if _usage(live) + size <= quota:
             return 0
-        order, _ = _policies.eviction_order(cfg.policy, live)
         evicted = 0
         remaining = list(live)
-        for victim in order:
+        for victim in sorted(live, key=lambda e: (e.atime_ns, str(e.path))):
             if _usage(remaining) + size <= quota:
                 break
             try:
@@ -762,15 +762,14 @@ class ArtifactStore:
         self,
         entries: list[ManifestEntry],
         need_bytes: int,
-        cfg: StoreConfig,
         protect: set[tuple[str, str]] | None = None,
     ) -> int:
         """Free at least *need_bytes* if possible; returns bytes freed.
 
         Caller holds the store lock.  Orphan objects (no live ref — a
-        crashed writer's leftovers) go first; then refs in policy
-        order, each re-checked against its generation stamp so a
-        racing rewrite or fresh hit is never clobbered.  Refs whose
+        crashed writer's leftovers) go first; then refs least recently
+        accessed first, each re-checked against its generation stamp so
+        a racing rewrite or fresh hit is never clobbered.  Refs whose
         (ns, key) is in *protect* — other tenants' working sets, when
         the write being admitted is tenant-attributed — are never
         victims.
@@ -789,18 +788,13 @@ class ArtifactStore:
                 _METRICS.inc("store.orphans_collected")
                 freed += size
                 del objects[ino]
-        order, known = _policies.eviction_order(cfg.policy, entries)
-        if not known and not self._policy_warned:
-            self._policy_warned = True
-            _METRICS.inc("store.policy_fallback")
-            warnings.warn(
-                f"unknown store eviction policy {cfg.policy!r}; "
-                f"falling back to {_policies.DEFAULT_POLICY}",
-                RuntimeWarning,
-                stacklevel=4,
-            )
         evicted_refs = 0
-        for victim in order:
+        # Least recently accessed first, path breaking ties: every hit
+        # bumps its ref's atime (mtime is left untouched), so recency
+        # survives process boundaries through the filesystem.
+        for victim in sorted(
+            entries, key=lambda e: (e.atime_ns, str(e.path))
+        ):
             if freed >= need_bytes:
                 break
             if protect and (victim.ns, victim.key) in protect:
@@ -859,7 +853,7 @@ class ArtifactStore:
             usage = self.usage_bytes(entries)
             freed = 0
             if usage > target:
-                freed = self._evict_locked(entries, usage - target, cfg)
+                freed = self._evict_locked(entries, usage - target)
         return {"freed": freed, "usage": self.usage_bytes()}
 
     # -- maintenance ---------------------------------------------------------
@@ -944,8 +938,6 @@ class ArtifactStore:
             },
         }
         try:
-            from repro.resilience.cache import write_entry
-
             write_entry(self.manifest_path, snapshot)
         except OSError:
             pass
@@ -1022,7 +1014,6 @@ class ArtifactStore:
             "objects": len(self._scan_objects()),
             "usage_bytes": usage,
             "quota_bytes": cfg.quota_bytes,
-            "policy": cfg.policy,
             "breaker_open": time.monotonic() < self._breaker_open_until,
             "tenants": {
                 tenant: self.tenant_usage(tenant, entries)
@@ -1040,17 +1031,3 @@ def _holds(path: pathlib.Path, payload: bytes) -> bool:
         return path.read_bytes() == payload
     except OSError:
         return False
-
-
-def _fsync_dir(directory: pathlib.Path) -> None:
-    """Best-effort durability for link/rename publications."""
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)

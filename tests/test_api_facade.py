@@ -50,7 +50,6 @@ class TestSurface:
             "MEDIABENCH",
             "Machine",
             "MetricsRegistry",
-            "PassManager",
             "Profile",
             "RunOutcome",
             "RunResult",
@@ -61,7 +60,6 @@ class TestSurface:
             "SpecError",
             "SquashConfig",
             "SquashResult",
-            "Stage",
             "StageReport",
             "StoreDegraded",
             "SweepSpec",

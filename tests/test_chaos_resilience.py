@@ -16,7 +16,7 @@ import repro.analysis.parallel as par
 from repro.core.pipeline import SquashConfig
 from repro.faultinject import chaos
 from repro.faultinject.chaossweep import ChaosSweepReport, run_chaos_sweep
-from repro.resilience import CacheStats
+from repro.store.sealed import CacheStats
 
 SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 
@@ -85,7 +85,7 @@ class TestHarnessRecovery:
     def test_entry_with_wrong_keys_for_kind_recomputes(
         self, fake_compute, tmp_path
     ):
-        from repro.resilience import write_entry
+        from repro.store.sealed import write_entry
 
         (cell,) = _fake_cells(1)
         write_entry(par.cell_path(tmp_path, cell), {"cycles": 1})

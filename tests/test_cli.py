@@ -65,6 +65,27 @@ def test_squash_each_listed_benchmark(capsys):
     assert "gsm at theta=0.01" in out
 
 
+def test_stages_lists_choices_and_stage_table(capsys):
+    out = run_cli(capsys, "stages", "--names", "adpcm", "--scale", "0.2")
+    lines = out.splitlines()
+    for choice in (
+        "  region strategies: dfs, whole_function",
+        "  buffer strategies: decompress_once, no_calls, overwrite",
+        "  restore schemes: compile_time, runtime",
+        "  codec variants: baseline, ctx1, dict, huffman, mtf+dict, "
+        "mtf+huffman",
+        "  decode backends: reference, table",
+    ):
+        assert choice in lines
+    table = lines[lines.index("adpcm (theta=0.0, scale=0.2):") + 1:]
+    assert table[0].split() == ["stage", "seconds", "counters"]
+    assert [line.split()[0] for line in table[2:8]] == [
+        "cold", "plan", "classify", "layout", "encode", "emit",
+    ]
+    assert "cold_blocks=" in table[2]
+    assert table[8].startswith("total")
+
+
 def test_ratio(capsys):
     out = run_cli(capsys, "ratio", "--names", "adpcm", "--scale", "0.2")
     assert "stream only" in out

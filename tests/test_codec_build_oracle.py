@@ -273,7 +273,7 @@ def _reference_read_bits(words: Sequence[int], pos: int, nbits: int) -> int:
 
 #: Every registered codec variant (``huffman`` and ``baseline`` name the
 #: same config; both are listed so neither can drift).
-VARIANTS = tuple(sorted(CODEC_VARIANTS.names()))
+VARIANTS = tuple(sorted(CODEC_VARIANTS))
 
 
 def _opcode_table() -> tuple[tuple[int, tuple[FieldKind, ...]], ...]:

@@ -11,7 +11,7 @@ conditioning pays, and keep only examples whose opcode stream is
 conditioned.  Separate unit tests pin the cost-model guarantee (a
 context variant never produces a larger blob than ``baseline``), the
 opcode-only conditioning rule, the per-context seal checks, the
-image-format-v3 round trip, the variant-registry fallback, and both
+image-format-v3 round trip, the unknown-variant fallback, and both
 CodecModel fault kinds of the injection harness.
 """
 
@@ -574,18 +574,18 @@ def test_image_v3_without_contexts(tmp_path):
     assert load_image(path).codec_contexts == []
 
 
-# -- variant registry --------------------------------------------------------
+# -- codec variants ----------------------------------------------------------
 
 
 def test_registry_lists_context_variants():
-    names = set(CODEC_VARIANTS.names())
+    names = set(CODEC_VARIANTS)
     assert names == {
         "huffman", "mtf+huffman", "dict", "mtf+dict", "baseline", "ctx1",
     }
 
 
 def test_decode_backend_registry():
-    assert set(DECODE_BACKENDS.names()) == {"reference", "table"}
+    assert set(DECODE_BACKENDS) == {"reference", "table"}
 
 
 def test_baseline_is_order0_huffman():

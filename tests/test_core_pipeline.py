@@ -154,16 +154,6 @@ def test_save_preserves_dotted_prefix(
     assert reloaded.exit_code == run.exit_code
 
 
-def test_rewrite_config_is_squash_config():
-    """One source of truth for every knob: RewriteConfig must be the
-    same class, not a hand-copied twin."""
-    from repro.core.config import RewriteConfig
-    from repro.core.rewriter import RewriteConfig as ViaShim
-
-    assert RewriteConfig is SquashConfig
-    assert ViaShim is SquashConfig
-
-
 def test_squash_accepts_precomputed_baseline(mini_program, mini_profile):
     """The sweep harness passes the θ-invariant baseline size through;
     the result must be identical to deriving it in-call."""
@@ -182,7 +172,7 @@ def test_squash_accepts_precomputed_baseline(mini_program, mini_profile):
 def test_stage_report_attached(mini_program, mini_profile):
     result = squash(mini_program, mini_profile, SquashConfig(theta=1.0))
     assert result.stage_report is not None
-    assert result.stage_report.executed() == [
+    assert [t.name for t in result.stage_report.stages] == [
         "cold", "plan", "classify", "layout", "encode", "emit",
     ]
     assert result.stage_report.total_seconds > 0

@@ -78,7 +78,9 @@ class TestWholeFunctionStrategy:
         config = dataclasses.replace(
             SquashConfig(), region_strategy="bogus"
         )
-        with pytest.raises(ValueError, match="region strategy"):
+        with pytest.raises(
+            ValueError, match="region strategy 'bogus'.*dfs, whole_function"
+        ):
             squash(mini_program, mini_profile, config)
 
 

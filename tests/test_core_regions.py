@@ -6,6 +6,7 @@ from functools import lru_cache
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.analysis.experiments import FIG3_BOUNDS
+from repro.core.coldcode import identify_cold_blocks
 from repro.core.config import SquashConfig
 from repro.core.costmodel import CostModel
 from repro.core.plan import REGION_STRATEGIES, RewriteInfo, plan_regions
@@ -398,7 +399,7 @@ def _generated(name: str, seed: int, scale: float):
         st.floats(1e-6, 1.0, allow_nan=False),
     ),
     bound=st.sampled_from(FIG3_BOUNDS),
-    strategy=st.sampled_from(REGION_STRATEGIES.names()),
+    strategy=st.sampled_from(sorted(REGION_STRATEGIES)),
 )
 def test_incremental_packer_matches_greedy_loop(
     name, seed, scale, theta, bound, strategy
@@ -416,6 +417,7 @@ def test_incremental_packer_matches_greedy_loop(
         ),
         config,
         RewriteInfo(),
+        identify_cold_blocks(profile, theta).cold,
     )
     expected = reference_pack_regions(
         plan.program, _copy(plan.regions), config.cost, plan.ctx

@@ -117,7 +117,7 @@ class TestComponentMirrors:
         stagecache.reset_counters()
 
     def test_cellcache_stats_mirror(self, tmp_path):
-        from repro.resilience.cache import CacheStats, read_entry, write_entry
+        from repro.store.sealed import CacheStats, read_entry, write_entry
 
         stats = CacheStats()
         path = tmp_path / "ab" / "entry.json"
@@ -132,21 +132,23 @@ class TestComponentMirrors:
         assert reg.counter("cellcache.writes").value == 1
         assert reg.counter("cellcache.rejects.torn").value == 1
 
-    def test_pass_manager_mirrors_stage_counters(self):
-        from repro.pipeline.manager import PassManager, Stage
+    def test_stage_report_mirrors_stage_counters(self):
+        from repro.pipeline.manager import StageReport
 
-        def produce(ctx):
-            ctx.count("widgets", 4)
-            return "out"
-
-        manager = PassManager([Stage(name="s1", provides="a", fn=produce)])
-        manager.run()
-        manager.run({"a": "preloaded"})
+        report = StageReport()
+        with report.stage("s1") as counters:
+            counters["widgets"] = 4
+        with report.stage("s1") as counters:
+            counters["widgets"] = 3
+        with pytest.raises(RuntimeError):
+            with report.stage("s1") as counters:
+                counters["widgets"] = 100
+                raise RuntimeError("boom")
         reg = get_registry()
-        assert reg.counter("pipeline.stage.s1.executed").value == 1
-        assert reg.counter("pipeline.stage.s1.reused").value == 1
-        assert reg.counter("pipeline.stage.s1.widgets").value == 4
-        assert reg.histogram("pipeline.stage.s1.seconds").count == 1
+        assert reg.counter("pipeline.stage.s1.executed").value == 2
+        assert reg.counter("pipeline.stage.s1.widgets").value == 7
+        assert reg.histogram("pipeline.stage.s1.seconds").count == 2
+        assert "pipeline.stage.s1.reused" not in reg.snapshot()["counters"]
 
     def test_supervisor_outcomes_mirror(self):
         from repro.resilience.supervisor import (

@@ -1,135 +1,63 @@
-"""The pass manager, artifact store, stage report, and registries."""
+"""The stage report, the squash stages, and the pipeline's named choices."""
+
+import time
 
 import pytest
 
-from repro.pipeline.manager import (
-    ArtifactStore,
-    PassManager,
-    PipelineError,
-    Stage,
-    StageReport,
-)
-from repro.pipeline.registry import Registry, RegistryError
+from repro.obs.trace import Tracer
+from repro.pipeline.manager import StageReport
 
-
-class TestRegistry:
-    def test_register_and_get(self):
-        reg = Registry("widget")
-        reg.register("a", 1)
-        assert reg.get("a") == 1
-        assert "a" in reg
-        assert reg.names() == ("a",)
-
-    def test_register_as_decorator(self):
-        reg = Registry("widget")
-
-        @reg.register("f")
-        def f():
-            return 42
-
-        assert reg.get("f") is f
-
-    def test_unknown_name_lists_registered(self):
-        reg = Registry("widget")
-        reg.register("a", 1)
-        reg.register("b", 2)
-        with pytest.raises(RegistryError, match="unknown widget 'c'"):
-            reg.get("c")
-        with pytest.raises(RegistryError, match="a, b"):
-            reg.get("c")
-
-    def test_error_is_value_and_key_error(self):
-        # Pre-registry call sites catch ValueError/KeyError; both must
-        # keep working.
-        reg = Registry("widget")
-        with pytest.raises(ValueError):
-            reg.get("nope")
-        with pytest.raises(KeyError):
-            reg.get("nope")
-
-    def test_duplicate_registration_rejected(self):
-        reg = Registry("widget")
-        reg.register("a", 1)
-        with pytest.raises(RegistryError, match="duplicate widget"):
-            reg.register("a", 2)
-
-
-def _linear_stages():
-    return [
-        Stage("one", "a", lambda ctx: 1),
-        Stage("two", "b", lambda ctx, a: a + 1, requires=("a",)),
-        Stage("three", "c", lambda ctx, b: b * 2, requires=("b",)),
-    ]
-
-
-class TestPassManager:
-    def test_runs_in_dependency_order(self):
-        # Declared out of order on purpose.
-        stages = list(reversed(_linear_stages()))
-        store, report = PassManager(stages).run()
-        assert store["c"] == 4
-        assert [t.name for t in report.stages] == ["one", "two", "three"]
-
-    def test_preloaded_artifact_skips_stage(self):
-        store, report = PassManager(_linear_stages()).run({"a": 10})
-        assert store["b"] == 11
-        assert report.timing("one").reused
-        assert report.executed() == ["two", "three"]
-
-    def test_counters_reach_report(self):
-        def fn(ctx):
-            ctx.count("things", 3)
-            ctx.count("things", 2)
-            return None
-
-        _, report = PassManager([Stage("s", "x", fn)]).run()
-        assert report.counter("s", "things") == 5
-        assert report.merged_counters() == {"s.things": 5}
-
-    def test_cycle_detected(self):
-        stages = [
-            Stage("one", "a", lambda ctx, b: b, requires=("b",)),
-            Stage("two", "b", lambda ctx, a: a, requires=("a",)),
-        ]
-        with pytest.raises(PipelineError, match="cycle"):
-            PassManager(stages).order()
-
-    def test_missing_requirement_detected(self):
-        stages = [Stage("one", "a", lambda ctx, z: z, requires=("z",))]
-        with pytest.raises(PipelineError, match="unsatisfiable"):
-            PassManager(stages).order()
-
-    def test_duplicate_provider_rejected(self):
-        stages = [
-            Stage("one", "a", lambda ctx: 1),
-            Stage("two", "a", lambda ctx: 2),
-        ]
-        with pytest.raises(PipelineError, match="two providers"):
-            PassManager(stages)
-
-    def test_missing_artifact_error_names_available(self):
-        store = ArtifactStore({"present": 1})
-        with pytest.raises(PipelineError, match="never produced"):
-            store["absent"]
-
-    def test_report_render_marks_reused(self):
-        _, report = PassManager(_linear_stages()).run({"a": 10})
-        rendered = report.render()
-        assert "reused" in rendered
-        assert "total" in rendered
-
-    def test_report_to_dict_round_trip_fields(self):
-        _, report = PassManager(_linear_stages()).run()
-        payload = report.to_dict()
-        assert payload["total_seconds"] == pytest.approx(
-            report.total_seconds
-        )
-        assert [s["name"] for s in payload["stages"]] == [
-            "one", "two", "three",
-        ]
+SQUASH_STAGES = ["cold", "plan", "classify", "layout", "encode", "emit"]
 
 
 class TestStageReport:
+    def test_stages_recorded_in_order_with_counters(self):
+        report = StageReport()
+        with report.stage("one") as counters:
+            counters["things"] = 3
+            time.sleep(0.001)
+        with report.stage("two"):
+            pass
+        assert [t.name for t in report.stages] == ["one", "two"]
+        assert report.counter("one", "things") == 3
+        assert report.timing("two").counters == {}
+        assert report.timing("one").seconds >= 0.001
+        assert report.total_seconds == sum(
+            t.seconds for t in report.stages
+        )
+
+    def test_raising_stage_records_nothing(self):
+        report = StageReport()
+        with report.stage("ok"):
+            pass
+        with pytest.raises(ValueError):
+            with report.stage("bad") as counters:
+                counters["half"] = 1
+                raise ValueError("boom")
+        assert [t.name for t in report.stages] == ["ok"]
+
+    def test_stage_opens_a_pipeline_span(self, monkeypatch):
+        from repro.pipeline import manager
+
+        tracer = Tracer(enabled=True)
+        monkeypatch.setattr(manager, "get_tracer", lambda: tracer)
+        with StageReport().stage("one"):
+            pass
+        begin, end = tracer.events()
+        assert (begin.name, begin.cat, begin.phase) == (
+            "stage.one", "pipeline", "B",
+        )
+        assert (end.name, end.phase) == ("stage.one", "E")
+
+    def test_render_lists_stages_counters_and_total(self):
+        report = StageReport()
+        with report.stage("one") as counters:
+            counters["things"] = 3
+        lines = report.render().splitlines()
+        assert lines[0].split() == ["stage", "seconds", "counters"]
+        assert lines[2].startswith("one") and "things=3" in lines[2]
+        assert lines[-1].startswith("total")
+
     def test_timing_unknown_stage(self):
         with pytest.raises(KeyError):
             StageReport().timing("nope")
@@ -139,46 +67,110 @@ class TestSquashStages:
     def test_squash_dag_orders_and_reports(
         self, mini_program, mini_profile
     ):
-        from repro.core.pipeline import SquashConfig
-        from repro.pipeline.stages import run_squash_pipeline
+        from repro.core.pipeline import SquashConfig, squash_program
 
-        emitted, report, store = run_squash_pipeline(
+        result = squash_program(
             mini_program, mini_profile, SquashConfig(theta=1.0)
         )
-        assert [t.name for t in report.stages] == [
-            "cold", "plan", "classify", "layout", "encode", "emit",
-        ]
-        assert emitted.image.memory
-        assert store["emitted"] is emitted
-        assert report.counter("plan", "regions") == len(
-            emitted.info.regions
-        )
+        report = result.stage_report
+        assert [t.name for t in report.stages] == SQUASH_STAGES
+        assert result.image.memory
+        assert report.counter("plan", "regions") == len(result.info.regions)
+        assert {t.name: t.counters for t in report.stages} == {
+            "cold": {"cold_blocks": 11},
+            "plan": {
+                "regions": 2,
+                "compressible_blocks": 11,
+                "excluded_blocks": 0,
+            },
+            "classify": {
+                "site_plans": 2, "safe_functions": 1, "xcall_sites": 1,
+            },
+            "layout": {
+                "entry_stubs": 2, "text_words": 3, "buffer_words": 20,
+            },
+            "encode": {
+                "codec_contexts": 10,
+                "codec_conditioned_streams": 0,
+                "compressed_words": 47,
+                "original_instrs": 28,
+            },
+            "emit": {"image_words": 500},
+        }
 
     def test_source_program_not_mutated(self, mini_program, mini_profile):
-        from repro.core.pipeline import SquashConfig
-        from repro.pipeline.stages import run_squash_pipeline
+        from repro.core.pipeline import SquashConfig, squash_program
         from repro.program.serialize import program_to_dict
 
         before = program_to_dict(mini_program)
-        run_squash_pipeline(
+        counts = dict(mini_profile.counts)
+        squash_program(mini_program, mini_profile, SquashConfig(theta=1.0))
+        assert program_to_dict(mini_program) == before
+        assert mini_profile.counts == counts
+
+
+def _traced_stages(monkeypatch):
+    """A fresh tracer and metrics registry for the stage report."""
+    from repro.obs.metrics import MetricsRegistry
+    from repro.pipeline import manager
+
+    tracer = Tracer(enabled=True)
+    metrics = MetricsRegistry()
+    monkeypatch.setattr(manager, "get_tracer", lambda: tracer)
+    monkeypatch.setattr(manager, "get_registry", lambda: metrics)
+    return tracer, metrics
+
+
+def _stage_spans(tracer):
+    return [e.name for e in tracer.events("pipeline") if e.phase == "B"]
+
+
+class TestStageObservability:
+    def test_squash_stages_emit_spans_and_metrics(
+        self, monkeypatch, mini_program, mini_profile
+    ):
+        from repro.core.pipeline import SquashConfig, squash_program
+
+        tracer, metrics = _traced_stages(monkeypatch)
+        result = squash_program(
             mini_program, mini_profile, SquashConfig(theta=1.0)
         )
-        assert program_to_dict(mini_program) == before
+        assert _stage_spans(tracer) == [
+            f"stage.{name}" for name in SQUASH_STAGES
+        ]
+        counters = metrics.snapshot()["counters"]
+        for timing in result.stage_report.stages:
+            prefix = f"pipeline.stage.{timing.name}"
+            assert counters[f"{prefix}.executed"] == 1
+            assert metrics.histogram(f"{prefix}.seconds").count == 1
+            for key, value in timing.counters.items():
+                assert counters[f"{prefix}.{key}"] == value
+
+    def test_squeeze_times_its_four_passes_in_order(
+        self, monkeypatch, mini_program
+    ):
+        from repro.squeeze import squeeze
+
+        tracer, metrics = _traced_stages(monkeypatch)
+        _, stats = squeeze(mini_program)
+        passes = ["unreachable", "nops", "dead", "abstraction"]
+        assert _stage_spans(tracer) == [f"stage.{name}" for name in passes]
+        counters = metrics.snapshot()["counters"]
+        assert [
+            counters[f"pipeline.stage.{name}.executed"] for name in passes
+        ] == [1, 1, 1, 1]
+        removed = sum(
+            counters[f"pipeline.stage.{name}.words_removed"]
+            for name in passes
+        )
+        assert removed == stats.input_size - stats.output_size
 
 
 class TestRegisteredPlugins:
     def test_region_strategies_registered(self):
         from repro.core.plan import REGION_STRATEGIES
 
-        assert set(REGION_STRATEGIES.names()) == {"dfs", "whole_function"}
-
-    def test_buffer_and_restore_policies_registered(self):
-        from repro.core.classify import BUFFER_STRATEGIES, RESTORE_SCHEMES
-
-        assert set(BUFFER_STRATEGIES.names()) == {
-            "no_calls", "decompress_once", "overwrite",
-        }
-        assert set(RESTORE_SCHEMES.names()) == {"compile_time", "runtime"}
+        assert set(REGION_STRATEGIES) == {"dfs", "whole_function"}
 
     def test_codec_variants_registered(self):
         from repro.compress.codec import CODEC_VARIANTS, codec_variant
@@ -189,36 +181,10 @@ class TestRegisteredPlugins:
         assert codec_variant("dict").coder == "dict"
         assert codec_variant("mtf+huffman").mtf_kinds
 
-    def test_squeeze_passes_registered(self):
-        from repro.squeeze.pipeline import (
-            DEFAULT_SQUEEZE_ORDER,
-            SQUEEZE_PASSES,
-        )
+    def test_unknown_codec_variant_names_the_known_ones(self):
+        from repro.compress.codec import CODEC_VARIANTS, codec_variant
 
-        assert set(SQUEEZE_PASSES.names()) >= {
-            "unreachable", "nops", "dead", "abstraction",
-        }
-        assert [name for name, _ in DEFAULT_SQUEEZE_ORDER] == [
-            "unreachable", "nops", "dead", "abstraction",
-        ]
-
-
-class TestArtifactFingerprints:
-    def test_program_fingerprint_stable_and_content_addressed(
-        self, mini_program
-    ):
-        from repro.pipeline.artifacts import program_fingerprint
-
-        first = program_fingerprint(mini_program)
-        assert first == program_fingerprint(mini_program)
-        copy = mini_program.copy()
-        assert program_fingerprint(copy) == first
-
-    def test_config_fingerprint_tracks_values(self):
-        from repro.core.pipeline import SquashConfig
-        from repro.pipeline.artifacts import config_fingerprint
-
-        a = config_fingerprint(SquashConfig(theta=0.0))
-        b = config_fingerprint(SquashConfig(theta=0.5))
-        assert a != b
-        assert a == config_fingerprint(SquashConfig(theta=0.0))
+        with pytest.raises(ValueError, match="unknown codec variant") as info:
+            codec_variant("bogus")
+        for name in CODEC_VARIANTS:
+            assert name in str(info.value)

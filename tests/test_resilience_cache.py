@@ -6,7 +6,7 @@ import random
 import pytest
 
 from repro.faultinject.chaos import corrupt_entry
-from repro.resilience import CacheStats, read_entry, seal_text, write_entry
+from repro.store.sealed import CacheStats, read_entry, seal_text, write_entry
 
 KEYS = ("cycles", "base_cycles", "relative_time")
 ENTRY = {"cycles": 482208, "base_cycles": 400000, "relative_time": 1.205}
@@ -67,9 +67,9 @@ class TestZeroLengthEntry:
     def test_empty_file_safe_even_on_the_mmap_path(
         self, tmp_path, monkeypatch
     ):
-        from repro.resilience import cache
+        from repro.store import sealed
 
-        monkeypatch.setattr(cache, "MMAP_MIN_BYTES", 0)
+        monkeypatch.setattr(sealed, "MMAP_MIN_BYTES", 0)
         path = tmp_path / "empty.json"
         path.write_bytes(b"")
         stats = CacheStats()
@@ -80,9 +80,9 @@ class TestZeroLengthEntry:
         self, tmp_path, monkeypatch
     ):
         from repro.obs.metrics import get_registry
-        from repro.resilience import cache
+        from repro.store import sealed
 
-        monkeypatch.setattr(cache, "MMAP_MIN_BYTES", 1)
+        monkeypatch.setattr(sealed, "MMAP_MIN_BYTES", 1)
         path = _write(tmp_path)
         before = get_registry().counter("cellcache.mmap_reads").value
         assert read_entry(path, KEYS) == ENTRY

@@ -279,7 +279,6 @@ class TestStoreKnobs:
     def test_defaults(self):
         resolved = settings.current()
         assert resolved.store_quota_bytes is None
-        assert resolved.store_policy == "lru"
         assert resolved.store_retries == 2
         assert resolved.store_backoff == 0.05
         assert resolved.store_breaker_threshold == 5
@@ -287,14 +286,12 @@ class TestStoreKnobs:
 
     def test_env_spellings(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_QUOTA_BYTES", "65536")
-        monkeypatch.setenv("REPRO_STORE_POLICY", "coaccess")
         monkeypatch.setenv("REPRO_STORE_RETRIES", "4")
         monkeypatch.setenv("REPRO_STORE_BACKOFF", "0.2")
         monkeypatch.setenv("REPRO_STORE_BREAKER_THRESHOLD", "9")
         monkeypatch.setenv("REPRO_STORE_BREAKER_COOLDOWN", "1.5")
         resolved = settings.current()
         assert resolved.store_quota_bytes == 65536
-        assert resolved.store_policy == "coaccess"
         assert resolved.store_retries == 4
         assert resolved.store_backoff == 0.2
         assert resolved.store_breaker_threshold == 9
@@ -351,7 +348,7 @@ class TestStoreKnobs:
         assert cfg.quota_bytes == 4096
 
     def test_overrides_beat_environment(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_POLICY", "coaccess")
-        with settings.use_settings(store_policy="lru"):
-            assert settings.current().store_policy == "lru"
-        assert settings.current().store_policy == "coaccess"
+        monkeypatch.setenv("REPRO_STORE_RETRIES", "4")
+        with settings.use_settings(store_retries=1):
+            assert settings.current().store_retries == 1
+        assert settings.current().store_retries == 4

@@ -2,7 +2,7 @@
 digests.
 
 ``tests/golden/squash_golden.json`` was captured from the monolithic
-rewriter before it was split into pass-manager stages: for every
+rewriter before it was split into stages: for every
 benchmark × θ cell it pins the SHA-256 of the emitted image (segments
 and memory words), the footprint, the baseline size, the modelled cycle
 count of the timing run, and the output digest.  The staged pipeline

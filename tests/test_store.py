@@ -1,5 +1,5 @@
-"""The unified artifact store: CAS layout, dedup, quotas, eviction
-policies, locking, and graceful degradation."""
+"""The unified artifact store: CAS layout, dedup, quotas, LRU
+eviction, locking, and graceful degradation."""
 
 import errno
 import hashlib
@@ -12,17 +12,14 @@ import pytest
 from repro import settings
 from repro.errors import StoreDegraded
 from repro.obs.metrics import get_registry
-from repro.resilience.cache import CacheStats, read_entry, write_entry
 from repro.store import (
     ArtifactStore,
-    ManifestEntry,
     StoreLock,
-    available_policies,
-    eviction_order,
     get_store,
     reset_stores,
 )
 from repro.store.locks import LockTimeout
+from repro.store.sealed import CacheStats, read_entry, write_entry
 
 
 def _key(tag: str) -> str:
@@ -188,60 +185,6 @@ class TestQuota:
     def test_no_quota_means_no_lock_file(self, store):
         store.put("cell", _key("nolock"), {"x": 1})
         assert not (store.root / ".store-lock").exists()
-
-
-class TestPolicies:
-    @staticmethod
-    def _entry(path, atime_ns, ino=0):
-        return ManifestEntry(
-            ns="cell", key="k", path=path, size=1, ino=ino,
-            atime_ns=atime_ns, mtime_ns=0,
-        )
-
-    def test_builtin_policies_registered(self):
-        assert "lru" in available_policies()
-        assert "coaccess" in available_policies()
-
-    def test_lru_orders_by_atime(self, tmp_path):
-        entries = [
-            self._entry(tmp_path / "b", 200),
-            self._entry(tmp_path / "a", 100),
-        ]
-        order, known = eviction_order("lru", entries)
-        assert known
-        assert [e.atime_ns for e in order] == [100, 200]
-
-    def test_coaccess_groups_windows_and_inodes(self, tmp_path):
-        from repro.store.policies import COACCESS_WINDOW_NS
-
-        w = COACCESS_WINDOW_NS
-        entries = [
-            self._entry(tmp_path / "new", 3 * w + 10, ino=5),
-            self._entry(tmp_path / "old2", 7, ino=9),
-            self._entry(tmp_path / "old1", 3, ino=2),
-        ]
-        order, known = eviction_order("coaccess", entries)
-        assert known
-        # Whole oldest window first, grouped by inode.
-        assert [e.path.name for e in order] == ["old1", "old2", "new"]
-
-    def test_unknown_policy_falls_back_to_lru(self, tmp_path):
-        entries = [self._entry(tmp_path / "x", 5)]
-        order, known = eviction_order("not-a-policy", entries)
-        assert not known
-        assert order == entries
-
-    def test_unknown_policy_warns_at_eviction(self, store):
-        with settings.use_settings(
-            store_quota_bytes=300, store_policy="bogus"
-        ):
-            with pytest.warns(RuntimeWarning, match="unknown store"):
-                for index in range(8):
-                    store.put(
-                        "cell", _key(f"p{index}"),
-                        {"i": index, "pad": "w" * 80},
-                    )
-            assert store.usage_bytes() <= 300
 
 
 class TestLock:

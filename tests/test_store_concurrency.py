@@ -158,7 +158,7 @@ class TestExclRaceLoser:
         pointing at the winner's inode with no leftovers."""
         import json
 
-        from repro.resilience.cache import seal_text
+        from repro.store.sealed import seal_text
 
         reset_stores()
         store = get_store(tmp_path / "store")

@@ -8,7 +8,7 @@ import pytest
 
 from repro import settings
 from repro.errors import TenantQuotaExceeded
-from repro.resilience.cache import seal_text
+from repro.store.sealed import seal_text
 from repro.store import get_store, reset_stores
 
 
