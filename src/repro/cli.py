@@ -209,15 +209,23 @@ def _squash_config(args) -> SquashConfig:
     ).with_buffer_bound(args.bound)
 
 
+def _selected_names(args) -> tuple[str, ...] | None:
+    """The positional benchmark, else the ``--names`` entries; None
+    (after saying why) when the positional name is no benchmark."""
+    if args.prefix is None:
+        return args.names
+    if args.prefix not in MEDIABENCH:
+        print(f"{args.command}: unknown benchmark {args.prefix!r}")
+        return None
+    return (args.prefix,)
+
+
 def _cmd_squash(args) -> int:
     """Squash the positional benchmark, or each ``--names`` entry in
     turn."""
-    names = args.names
-    if args.prefix is not None:
-        if args.prefix not in MEDIABENCH:
-            print(f"squash: unknown benchmark {args.prefix!r}")
-            return 2
-        names = (args.prefix,)
+    names = _selected_names(args)
+    if names is None:
+        return 2
     if args.save and len(names) != 1:
         print("squash: --save takes exactly one benchmark")
         return 2
@@ -299,18 +307,22 @@ def _print_choices() -> None:
         print(f"  {label}: {', '.join(sorted(names))}")
 
 
-def _cmd_stages(args) -> None:
+def _cmd_stages(args) -> int:
     """The pipeline's named choices, then per-stage wall time and
-    counters for each selected benchmark."""
+    counters for the positional benchmark, or each ``--names`` entry."""
+    names = _selected_names(args)
+    if names is None:
+        return 2
     _print_choices()
     print()
-    for name in args.names:
+    for name in names:
         config = _squash_config(args)
         result = squash_benchmark(name, args.scale, config)
         print(f"{name} (theta={args.theta}, scale={args.scale}):")
         if result.stage_report is not None:
             print(result.stage_report.render())
         print()
+    return 0
 
 
 def _cmd_verify(args) -> int:

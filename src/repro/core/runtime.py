@@ -194,6 +194,8 @@ class SquashRuntime:
         self._slot_key: dict[int, tuple[int, int]] = {}
         self._free_slots = list(range(descriptor.stub_capacity))
         self._expanded_cache: dict[int, tuple[list[int], int]] = {}
+        # Encoded entry jumps by buffer offset.
+        self._entry_jumps: dict[int, int] = {}
         self._region_cache_enabled = (
             region_cache_default()
             if region_cache is None
@@ -255,15 +257,13 @@ class SquashRuntime:
                 ra=reg,
                 imm=branch_displacement(stub_addr, desc.decomp_base + reg),
             )
-            machine.write_word(stub_addr, encode(call))
-            machine.write_word(
-                stub_addr + 1,
+            # The call, its tag, the usage count and the caller's tag.
+            machine.write_words(stub_addr, (
+                encode(call),
                 (self.current_region << 16) | (offset + 1),
-            )
-            machine.write_word(stub_addr + 2, 1)
-            machine.write_word(
-                stub_addr + 3, (self.current_region << 16) | offset
-            )
+                1,
+                (self.current_region << 16) | offset,
+            ))
             self._live_stubs[key] = slot
             self._slot_key[slot] = key
             self.stats.stubs_created += 1
@@ -356,6 +356,12 @@ class SquashRuntime:
             if desc.strategy is BufferStrategy.DECOMPRESS_ONCE
             else (desc.buffer_caching and self.current_region == region_index)
         )
+        # Entry jump at slot 0, then transfer to the buffer start --
+        # exactly the paper's step 2/5 of Section 2.3.
+        jump = self._entry_jumps.get(offset)
+        if jump is None:
+            jump = encode(Instruction(Op.BR, ra=REG_ZERO, imm=offset - 1))
+            self._entry_jumps[offset] = jump
         if hit:
             self.stats.buffer_hits += 1
             self._charge(machine, desc.cost.buffer_hit_cycles)
@@ -364,14 +370,9 @@ class SquashRuntime:
                     "buffer.hit", "runtime", ts=machine.cycles,
                     region=region_index,
                 )
+            machine.write_word(region.base, jump)
         else:
-            self._fill(machine, region_index)
-        # Entry jump at slot 0, then transfer to the buffer start --
-        # exactly the paper's step 2/5 of Section 2.3.
-        machine.write_word(
-            region.base,
-            encode(Instruction(Op.BR, ra=REG_ZERO, imm=offset - 1)),
-        )
+            self._fill(machine, region_index, jump)
         machine.pc = region.base
 
     def _release_stub(self, machine: Machine, retaddr: int) -> None:
@@ -393,8 +394,9 @@ class SquashRuntime:
                     "stub.free", "runtime", ts=machine.cycles, slot=slot,
                 )
 
-    def _fill(self, machine: Machine, region_index: int) -> None:
-        """Decode a region into its area and charge the measured cost.
+    def _fill(self, machine: Machine, region_index: int, jump: int) -> None:
+        """Decode a region into its area behind the entry jump *jump*
+        (one store for both), and charge the measured cost.
 
         Every fill on the decode path is integrity-checked: the offset
         table, codec tables, and stream CRCs once per runtime, plus the
@@ -467,7 +469,7 @@ class SquashRuntime:
             self._expanded_cache[region_index] = (words, bits)
         else:
             words, bits = cached
-        machine.write_words(region.base + 1, words)
+        machine.write_words(region.base, [jump, *words])
 
         cost = desc.cost
         cycles = (

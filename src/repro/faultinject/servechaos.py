@@ -457,6 +457,29 @@ def _live_state(client, job_id: str) -> str | None:
         return None
 
 
+def _kill_when_running(server, client, job_ids: list[str],
+                       timeout: float) -> bool:
+    """SIGKILL *server* the instant its status endpoint reports one of
+    *job_ids* running (its journal records only queued and terminal
+    states).  False, without a kill, once every job is terminal, the
+    server has exited, or *timeout* seconds have passed."""
+    from repro.service import TERMINAL_STATES
+
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and server.poll() is None:
+        states = set()
+        for job_id in job_ids:
+            state = _live_state(client, job_id)
+            if state == "running":
+                server.send_signal(signal.SIGKILL)
+                return True
+            states.add(state)
+        if states <= set(TERMINAL_STATES):
+            return False
+        time.sleep(0.01)
+    return False
+
+
 def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
                  scale: float) -> None:
     from repro.service import JobJournal, ServiceClient
@@ -467,7 +490,13 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
         REPRO_SERVICE_WORKERS="1",
     )
     journal = JobJournal(root)
-    thetas = [2e-4 * (index + 1) for index in range(3)]
+    # A cold squash of the full-size program leads: generating,
+    # squeezing and profiling it keeps the one worker busy for about a
+    # second on a 2-vCPU x86 host, long enough to be seen running on a
+    # faster one, and the three short jobs wait behind it.
+    jobs = [(1e-4, max(scale, 1.0))] + [
+        (2e-4 * (index + 1), scale) for index in range(3)
+    ]
     # Submissions go over the wire into the serving process; the kill
     # then lands with HTTP-submitted jobs in flight, and the restart
     # binds the same port.
@@ -483,26 +512,17 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
             raise RuntimeError(f"serve never answered at {url}")
         with ServiceClient(url) as client:
             job_ids = [
-                client.submit(_squash_spec(theta, scale)).id
-                for theta in thetas
+                client.submit(_squash_spec(theta, job_scale)).id
+                for theta, job_scale in jobs
             ]
             report.kill_jobs = len(job_ids)
-            # Kill the instant the server reports a job mid-run (its
-            # journal records only queued and terminal states); the
-            # deadline below bounds a server that never gets there.
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                if any(
-                    _live_state(client, job_id) == "running"
-                    for job_id in job_ids
-                ):
-                    server.send_signal(signal.SIGKILL)
-                    report.kill_delivered = True
-                    break
-                if server.poll() is not None:
-                    break
-                time.sleep(0.01)
-        server.wait(timeout=30.0)
+            # An undelivered kill fails the verdict below; the server
+            # then still runs (no --idle-exit) and is killed here.
+            report.kill_delivered = _kill_when_running(
+                server, client, job_ids, timeout=120.0
+            )
+        if report.kill_delivered:
+            server.wait(timeout=30.0)
     finally:
         if server.poll() is None:
             server.kill()
@@ -518,7 +538,7 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
         if not _wait_http_up(url):
             raise RuntimeError(f"restarted serve never answered at {url}")
         matches = []
-        for job_id, theta in zip(job_ids, thetas):
+        for job_id, (theta, job_scale) in zip(job_ids, jobs):
             record = _wait_terminal(journal, job_id, timeout=300.0)
             if record is None or record.get("state") != "done":
                 report.kill_lost += 1
@@ -527,7 +547,7 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
                 report.kill_recovered += 1
             matches.append(
                 (record.get("result") or {}).get("image_digest")
-                == _direct_digest("adpcm", theta, scale)
+                == _direct_digest("adpcm", theta, job_scale)
             )
         report.kill_digests_match = bool(matches) and all(matches)
         server.wait(timeout=120.0)

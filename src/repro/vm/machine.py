@@ -14,12 +14,14 @@ space in the image but whose execution we simulate (see DESIGN.md).
 
 Block translation: :meth:`Machine.run` interprets one instruction per
 step, and after :data:`TRANSLATE_AFTER` entries at a pc it translates
-the straight-line block starting there into one generated Python
-function.  A block runs only when its whole length fits the step and
-watchdog budgets, and it stops before any load or store that would
-fault, so every fault, budget trip, cycle count and block count comes
-out of the step body exactly as in a run that translates nothing.  The
-step body is the oracle the translated code is tested against
+the contiguous superblock starting there into one generated Python
+function, which runs a branch back to its own entry as a loop inside
+the function.  A superblock starts only when one whole pass fits the
+step and watchdog budgets, starts another pass only when that fits
+too, and stops before any load or store that would fault, so every
+fault, budget trip, cycle count and block count comes out of the step
+body exactly as in a run that translates nothing.  The step body is
+the oracle the translated code is tested against
 (``tests/test_vm_translate.py``; DESIGN.md §10).
 """
 
@@ -45,10 +47,17 @@ _U32 = WORD_MASK
 #: its guest step count barely moves.
 _SERVICE_WATCHDOG_COST = 64
 
-#: A block is translated on its TRANSLATE_AFTER-th entry at one pc.
-#: One ``compile()`` costs about as much as interpreting a few hundred
-#: instructions, and most blocks run fewer than 32 times.
+#: A block is translated on its TRANSLATE_AFTER-th entry at one pc
+#: holding one first word, so that the regions the runtime buffer holds
+#: in turn earn their translations apart.  One ``compile()`` costs
+#: about as much as interpreting a few hundred instructions, and most
+#: blocks run fewer than 32 times.
 TRANSLATE_AFTER = 32
+
+#: Most instructions one superblock spans.  Compile time grows with the
+#: length, and a pass that leaves by an early side exit never runs the
+#: tail, so longer superblocks stop paying for themselves.
+SUPERBLOCK_MAX = 48
 
 
 def _env_watchdog() -> int:
@@ -85,12 +94,14 @@ class FuelExhausted(MachineFault):
 
 class _Deopt(Exception):
     """Raised by a translated block before a load or store that would
-    fault; ``args[0]`` is the number of instructions it completed."""
+    fault: ``args`` are the instructions it completed and the pc of the
+    one it did not run."""
 
 
-#: A translation: the generated function (returns the next pc), its
-#: length in instructions, and the words it was translated from.
-_Block = tuple[Callable[[], int], int, list[int]]
+#: A translation: the generated function (given the instructions it may
+#: run, returns the next pc and the instructions it ran), its length in
+#: instructions, and the words it was translated from.
+_Block = tuple[Callable[[int], tuple[int, int]], int, list[int]]
 
 
 @dataclass
@@ -135,29 +146,25 @@ _OP_SPC = int(Op.SPC)
 _OP_LDA, _OP_LDAH = int(Op.LDA), int(Op.LDAH)
 _OP_LDW, _OP_STW = int(Op.LDW), int(Op.STW)
 _OP_BR, _OP_BSR = int(Op.BR), int(Op.BSR)
-_OP_BEQ, _OP_BLBS = int(Op.BEQ), int(Op.BLBS)
 _OP_JMP, _OP_JSR, _OP_RET = int(Op.JMP), int(Op.JSR), int(Op.RET)
 _OP_OPR, _OP_OPI = int(Op.OPR), int(Op.OPI)
 _SYS_READ, _SYS_WRITE = int(SysOp.READ), int(SysOp.WRITE)
 #: System ops a block may contain; every other one ends it.
 _SYS_IN_BLOCK = frozenset({int(SysOp.NOP), _SYS_READ, _SYS_WRITE})
-#: Branch and jump opcodes: each ends the block it is in.
-_BLOCK_ENDS = frozenset(
-    {_OP_BR, _OP_BSR, _OP_JMP, _OP_JSR, _OP_RET}
-    | set(range(_OP_BEQ, _OP_BLBS + 1))
-)
+#: Unconditional branches and jumps: each ends the superblock it is in.
+_TRANSFERS = frozenset({_OP_BR, _OP_BSR, _OP_JMP, _OP_JSR, _OP_RET})
 
-#: Taken-conditions of the conditional branches over the local ``a``,
-#: each the expression the step body evaluates.
+#: Taken-conditions of the conditional branches over the register
+#: ``{a}``, each the expression the step body evaluates.
 _BRANCH_TAKEN = {
-    int(Op.BEQ): "a == 0",
-    int(Op.BNE): "a != 0",
-    int(Op.BLT): "a & 2147483648",
-    int(Op.BLE): "a == 0 or a & 2147483648",
-    int(Op.BGT): "a != 0 and not a & 2147483648",
-    int(Op.BGE): "not a & 2147483648",
-    int(Op.BLBC): "not a & 1",
-    int(Op.BLBS): "a & 1",
+    int(Op.BEQ): "{a} == 0",
+    int(Op.BNE): "{a} != 0",
+    int(Op.BLT): "{a} & 2147483648",
+    int(Op.BLE): "{a} == 0 or {a} & 2147483648",
+    int(Op.BGT): "{a} != 0 and not {a} & 2147483648",
+    int(Op.BGE): "not {a} & 2147483648",
+    int(Op.BLBC): "not {a} & 1",
+    int(Op.BLBS): "{a} & 1",
 }
 
 
@@ -207,43 +214,61 @@ def _alu_src(func: int, a: str, b: str, imm: int | None) -> str:
 def _block_source(
     entry: int,
     instrs: list[tuple[int, int, int, int, int, int]],
-    count_entry: bool,
+    heads: set[int],
     mem_len: int,
     heap_base: int,
     data_start: int,
     data_end: int,
 ) -> tuple[str, set[str]]:
-    """Python source of one translated block, and the names it binds.
+    """Python source of one translated superblock, and the names it binds.
 
-    The function ``_block`` runs *instrs* (decoded words at *entry*,
-    *entry* + 1, ...) and returns the next pc.  Guest registers live in
-    locals, loaded on first read and stored back before every exit.
-    Each expression is the one the step body in :meth:`Machine.run`
-    evaluates, so the two agree on every value, wrap and quirk.
+    The function ``_block(limit)`` runs *instrs* (decoded words at
+    *entry*, *entry* + 1, ...) and returns ``(next_pc,
+    instructions_run)``.  A taken conditional branch leaves it (a side
+    exit); a branch back to *entry* starts another pass of an
+    in-function loop when a whole pass still fits the *limit*
+    instructions it may run, and otherwise leaves at *entry*.  Guest
+    registers live in locals, loaded on entry and stored back in one
+    ``finally``.  A pc in *heads* is counted where the step body counts
+    it.  Each expression is the one the step body in
+    :meth:`Machine.run` evaluates, so the two agree on every value,
+    wrap and quirk.
     """
+    size = len(instrs)
     body: list[str] = []
     uses: set[str] = set()
-    loaded: set[int] = set()
-    dirty: set[int] = set()
+    touched: set[int] = set()
+    written: set[int] = set()
+    loops = any(
+        (op in _BRANCH_TAKEN or op == _OP_BR or op == _OP_BSR)
+        and index + 1 + imm == 0
+        for index, (op, _, _, _, _, imm) in enumerate(instrs)
+    )
+    # Instructions of earlier passes, in a block that loops.
+    done = "done + " if loops else ""
 
     def read(reg: int) -> str:
-        if reg not in loaded:
-            body.append(f"r{reg} = regs[{reg}]")
-            loaded.add(reg)
-            uses.add("regs")
+        touched.add(reg)
         return f"r{reg}"
 
     def write(reg: int, expr: str) -> None:
         body.append(f"r{reg} = {expr}")
-        loaded.add(reg)
-        dirty.add(reg)
-        uses.add("regs")
+        touched.add(reg)
+        written.add(reg)
         if reg == 30:
             body.append("if r30 < floor[0]: floor[0] = r30")
             uses.add("floor")
 
-    def store_back(indent: str = "") -> None:
-        body.extend(f"{indent}regs[{reg}] = r{reg}" for reg in sorted(dirty))
+    def leave(target: int | str, count: int) -> list[str]:
+        """Leave after *count* instructions of this pass, or loop."""
+        if loops and target == entry:
+            return [
+                f"done += {count}",
+                f"if done + {size} > limit:",
+                f"    return {entry}, done",
+                "continue",
+            ]
+        return [f"return {target}, {done}{count}"]
 
     def address(rb: int, imm: int, index: int, store: bool) -> None:
         """Compute ``addr`` and leave the block before a faulting access."""
@@ -253,18 +278,16 @@ def _block_source(
         if store:
             bad += f" or (addr < {heap_base} and not {data_start} <= addr < {data_end})"
         body.append(f"if {bad}:")
-        store_back("    ")
-        body.append(f"    raise Deopt({index})")
+        body.append(f"    raise Deopt({done}{index}, {entry + index})")
 
-    next_pc = str(entry + len(instrs))
     for index, (op, ra, rb, rc, func, imm) in enumerate(instrs):
         pc = entry + index
         if op == _OP_LDW or op == _OP_STW:
             address(rb, imm, index, op == _OP_STW)
-        if count_entry and index == 0:
+        if pc in heads:
             # Counted once the instruction is sure to execute.
             uses.add("counts")
-            body.append(f"counts[{entry}] = counts.get({entry}, 0) + 1")
+            body.append(f"counts[{pc}] = counts.get({pc}, 0) + 1")
         if op == _OP_OPR or op == _OP_OPI:
             if rc != 31:
                 lit = imm if op == _OP_OPI else None
@@ -282,23 +305,20 @@ def _block_source(
             if ra != 31:
                 write(ra, f"({read(rb)} + {imm << 16}) & 4294967295")
         elif op in _BRANCH_TAKEN:
-            body.append(f"a = {read(ra)}")
-            store_back()
-            taken = _BRANCH_TAKEN[op]
-            next_pc = f"{pc + 1 + imm} if {taken} else {pc + 1}"
+            body.append(f"if {_BRANCH_TAKEN[op].format(a=read(ra))}:")
+            body.extend(
+                f"    {line}" for line in leave(pc + 1 + imm, index + 1)
+            )
         elif op == _OP_BR or op == _OP_BSR:
             if ra != 31:
                 write(ra, str(pc + 1))
-            store_back()
-            next_pc = str(pc + 1 + imm)
+            body.extend(leave(pc + 1 + imm, index + 1))
         elif op == _OP_JMP or op == _OP_JSR or op == _OP_RET:
             body.append(f"target = {read(rb)}")
             if ra != 31:
                 write(ra, str(pc + 1))
-            store_back()
-            next_pc = "target"
+            body.extend(leave("target", index + 1))
         elif op == _OP_SPC and imm == _SYS_READ:
-            read(0)
             uses.add("m")
             body += [
                 "if m.in_pos < len(m.input):",
@@ -308,17 +328,32 @@ def _block_source(
                 "else:",
                 "    r1 = 0",
             ]
-            loaded.add(1)
-            dirty.update((0, 1))
+            touched.update((0, 1))
+            written.update((0, 1))
         elif op == _OP_SPC and imm == _SYS_WRITE:
             uses.add("out")
             body.append(f"out.append({read(16)})")
-    if instrs[-1][0] not in _BLOCK_ENDS:
-        store_back()
-    body.append(f"return {next_pc}")
-    params = ", ".join(f"{name}={name}" for name in sorted(uses))
-    source = f"def _block({params}):\n" + "".join(
-        f"    {line}\n" for line in body
+    if instrs[-1][0] not in _TRANSFERS:
+        body.extend(leave(entry + size, size))
+    # Every register is loaded on entry, so a side exit taken before
+    # a write stores back the value the register already held.
+    head = [f"r{reg} = regs[{reg}]" for reg in sorted(touched)]
+    indent = "    "
+    if loops:
+        head.append("done = 0")
+        body = ["while True:"] + [indent + line for line in body]
+    if written:
+        body = (
+            ["try:"]
+            + [indent + line for line in body]
+            + ["finally:"]
+            + [f"{indent}regs[{reg}] = r{reg}" for reg in sorted(written)]
+        )
+    if touched:
+        uses.add("regs")
+    params = "".join(f", {name}={name}" for name in sorted(uses))
+    source = f"def _block(limit{params}):\n" + "".join(
+        f"{indent}{line}\n" for line in head + body
     )
     return source, uses
 
@@ -397,13 +432,14 @@ class Machine:
         self._sp_floor = [self.regs[30]]
         # Block translation state (see _translate): live translations by
         # entry pc as (function, length, words), a 1 in _live_map at each
-        # live entry, translations dropped by a write and kept for
-        # revalidation, and step-mode entry counts.
+        # live entry, and, both by (entry pc, first word), translations
+        # dropped by a write and kept for revalidation, and step-mode
+        # entry counts.
         self._blocks: dict[int, _Block] = {}
         self._live_map = bytearray(mem_size)
         self._longest = 1
-        self._kept: dict[int, list[_Block]] = {}
-        self._heat: dict[int, int] = {}
+        self._kept: dict[tuple[int, int], list[_Block]] = {}
+        self._heat: dict[tuple[int, int], int] = {}
 
     # -- service/runtime helpers -------------------------------------------
 
@@ -456,27 +492,25 @@ class Machine:
         return start < end and start <= addr < end + 3
 
     def _translate(self, entry: int) -> bool:
-        """Translate the block at *entry* and make it live; False when
-        no instruction there can be translated.
+        """Translate the superblock at *entry* and make it live; False
+        when no instruction there can be translated.
 
-        The block runs from *entry* through the first branch or jump.
-        It ends before a counted block head, a trap address, an address
-        a guest store can reach, HALT, EXIT, SETJMP, LONGJMP, a bad ALU
-        func, or a word that does not decode; those, like everything
-        before the first translation, run in the step body.  Guest
-        stores therefore never touch translated code, and runtime
-        services change it only through :meth:`write_words`.
+        The superblock runs from *entry* through conditional branches
+        (each a side exit) to the first unconditional branch or jump,
+        for at most :data:`SUPERBLOCK_MAX` instructions.  It ends
+        before a trap address, an address a guest store can reach,
+        HALT, EXIT, SETJMP, LONGJMP, a bad ALU func, or a word that
+        does not decode; those, like everything before the first
+        translation, run in the step body.  Guest stores therefore
+        never touch translated code, and runtime services change it
+        only through :meth:`write_words`.
         """
         mem = self.mem
         instrs = []
         words = []
         addr = entry
-        while 0 <= addr < len(mem):
-            if (
-                addr in self.services
-                or (addr != entry and addr in self._block_heads)
-                or self._guest_writable(addr)
-            ):
+        while 0 <= addr < len(mem) and len(instrs) < SUPERBLOCK_MAX:
+            if addr in self.services or self._guest_writable(addr):
                 break
             try:
                 decoded = _predecode(mem[addr])
@@ -490,12 +524,12 @@ class Machine:
             instrs.append(decoded)
             words.append(mem[addr])
             addr += 1
-            if op in _BLOCK_ENDS:
+            if op in _TRANSFERS:
                 break
         if not instrs:
             return False
         source, uses = _block_source(
-            entry, instrs, entry in self._block_heads, len(mem),
+            entry, instrs, self._block_heads, len(mem),
             self.heap_base, self._data_start, self._data_end,
         )
         # No reference cycles: the function is popped out of its own
@@ -509,8 +543,10 @@ class Machine:
         }
         namespace = {name: bound[name] for name in uses}
         exec(compile(source, f"<block {entry:#x}>", "exec"), namespace)
+        # Entries counted at the pcs it spans came from stepping through
+        # this code; from now on an entry there comes from elsewhere.
         for addr in range(entry + 1, entry + len(instrs)):
-            self._heat.pop(addr, None)
+            self._heat.pop((addr, mem[addr]), None)
         self._install(entry, (namespace.pop("_block"), len(instrs), words))
         return True
 
@@ -521,7 +557,8 @@ class Machine:
 
     def _invalidate(self, base: int, end: int) -> None:
         """Stop running every translation whose words a store to
-        [*base*, *end*) changed; keep it aside for :meth:`_revalidate`."""
+        [*base*, *end*) changed; keep it aside for :meth:`_revalidate`,
+        indexed by its entry pc and first word."""
         mem = self.mem
         live = self._live_map
         entry = live.find(1, max(base - self._longest + 1, 0), end)
@@ -531,22 +568,22 @@ class Machine:
             if entry + size > base and mem[entry : entry + size] != block[2]:
                 del self._blocks[entry]
                 live[entry] = 0
-                self._kept.setdefault(entry, []).append(block)
-                # New code here must earn its own translation.
-                self._heat[entry] = 0
+                self._kept.setdefault((entry, block[2][0]), []).append(block)
             entry = live.find(1, entry + 1, end)
 
-    def _revalidate(self, entry: int) -> bool:
-        """Reinstate a kept translation at *entry* whose words are in
-        memory again: a region refilled into the runtime buffer reuses
-        the translations of its last stay without compiling anew."""
-        kept = self._kept[entry]
+    def _revalidate(self, key: tuple[int, int]) -> bool:
+        """Reinstate a translation kept under *key* (entry pc, the word
+        there now) whose words are all in memory again: a region
+        refilled into the runtime buffer reuses the translations of its
+        last stay without compiling anew."""
+        entry = key[0]
+        kept = self._kept[key]
         mem = self.mem
         for index, block in enumerate(kept):
             if mem[entry : entry + block[1]] == block[2]:
                 del kept[index]
                 if not kept:
-                    del self._kept[entry]
+                    del self._kept[key]
                 self._install(entry, block)
                 return True
         return False
@@ -560,8 +597,10 @@ class Machine:
         :class:`FuelExhausted` after *max_steps* instructions.
 
         Each loop iteration runs one instruction in the step body (or
-        one service), then chains translated blocks while the next pc
-        has one that fits the budgets.  The first instruction of a run
+        one service), then chains translated superblocks while the next
+        pc has one whose whole pass fits the budgets; a superblock is
+        given the instructions left and reports those it ran.  The
+        first instruction of a run
         and after every service takes the step body, whose per-step
         ``min_sp`` check then sees an sp the service may have moved.
         """
@@ -807,30 +846,31 @@ class Machine:
                 while True:
                     block = next_block(pc)
                     if block is None:
-                        if pc in kept and self._revalidate(pc):
-                            continue
-                        entries = heat.get(pc, 0) + 1
-                        if entries < translate_after:
-                            heat[pc] = entries
+                        if not 0 <= pc < mem_len:
                             break
-                        heat[pc] = 0
+                        key = (pc, mem[pc])
+                        if key in kept and self._revalidate(key):
+                            continue
+                        entries = heat.get(key, 0) + 1
+                        if entries < translate_after:
+                            heat[key] = entries
+                            break
+                        heat[key] = 0
                         if not self._translate(pc):
                             break
                         continue
-                    size = block[1]
-                    if steps + size > budget:
+                    if steps + block[1] > budget:
                         break
                     try:
-                        pc = block[0]()
+                        pc, done = block[0](budget - steps)
                     except _Deopt as stop:
                         # The step body raises the fault.
-                        done = stop.args[0]
+                        done, pc = stop.args
                         steps += done
                         cycles += done
-                        pc += done
                         break
-                    steps += size
-                    cycles += size
+                    steps += done
+                    cycles += done
         finally:
             self.pc = pc
             self.steps = steps

@@ -86,6 +86,17 @@ def test_stages_lists_choices_and_stage_table(capsys):
     assert table[8].startswith("total")
 
 
+def test_stages_positional_benchmark(capsys):
+    out = run_cli(capsys, "stages", "adpcm", "--names", "gsm", "--scale", "0.2")
+    assert "adpcm (theta=0.0, scale=0.2):" in out.splitlines()
+    assert "gsm (theta" not in out
+
+
+def test_stages_unknown_positional_benchmark_exits_2(capsys):
+    assert main(["stages", "nope", "--scale", "0.2"]) == 2
+    assert "stages: unknown benchmark 'nope'" in capsys.readouterr().out
+
+
 def test_ratio(capsys):
     out = run_cli(capsys, "ratio", "--names", "adpcm", "--scale", "0.2")
     assert "stream only" in out

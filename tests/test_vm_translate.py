@@ -19,6 +19,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import repro.api as api
 from repro.core.descriptor import BufferStrategy
+from repro.errors import WatchdogExpired
 from repro.core.runtime import SquashRuntime, clear_region_decode_cache
 from repro.faultinject.inject import FAULT_KINDS, apply_fault, plan_fault
 from repro.isa import assemble
@@ -208,9 +209,16 @@ def test_translated_runs_match_the_step_interpreter(
     _assert_modes_agree(make_machine, max_steps)
 
 
-def _raw_image(listing: str, base: int = 0x100) -> LoadedImage:
+def _raw_image(
+    listing: str, base: int = 0x100, heads: tuple[int, ...] = ()
+) -> LoadedImage:
+    """*listing* assembled at *base*; *heads* are offsets from *base*
+    of the block heads ``count_blocks`` counts."""
     words = [encode(instr) for instr in assemble(listing)]
-    return LoadedImage(memory=words, base=base, entry_pc=base)
+    return LoadedImage(
+        memory=words, base=base, entry_pc=base,
+        block_heads={base + offset: f"h{offset}" for offset in heads},
+    )
 
 
 def _load_constant(reg: int, value: int) -> str:
@@ -363,3 +371,191 @@ def test_write_words_faults_like_word_stores(mini_layout):
     assert machine.mem[end - 2 :] == [7, 8]
     with pytest.raises(machine_mod.MemoryFault, match="-0x1"):
         machine.write_words(-1, [5])
+
+
+#: A loop of four instructions whose last branches back to its first:
+#: translated, it runs as a loop inside one superblock function.
+_SELF_LOOP = "\n".join([
+    "addi r31, 250, r7",
+    "loop:",
+    "addi r9, 3, r9",
+    "xor r9, r7, r10",
+    "subi r7, 1, r7",
+    "bne r7, loop",
+    "add r10, r31, r16",
+    "sys write",
+    "halt",
+])
+
+
+@pytest.mark.parametrize("iteration", [5, 120])
+@pytest.mark.parametrize("budget", ["steps", "watchdog"])
+def test_budget_trips_inside_an_in_function_loop(budget, iteration):
+    """A step budget, or a watchdog, that ends two instructions into the
+    *iteration*-th pass of an in-function loop: the loop starts no pass
+    that does not fit, and the step body trips at the exact step.  A
+    run stopped by its step budget resumes mid-pass."""
+    image = _raw_image(_SELF_LOOP)
+    limit = 1 + 4 * (iteration - 1) + 2
+    if budget == "steps":
+        oracle = _assert_modes_agree(
+            lambda: (Machine(image, watchdog=0), None), limit
+        )
+        assert oracle["run"][0] is FuelExhausted
+        assert oracle["resumed"].output == [(3 * 250) ^ 1]
+    else:
+        oracle = _assert_modes_agree(
+            lambda: (Machine(image, watchdog=limit), None)
+        )
+        assert oracle["run"][0] is WatchdogExpired
+    assert oracle["run"][3] == limit
+
+
+def test_deopt_on_a_later_pass_after_registers_written_later():
+    """The load walks off the top of memory on the 41st pass of an
+    in-function loop.  r3 and r5 are written after the load, so when
+    the step body raises the fault they must hold the 40th pass's
+    values, and r2, written before it, the 41st's."""
+    end = 0x100 + 7  # the listing below is 7 words long
+    image = _raw_image("\n".join([
+        _load_constant(3, end + 16384 - 40),
+        "loop:",
+        "addi r2, 3, r2",
+        "ldw r4, 0(r3)",
+        "addi r3, 1, r3",
+        "add r4, r2, r5",
+        "br loop",
+    ]))
+    assert image.end == end
+    oracle = _assert_modes_agree(lambda: (Machine(image), None))
+    assert oracle["run"][0] is machine_mod.MemoryFault
+    regs = oracle["state"][4]
+    assert (regs[2], regs[3], regs[5]) == (3 * 41, end + 16384, 3 * 40)
+
+
+def test_side_exit_from_the_middle_of_a_superblock():
+    """Every fourth pass leaves the loop's superblock by a branch in its
+    middle, runs a block of its own and re-enters at the loop head."""
+    image = _raw_image("\n".join([
+        "addi r31, 100, r7",
+        "loop:",
+        "addi r9, 1, r9",
+        "andi r9, 3, r1",
+        "beq r1, rare",
+        "addi r10, 2, r10",
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "br out",
+        "rare:",
+        "addi r11, 1, r11",
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "out:",
+        "add r10, r31, r16",
+        "sys write",
+        "add r11, r31, r16",
+        "sys write",
+        "halt",
+    ]))
+    oracle = _assert_modes_agree(lambda: (Machine(image), None))
+    assert oracle["run"].output == [2 * 75, 25]
+
+
+@pytest.mark.parametrize("max_steps", [RUN_STEPS, 333])
+def test_block_heads_inside_a_superblock_and_on_a_self_loop(max_steps):
+    """``count_blocks`` counts the heads a superblock spans (the
+    self-loop's entry on every pass, a fall-through and a branch target
+    in its middle) where the step body counts them, also across a run
+    stopped mid-pass and resumed."""
+    image = _raw_image("\n".join([
+        "addi r31, 200, r7",    # head 0
+        "loop:",                # head 1
+        "addi r9, 1, r9",
+        "andi r9, 3, r1",
+        "bne r1, skip",
+        "addi r10, 1, r10",     # head 4
+        "skip:",                # head 5
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "add r10, r31, r16",    # head 8
+        "sys write",
+        "halt",
+    ]), heads=(0, 1, 4, 5, 8))
+    oracle = _assert_modes_agree(
+        lambda: (Machine(image, count_blocks=True), None), max_steps
+    )
+    assert oracle["state"][-1] == {
+        0x100: 1, 0x101: 200, 0x104: 50, 0x105: 200, 0x108: 1,
+    }
+
+
+def test_loop_body_reads_and_writes():
+    """An in-function loop that reads its input word by word and writes
+    each square, until ``sys read`` finds the input exhausted."""
+    inputs = [value * 7919 - (1 << 31) for value in range(120)]
+    image = _raw_image("\n".join([
+        "loop:",
+        "sys read",
+        "beq r1, out",
+        "mul r0, r0, r16",
+        "sys write",
+        "br loop",
+        "out:",
+        "halt",
+    ]))
+    oracle = _assert_modes_agree(
+        lambda: (Machine(image, input_words=inputs), None)
+    )
+    assert oracle["run"].output == [
+        (value & 0xFFFFFFFF) ** 2 & 0xFFFFFFFF for value in inputs
+    ]
+
+
+def test_kept_translation_reinstated_among_two_at_one_pc():
+    """A service cycles the first two words of a hot loop through three
+    variants.  Two of them share their first word, so two translations
+    are kept under one (entry pc, first word); each refill must
+    reinstate the one whose every word is back in memory."""
+    listing = "\n".join([
+        "addi r31, 120, r7",
+        "loop:",
+        "addi r9, 1, r9",
+        "addi r10, 1, r10",
+        "bsr r26, svc",
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "add r9, r31, r16",
+        "sys write",
+        "add r10, r31, r16",
+        "sys write",
+        "halt",
+        "svc:",
+        "ret",
+    ])
+    image = _raw_image(listing)
+    body = image.entry_pc + 1
+    variants = [
+        [encode(assemble(f"addi r{reg}, {k}, r{reg}")[0])
+         for reg, k in ((9, k9), (10, k10))]
+        for k9, k10 in ((1, 1), (1, 2), (5, 1))
+    ]
+    assert variants[0][0] == variants[1][0] != variants[2][0]
+
+    def make_machine():
+        calls = []
+
+        def service(machine):
+            calls.append(machine.pc)
+            machine.write_words(body, variants[len(calls) // 2 % 3])
+            machine.pc = machine.regs[26]
+
+        svc = image.end - 1  # the final ret
+        return Machine(image, services={svc: service}, watchdog=0), None
+
+    oracle = _assert_modes_agree(make_machine)
+    # Pass i runs the variant the (i - 1)-th service call wrote.
+    steps = [variants[(i // 2) % 3] for i in range(120)]
+    assert oracle["run"].output == [
+        sum(1 + 4 * (v is variants[2]) for v in steps),
+        sum(1 + (v is variants[1]) for v in steps),
+    ]
