@@ -22,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from repro.isa.encoding import FIELD_SLOTS, encode
 from repro.isa.fields import FieldKind, check_field, from_bits
 from repro.isa.instruction import FIELD_PLANS, Instruction
 from repro.isa.opcodes import Op
@@ -133,6 +134,34 @@ def codec_to_instruction(item: CodecInstr) -> Instruction:
         # Above the kind's max only for signed kinds: sign-extend.
         kwargs[attr] = bits - mask - 1 if bits > hi else bits
     return Instruction(op, **kwargs)
+
+
+#: Per real opcode value: its word with every field zero, and the bit
+#: position and mask of each codec field.  Every bit pattern within the
+#: mask is a valid field (a signed kind's upper half are its negative
+#: values), so a pattern is packed as it is.
+_WORD_SLOTS: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {
+    int(op): (word, tuple((shift, mask) for _, shift, _, _, mask in slots))
+    for op, (word, slots) in FIELD_SLOTS.items()
+    if op is not Op.ILLEGAL
+}
+
+
+def codec_word(item: CodecInstr) -> int:
+    """``encode(codec_to_instruction(item))``, packed straight from the
+    opcode's field plan: the same word, and the same ``ValueError`` for
+    a pseudo-op or a field bit pattern out of range."""
+    slots = _WORD_SLOTS.get(item.opcode)
+    if slots is not None:
+        word, fields = slots
+        for (shift, mask), bits in zip(fields, item.fields):
+            if not 0 <= bits <= mask:
+                break
+            word |= bits << shift
+        else:
+            return word
+    # Raises the error the instruction path raises.
+    return encode(codec_to_instruction(item))
 
 
 def sentinel_item() -> CodecInstr:

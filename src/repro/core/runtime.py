@@ -27,6 +27,7 @@ import hashlib
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 from zlib import crc32
 
@@ -35,7 +36,7 @@ from repro.compress.streams import (
     OP_XCALLD,
     OP_XCALLI,
     CodecInstr,
-    codec_to_instruction,
+    codec_word,
 )
 from repro.core.descriptor import (
     BufferStrategy,
@@ -58,11 +59,10 @@ from repro.errors import (
     TruncatedStreamError,
 )
 from repro import settings as _settings
-from repro.isa.encoding import encode
+from repro.isa.encoding import encode_fields
 from repro.isa.fields import FieldKind, from_bits
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.isa.instruction import Instruction
 from repro.isa.opcodes import NUM_REGS, Op, REG_ZERO
 from repro.program.layout import branch_displacement
 from repro.vm.machine import Machine
@@ -193,7 +193,7 @@ class SquashRuntime:
         self._live_stubs: dict[tuple[int, int], int] = {}
         self._slot_key: dict[int, tuple[int, int]] = {}
         self._free_slots = list(range(descriptor.stub_capacity))
-        self._expanded_cache: dict[int, tuple[list[int], int]] = {}
+        self._expanded_cache: dict[int, tuple[list[int], int, int]] = {}
         # Encoded entry jumps by buffer offset.
         self._entry_jumps: dict[int, int] = {}
         self._region_cache_enabled = (
@@ -207,19 +207,12 @@ class SquashRuntime:
 
     def services(self) -> dict[int, Callable[[Machine], None]]:
         """Trap handlers for every decompressor entry point."""
-        handlers: dict[int, Callable[[Machine], None]] = {}
-        for reg in range(NUM_REGS):
-            addr = self.desc.decomp_base + reg
-
-            def handler(machine: Machine, reg: int = reg) -> None:
-                self._dispatch(machine, reg)
-
-            handlers[addr] = handler
-        return handlers
+        base = self.desc.decomp_base
+        return {base + reg: partial(self._dispatch, reg) for reg in range(NUM_REGS)}
 
     # -- dispatch --------------------------------------------------------
 
-    def _dispatch(self, machine: Machine, reg: int) -> None:
+    def _dispatch(self, reg: int, machine: Machine) -> None:
         retaddr = machine.regs[reg]
         desc = self.desc
         if (
@@ -252,14 +245,12 @@ class SquashRuntime:
             slot = min(self._free_slots)
             self._free_slots.remove(slot)
             stub_addr = self._stub_addr(slot)
-            call = Instruction(
-                Op.BSR,
-                ra=reg,
-                imm=branch_displacement(stub_addr, desc.decomp_base + reg),
+            call = encode_fields(
+                Op.BSR, reg, branch_displacement(stub_addr, desc.decomp_base + reg)
             )
             # The call, its tag, the usage count and the caller's tag.
             machine.write_words(stub_addr, (
-                encode(call),
+                call,
                 (self.current_region << 16) | (offset + 1),
                 1,
                 (self.current_region << 16) | offset,
@@ -360,7 +351,7 @@ class SquashRuntime:
         # exactly the paper's step 2/5 of Section 2.3.
         jump = self._entry_jumps.get(offset)
         if jump is None:
-            jump = encode(Instruction(Op.BR, ra=REG_ZERO, imm=offset - 1))
+            jump = encode_fields(Op.BR, REG_ZERO, offset - 1)
             self._entry_jumps[offset] = jump
         if hit:
             self.stats.buffer_hits += 1
@@ -395,18 +386,22 @@ class SquashRuntime:
                 )
 
     def _fill(self, machine: Machine, region_index: int, jump: int) -> None:
-        """Decode a region into its area behind the entry jump *jump*
-        (one store for both), and charge the measured cost.
+        """Write the entry jump *jump* and the region's words behind it
+        (the body as one keyed fill: see :meth:`Machine.write_words`),
+        and charge the measured cost.
 
         Every fill on the decode path is integrity-checked: the offset
         table, codec tables, and stream CRCs once per runtime, plus the
         region's own bit-range CRC before its first decode.  All checks
         are host-side (the modelled decompressor folds them into its
         word fetches), so cycle accounting is identical to the
-        unchecked runtime.
+        unchecked runtime.  A region's buffer bounds, words and charge
+        are worked out on its first fill, once per runtime.
         """
         desc = self.desc
-        self._verify_image(machine)
+        loaded = self._expanded_cache.get(region_index)
+        if loaded is None:
+            self._verify_image(machine)
         trace = self._tracer.enabled
         if trace:
             if (
@@ -424,6 +419,39 @@ class SquashRuntime:
                 "region.decompress", "runtime", phase="B",
                 ts=machine.cycles, region=region_index,
             )
+        if loaded is None:
+            loaded = self._load_region(machine, region_index)
+        words, bits, cycles = loaded
+        base = desc.regions[region_index].base
+        machine.write_word(base, jump)
+        machine.write_words(base + 1, words, key=region_index)
+
+        self._charge(machine, cycles)
+        stats = self.stats
+        stats.decompressions += 1
+        stats.bits_decoded += bits
+        stats.instrs_materialised += len(words)
+        if trace:
+            self._tracer.emit(
+                "region.decompress", "runtime", phase="E",
+                ts=machine.cycles, region=region_index,
+                bits=bits, words=len(words), cycles=cycles,
+            )
+
+        if desc.strategy is BufferStrategy.DECOMPRESS_ONCE:
+            self._materialised.add(region_index)
+        else:
+            self.current_region = region_index
+
+    def _load_region(
+        self, machine: Machine, region_index: int
+    ) -> tuple[list[int], int, int]:
+        """Check region *region_index*'s buffer bounds, decode and
+        expand it, and keep (words, bits decoded, cycles charged) for
+        every fill of it: the host-side decode is a pure speed
+        optimisation, since the guest is charged the full measured
+        decode cost on every fill."""
+        desc = self.desc
         region = desc.region(region_index)
         if (
             region.base < desc.buffer_base
@@ -437,61 +465,33 @@ class SquashRuntime:
                 region=region_index,
             )
         codec = self._ensure_codec(machine)
-
-        cached = self._expanded_cache.get(region_index)
-        if cached is None:
-            bit_offset = machine.read_word(
-                desc.offset_table_addr + region_index
+        bit_offset = machine.read_word(desc.offset_table_addr + region_index)
+        self._check_region_stream(machine, region_index, bit_offset)
+        try:
+            items, bits = self._decode_region(machine, codec, bit_offset)
+        except SquashError as exc:
+            raise exc.with_context(
+                region=region_index,
+                bit_offset=bit_offset,
+                fingerprint=self._fingerprint_hex(machine),
             )
-            self._check_region_stream(machine, region_index, bit_offset)
-            try:
-                items, bits = self._decode_region(
-                    machine, codec, bit_offset
-                )
-            except SquashError as exc:
-                raise exc.with_context(
-                    region=region_index,
-                    bit_offset=bit_offset,
-                    fingerprint=self._fingerprint_hex(machine),
-                )
-            words = self._expand(items, region.base)
-            if len(words) + 1 != region.expanded_size:
-                raise BufferOverrunError(
-                    f"region {region_index}: expanded to {len(words) + 1} "
-                    f"words, expected {region.expanded_size}",
-                    region=region_index,
-                    bit_offset=bit_offset,
-                    fingerprint=self._fingerprint_hex(machine),
-                )
-            # Cache the host-side decode (a pure speed optimisation for
-            # the simulation: the guest is still charged the full
-            # measured decode cost below on every miss).
-            self._expanded_cache[region_index] = (words, bits)
-        else:
-            words, bits = cached
-        machine.write_words(region.base, [jump, *words])
-
+        words = self._expand(items, region.base)
+        if len(words) + 1 != region.expanded_size:
+            raise BufferOverrunError(
+                f"region {region_index}: expanded to {len(words) + 1} "
+                f"words, expected {region.expanded_size}",
+                region=region_index,
+                bit_offset=bit_offset,
+                fingerprint=self._fingerprint_hex(machine),
+            )
         cost = desc.cost
         cycles = (
             cost.decomp_invoke_cycles
             + cost.decomp_per_bit_cycles * bits
             + cost.decomp_per_instr_cycles * len(words)
         )
-        self._charge(machine, cycles)
-        self.stats.decompressions += 1
-        self.stats.bits_decoded += bits
-        self.stats.instrs_materialised += len(words)
-        if trace:
-            self._tracer.emit(
-                "region.decompress", "runtime", phase="E",
-                ts=machine.cycles, region=region_index,
-                bits=bits, words=len(words), cycles=cycles,
-            )
-
-        if desc.strategy is BufferStrategy.DECOMPRESS_ONCE:
-            self._materialised.add(region_index)
-        else:
-            self.current_region = region_index
+        loaded = self._expanded_cache[region_index] = (words, bits, cycles)
+        return loaded
 
     def _decode_region(
         self, machine: Machine, codec: ProgramCodec, bit_offset: int
@@ -571,49 +571,28 @@ class SquashRuntime:
 
     def _expand(self, items: Sequence[CodecInstr], base: int) -> list[int]:
         """Materialise decoded items, expanding XCALL pseudo-ops into
-        the two-instruction sequences of Figure 2."""
-        desc = self.desc
+        the two-instruction sequences of Figure 2.  Each word is packed
+        from its opcode's field plan, with the range errors of building
+        and encoding the instruction."""
+        decomp_base = self.desc.decomp_base
         words: list[int] = []
-        slot = 1
         for item in items:
-            if item.opcode == OP_XCALLD:
-                link = item.fields[0]
-                disp = from_bits(FieldKind.BDISP, item.fields[1])
-                words.append(
-                    encode(
-                        Instruction(
-                            Op.BSR,
-                            ra=link,
-                            imm=branch_displacement(
-                                base + slot, desc.decomp_base + link
-                            ),
-                        )
-                    )
+            opcode = item.opcode
+            if opcode == OP_XCALLD or opcode == OP_XCALLI:
+                link, target = item.fields
+                if opcode == OP_XCALLD:
+                    target = from_bits(FieldKind.BDISP, target)
+                call = branch_displacement(
+                    base + 1 + len(words), decomp_base + link
                 )
+                words.append(encode_fields(Op.BSR, link, call))
                 words.append(
-                    encode(Instruction(Op.BR, ra=REG_ZERO, imm=disp))
+                    encode_fields(Op.BR, REG_ZERO, target)
+                    if opcode == OP_XCALLD
+                    else encode_fields(Op.JSR, REG_ZERO, target, 0)
                 )
-                slot += 2
-            elif item.opcode == OP_XCALLI:
-                link, rb = item.fields
-                words.append(
-                    encode(
-                        Instruction(
-                            Op.BSR,
-                            ra=link,
-                            imm=branch_displacement(
-                                base + slot, desc.decomp_base + link
-                            ),
-                        )
-                    )
-                )
-                words.append(
-                    encode(Instruction(Op.JSR, ra=REG_ZERO, rb=rb))
-                )
-                slot += 2
             else:
-                words.append(encode(codec_to_instruction(item)))
-                slot += 1
+                words.append(codec_word(item))
         return words
 
     def _ensure_codec(self, machine: Machine) -> ProgramCodec:

@@ -36,6 +36,36 @@ def encode(instr: Instruction) -> int:
     return word
 
 
+def _field_slots(op: Op) -> tuple[int, tuple[tuple[FieldKind, int, int, int, int], ...]]:
+    """*op*'s word with every field zero, and (kind, bit position, min,
+    max, mask) of each field that holds a value, in format order."""
+    slots = []
+    shift = _OPCODE_SHIFT
+    for kind, attr, width, lo, hi, mask in FIELD_PLANS[op]:
+        shift -= width
+        if attr is not None:
+            slots.append((kind, shift, lo, hi, mask))
+    return int(op) << _OPCODE_SHIFT, tuple(slots)
+
+
+#: :func:`_field_slots` of every opcode.
+FIELD_SLOTS = {op: _field_slots(op) for op in FIELD_PLANS}
+
+
+def encode_fields(op: Op, *values: int) -> int:
+    """The word of *op* with *values* in its fields (format order, the
+    SBZ pad left out): :func:`encode` of that instruction, with the same
+    ``ValueError`` for a value out of range, without building it."""
+    word, slots = FIELD_SLOTS[op]
+    if len(values) != len(slots):
+        raise TypeError(f"{op.name} takes {len(slots)} field values")
+    for (kind, shift, lo, hi, mask), value in zip(slots, values):
+        if not lo <= value <= hi:
+            check_field(kind, value)
+        word |= (value & mask) << shift
+    return word
+
+
 def decode(word: int) -> Instruction:
     """Unpack a 32-bit word into an :class:`Instruction`.
 

@@ -14,14 +14,15 @@ space in the image but whose execution we simulate (see DESIGN.md).
 
 Block translation: :meth:`Machine.run` interprets one instruction per
 step, and after :data:`TRANSLATE_AFTER` entries at a pc it translates
-the contiguous superblock starting there into one generated Python
-function, which runs a branch back to its own entry as a loop inside
-the function.  A superblock starts only when one whole pass fits the
-step and watchdog budgets, starts another pass only when that fits
-too, and stops before any load or store that would fault, so every
-fault, budget trip, cycle count and block count comes out of the step
-body exactly as in a run that translates nothing.  The step body is
-the oracle the translated code is tested against
+the superblock starting there into one generated Python function: a
+trace that follows direct ``br``/``bsr`` targets and, behind a guard,
+the ``ret`` of a ``bsr`` it followed, and runs a branch back to its own
+entry as a loop inside the function.  A superblock starts only when
+one whole pass fits the step and watchdog budgets, starts another pass
+only when that fits too, and stops before any load or store that would
+fault, so every fault, budget trip, cycle count and block count comes
+out of the step body exactly as in a run that translates nothing.  The
+step body is the oracle the translated code is tested against
 (``tests/test_vm_translate.py``; DESIGN.md §10).
 """
 
@@ -50,9 +51,11 @@ _SERVICE_WATCHDOG_COST = 64
 #: A block is translated on its TRANSLATE_AFTER-th entry at one pc
 #: holding one first word, so that the regions the runtime buffer holds
 #: in turn earn their translations apart.  One ``compile()`` costs
-#: about as much as interpreting a few hundred instructions, and most
-#: blocks run fewer than 32 times.
-TRANSLATE_AFTER = 32
+#: about as much as interpreting a few hundred instructions, and a
+#: linked trace is longer than a block: translating on the 16th entry
+#: cost 9% more VM time on ``squash_run``'s programs than on the 32nd,
+#: and the 48th and 64th cost 2-6% less.
+TRANSLATE_AFTER = 48
 
 #: Most instructions one superblock spans.  Compile time grows with the
 #: length, and a pass that leaves by an early side exit never runs the
@@ -100,8 +103,15 @@ class _Deopt(Exception):
 
 #: A translation: the generated function (given the instructions it may
 #: run, returns the next pc and the instructions it ran), its length in
-#: instructions, and the words it was translated from.
-_Block = tuple[Callable[[int], tuple[int, int]], int, list[int]]
+#: instructions, its entry pc, and the words it was translated from as
+#: (first address, words) runs of adjacent addresses.
+_Block = tuple[
+    Callable[[int], tuple[int, int]], int, int, tuple[tuple[int, list[int]], ...]
+]
+
+#: Marks in ``Machine._code``: an address a live translation outside
+#: every filled range spans, and an address inside a filled range.
+_COVERED, _FILLED = 1, 2
 
 
 @dataclass
@@ -212,8 +222,7 @@ def _alu_src(func: int, a: str, b: str, imm: int | None) -> str:
 
 
 def _block_source(
-    entry: int,
-    instrs: list[tuple[int, int, int, int, int, int]],
+    trace: list[tuple[int, tuple[int, int, int, int, int, int]]],
     heads: set[int],
     mem_len: int,
     heap_base: int,
@@ -222,27 +231,31 @@ def _block_source(
 ) -> tuple[str, set[str]]:
     """Python source of one translated superblock, and the names it binds.
 
-    The function ``_block(limit)`` runs *instrs* (decoded words at
-    *entry*, *entry* + 1, ...) and returns ``(next_pc,
-    instructions_run)``.  A taken conditional branch leaves it (a side
-    exit); a branch back to *entry* starts another pass of an
-    in-function loop when a whole pass still fits the *limit*
-    instructions it may run, and otherwise leaves at *entry*.  Guest
-    registers live in locals, loaded on entry and stored back in one
-    ``finally``.  A pc in *heads* is counted where the step body counts
-    it.  Each expression is the one the step body in
-    :meth:`Machine.run` evaluates, so the two agree on every value,
-    wrap and quirk.
+    The function ``_block(limit)`` runs *trace*, the (pc, decoded word)
+    pairs in execution order from the entry pc, and returns
+    ``(next_pc, instructions_run)``.  Consecutive pairs are adjacent
+    words, or a direct ``br``/``bsr`` and its target, or a ``ret`` and
+    the return address a ``bsr`` earlier in the trace set, behind a
+    guard that leaves when the link register holds another value.  A
+    taken conditional branch leaves it (a side exit); a branch back to
+    the entry starts another pass of an in-function loop when a whole
+    pass still fits the *limit* instructions it may run, and otherwise
+    leaves at the entry.  Guest registers live in locals, loaded on
+    entry and stored back in one ``finally``.  A pc in *heads* is
+    counted where the step body counts it.  Each expression is the one
+    the step body in :meth:`Machine.run` evaluates, so the two agree on
+    every value, wrap and quirk.
     """
-    size = len(instrs)
+    entry = trace[0][0]
+    size = len(trace)
     body: list[str] = []
     uses: set[str] = set()
     touched: set[int] = set()
     written: set[int] = set()
     loops = any(
         (op in _BRANCH_TAKEN or op == _OP_BR or op == _OP_BSR)
-        and index + 1 + imm == 0
-        for index, (op, _, _, _, _, imm) in enumerate(instrs)
+        and pc + 1 + imm == entry
+        for pc, (op, _, _, _, _, imm) in trace
     )
     # Instructions of earlier passes, in a block that loops.
     done = "done + " if loops else ""
@@ -270,7 +283,7 @@ def _block_source(
             ]
         return [f"return {target}, {done}{count}"]
 
-    def address(rb: int, imm: int, index: int, store: bool) -> None:
+    def address(rb: int, imm: int, index: int, pc: int, store: bool) -> None:
         """Compute ``addr`` and leave the block before a faulting access."""
         uses.update(("mem", "Deopt"))
         body.append(f"addr = ({read(rb)} + {imm}) & 4294967295")
@@ -278,12 +291,12 @@ def _block_source(
         if store:
             bad += f" or (addr < {heap_base} and not {data_start} <= addr < {data_end})"
         body.append(f"if {bad}:")
-        body.append(f"    raise Deopt({done}{index}, {entry + index})")
+        body.append(f"    raise Deopt({done}{index}, {pc})")
 
-    for index, (op, ra, rb, rc, func, imm) in enumerate(instrs):
-        pc = entry + index
+    for index, (pc, (op, ra, rb, rc, func, imm)) in enumerate(trace):
+        linked = trace[index + 1][0] if index + 1 < size else None
         if op == _OP_LDW or op == _OP_STW:
-            address(rb, imm, index, op == _OP_STW)
+            address(rb, imm, index, pc, op == _OP_STW)
         if pc in heads:
             # Counted once the instruction is sure to execute.
             uses.add("counts")
@@ -312,12 +325,21 @@ def _block_source(
         elif op == _OP_BR or op == _OP_BSR:
             if ra != 31:
                 write(ra, str(pc + 1))
-            body.extend(leave(pc + 1 + imm, index + 1))
+            if linked is None:
+                body.extend(leave(pc + 1 + imm, index + 1))
         elif op == _OP_JMP or op == _OP_JSR or op == _OP_RET:
             body.append(f"target = {read(rb)}")
             if ra != 31:
                 write(ra, str(pc + 1))
-            body.extend(leave("target", index + 1))
+            if linked is None:
+                body.extend(leave("target", index + 1))
+            else:
+                # The ret guard: go on at the return address the trace
+                # predicted, or leave for the one the register holds.
+                body.append(f"if target != {linked}:")
+                body.extend(
+                    f"    {line}" for line in leave("target", index + 1)
+                )
         elif op == _OP_SPC and imm == _SYS_READ:
             uses.add("m")
             body += [
@@ -333,8 +355,9 @@ def _block_source(
         elif op == _OP_SPC and imm == _SYS_WRITE:
             uses.add("out")
             body.append(f"out.append({read(16)})")
-    if instrs[-1][0] not in _TRANSFERS:
-        body.extend(leave(entry + size, size))
+    last_pc, (last_op, *_) = trace[-1]
+    if last_op not in _TRANSFERS:
+        body.extend(leave(last_pc + 1, size))
     # Every register is loaded on entry, so a side exit taken before
     # a write stores back the value the register already held.
     head = [f"r{reg} = regs[{reg}]" for reg in sorted(touched)]
@@ -376,7 +399,9 @@ class Machine:
         PC itself.  Translated blocks stop before trap addresses, so
         the map must not change once the machine runs, and handlers
         change memory only through :meth:`write_word` /
-        :meth:`write_words`, which retire stale translations.
+        :meth:`write_words`, which retire stale translations (a keyed
+        :meth:`write_words` sets a filled range's translations aside
+        and brings back those of an earlier fill with the same key).
     count_blocks:
         When true, count executions of each address in
         ``image.block_heads`` (the basic-block profile).
@@ -430,14 +455,21 @@ class Machine:
             self._data_start = self._data_end = 0
         # Lowest sp seen, in a cell that translated blocks update too.
         self._sp_floor = [self.regs[30]]
-        # Block translation state (see _translate): live translations by
-        # entry pc as (function, length, words), a 1 in _live_map at each
-        # live entry, and, both by (entry pc, first word), translations
-        # dropped by a write and kept for revalidation, and step-mode
-        # entry counts.
-        self._blocks: dict[int, _Block] = {}
-        self._live_map = bytearray(mem_size)
-        self._longest = 1
+        # Block translation state (see _translate).  _at holds the live
+        # translation at each entry pc.  _code marks each address
+        # _FILLED inside a range a keyed fill wrote and no other store
+        # touched since (_fills: base -> (key, words)), or _COVERED when
+        # a live translation outside those ranges spans it (_owners:
+        # address -> [(translation, word)]).  _stash keeps, by key, the
+        # translations of a filled range another fill replaced; _kept
+        # and _heat, both by (entry pc, first word), keep translations
+        # dropped by a store for revalidation, and step-mode entry
+        # counts.
+        self._at: list[_Block | None] = [None] * mem_size
+        self._code = bytearray(mem_size)
+        self._owners: dict[int, list[tuple[_Block, int]]] = {}
+        self._fills: dict[int, tuple[object, list[int]]] = {}
+        self._stash: dict[object, tuple[int, list[int], list]] = {}
         self._kept: dict[tuple[int, int], list[_Block]] = {}
         self._heat: dict[tuple[int, int], int] = {}
 
@@ -449,23 +481,46 @@ class Machine:
 
     def write_word(self, addr: int, value: int) -> None:
         """Privileged store (used by runtime services)."""
-        self.write_words(addr, (value,))
+        mem = self.mem
+        if 0 <= addr < len(mem) and not self._code[addr]:
+            mem[addr] = value & _U32
+        else:
+            self.write_words(addr, (value,))
 
-    def write_words(self, base: int, words: Sequence[int]) -> None:
+    def write_words(
+        self, base: int, words: Sequence[int], key: object = None
+    ) -> None:
         """Privileged store of *words* at *base*, *base* + 1, ...
 
         Faults at the first address outside memory after storing the
         words before it, as one :meth:`write_word` per word would.  This
         is the one place memory changes under translated code: a
         translation whose words the store changes stops running.
+
+        With a *key* the store is a keyed fill, and the caller promises
+        that every keyed fill with that key at *base* writes the same
+        words (the runtime passes a region's index with its expanded
+        body).  The translations made inside the range since the last
+        fill at *base* are set aside under that fill's key, and those
+        set aside under *key* run again, with no walk over translations
+        and no compare of their words: one compare of the whole word
+        list against the stash's checks the promise.  Any other store
+        into a filled range drops its key, and its translations are
+        checked word by word from then on.
         """
         mem = self.mem
+        if key is not None and 0 <= base < base + len(words) <= len(mem):
+            self._refill(base, base + len(words), words, key)
+            return
         room = len(mem) - base if base >= 0 else 0
         count = min(len(words), max(room, 0))
         if count:
             end = base + count
             mem[base:end] = [word & _U32 for word in words[:count]]
-            if self._live_map.find(1, max(base - self._longest + 1, 0), end) >= 0:
+            code = self._code
+            if code.find(_FILLED, base, end) >= 0:
+                self._unfill(base, end)
+            if code.find(_COVERED, base, end) >= 0:
                 self._invalidate(base, end)
         if count < len(words):
             raise MemoryFault(f"service store to {base + count:#x}", self.pc)
@@ -495,41 +550,66 @@ class Machine:
         """Translate the superblock at *entry* and make it live; False
         when no instruction there can be translated.
 
-        The superblock runs from *entry* through conditional branches
-        (each a side exit) to the first unconditional branch or jump,
-        for at most :data:`SUPERBLOCK_MAX` instructions.  It ends
-        before a trap address, an address a guest store can reach,
-        HALT, EXIT, SETJMP, LONGJMP, a bad ALU func, or a word that
-        does not decode; those, like everything before the first
-        translation, run in the step body.  Guest stores therefore
-        never touch translated code, and runtime services change it
-        only through :meth:`write_words`.
+        The superblock is a trace of at most :data:`SUPERBLOCK_MAX`
+        instructions.  It runs from *entry* through conditional
+        branches (each a side exit), follows each direct ``br``/``bsr``
+        to its target, and goes on past a ``ret`` to the return address
+        of the innermost ``bsr`` it followed that links the register the
+        ``ret`` jumps through (the generated code guards that value).
+        It ends at ``jmp``/``jsr``, at a ``ret`` it cannot predict, at a
+        branch to an address it already holds (to *entry*, the
+        in-function loop), and before a trap address, an address a
+        guest store can reach, HALT, EXIT, SETJMP, LONGJMP, a bad ALU
+        func, or a word that does not decode; those, like everything
+        before the first translation, run in the step body.  Guest
+        stores therefore never touch translated code, and runtime
+        services change it only through :meth:`write_words`.  A trace
+        that starts inside a filled range stays inside it, and one
+        that starts outside every filled range stays outside them all.
         """
         mem = self.mem
-        instrs = []
-        words = []
+        code = self._code
+        filled = code[entry] == _FILLED
+        lo, hi = self._filled_range(entry) if filled else (0, len(mem))
+        trace: list[tuple[int, tuple[int, int, int, int, int, int]]] = []
+        seen: set[int] = set()
+        #: (link register, return address) of each bsr followed.
+        calls: list[tuple[int, int]] = []
         addr = entry
-        while 0 <= addr < len(mem) and len(instrs) < SUPERBLOCK_MAX:
-            if addr in self.services or self._guest_writable(addr):
+        while len(trace) < SUPERBLOCK_MAX:
+            if (
+                not lo <= addr < hi
+                or addr in seen
+                or (not filled and code[addr] == _FILLED)
+                or addr in self.services
+                or self._guest_writable(addr)
+            ):
                 break
             try:
                 decoded = _predecode(mem[addr])
             except Exception:
                 break
-            op, func, imm = decoded[0], decoded[4], decoded[5]
+            op, ra, rb, _, func, imm = decoded
             if (op == _OP_SPC and imm not in _SYS_IN_BLOCK) or (
                 (op == _OP_OPR or op == _OP_OPI) and func > 15
             ):
                 break
-            instrs.append(decoded)
-            words.append(mem[addr])
-            addr += 1
-            if op in _TRANSFERS:
+            trace.append((addr, decoded))
+            seen.add(addr)
+            if op == _OP_BR or op == _OP_BSR:
+                if ra != 31:
+                    calls.append((ra, addr + 1))
+                addr += 1 + imm
+            elif op == _OP_RET and calls and calls[-1][0] == rb:
+                addr = calls.pop()[1]
+            elif op in _TRANSFERS:
                 break
-        if not instrs:
+            else:
+                addr += 1
+        if not trace:
             return False
         source, uses = _block_source(
-            entry, instrs, self._block_heads, len(mem),
+            trace, self._block_heads, len(mem),
             self.heap_base, self._data_start, self._data_end,
         )
         # No reference cycles: the function is popped out of its own
@@ -545,47 +625,149 @@ class Machine:
         exec(compile(source, f"<block {entry:#x}>", "exec"), namespace)
         # Entries counted at the pcs it spans came from stepping through
         # this code; from now on an entry there comes from elsewhere.
-        for addr in range(entry + 1, entry + len(instrs)):
-            self._heat.pop((addr, mem[addr]), None)
-        self._install(entry, (namespace.pop("_block"), len(instrs), words))
+        runs: list[tuple[int, list[int]]] = []
+        for pc, _ in trace:
+            if pc != entry:
+                self._heat.pop((pc, mem[pc]), None)
+            if runs and runs[-1][0] + len(runs[-1][1]) == pc:
+                runs[-1][1].append(mem[pc])
+            else:
+                runs.append((pc, [mem[pc]]))
+        return self._install(
+            (namespace.pop("_block"), len(trace), entry, tuple(runs))
+        )
+
+    def _filled_range(self, addr: int) -> tuple[int, int]:
+        """Bounds of the filled range holding *addr*."""
+        for base, (_, words) in self._fills.items():
+            if base <= addr < base + len(words):
+                return base, base + len(words)
+        raise AssertionError(f"{addr:#x} is marked filled but no fill holds it")
+
+    def _install(self, block: _Block) -> bool:
+        """Make *block* live; False when it spans a filled range's edge."""
+        entry, runs = block[2], block[3]
+        code = self._code
+        if code[entry] == _FILLED:
+            lo, hi = self._filled_range(entry)
+            if any(start < lo or start + len(words) > hi for start, words in runs):
+                return False
+        elif any(
+            code.find(_FILLED, start, start + len(words)) >= 0
+            for start, words in runs
+        ):
+            return False
+        else:
+            self._cover(block)
+        self._at[entry] = block
         return True
 
-    def _install(self, entry: int, block: _Block) -> None:
-        self._blocks[entry] = block
-        self._live_map[entry] = 1
-        self._longest = max(self._longest, block[1])
+    def _cover(self, block: _Block) -> None:
+        """Record that *block* spans its words, outside filled ranges."""
+        owners = self._owners
+        code = self._code
+        for start, words in block[3]:
+            for addr, word in enumerate(words, start):
+                owners.setdefault(addr, []).append((block, word))
+                code[addr] = _COVERED
 
-    def _invalidate(self, base: int, end: int) -> None:
-        """Stop running every translation whose words a store to
-        [*base*, *end*) changed; keep it aside for :meth:`_revalidate`,
-        indexed by its entry pc and first word."""
+    def _retire(self, block: _Block) -> None:
+        """Stop running *block*, a translation outside the filled
+        ranges; keep it aside for :meth:`_revalidate`, indexed by its
+        entry pc and first word."""
+        entry, runs = block[2], block[3]
+        if self._at[entry] is block:
+            self._at[entry] = None
+        owners = self._owners
+        code = self._code
+        for start, words in runs:
+            for addr in range(start, start + len(words)):
+                holders = [held for held in owners[addr] if held[0] is not block]
+                if holders:
+                    owners[addr] = holders
+                else:
+                    del owners[addr]
+                    code[addr] = 0
+        self._kept.setdefault((entry, runs[0][1][0]), []).append(block)
+
+    def _invalidate(self, base: int, end: int, every: bool = False) -> None:
+        """Retire every translation outside the filled ranges that spans
+        a word in [*base*, *end*) the store changed, or, with *every*,
+        that spans any word there."""
         mem = self.mem
-        live = self._live_map
-        entry = live.find(1, max(base - self._longest + 1, 0), end)
-        while entry >= 0:
-            block = self._blocks[entry]
-            size = block[1]
-            if entry + size > base and mem[entry : entry + size] != block[2]:
-                del self._blocks[entry]
-                live[entry] = 0
-                self._kept.setdefault((entry, block[2][0]), []).append(block)
-            entry = live.find(1, entry + 1, end)
+        code = self._code
+        owners = self._owners
+        addr = code.find(_COVERED, base, end)
+        while addr >= 0:
+            for block, word in list(owners[addr]):
+                if every or mem[addr] != word:
+                    self._retire(block)
+            addr = code.find(_COVERED, addr + 1, end)
+
+    def _unfill(self, base: int, end: int) -> None:
+        """Drop the key of every filled range [*base*, *end*) overlaps:
+        its translations are checked word by word from now on."""
+        for start, (_, words) in list(self._fills.items()):
+            stop = start + len(words)
+            if start < end and base < stop:
+                del self._fills[start]
+                self._code[start:stop] = bytes(stop - start)
+                for block in self._at[start:stop]:
+                    if block is not None:
+                        self._cover(block)
+
+    def _refill(self, base: int, end: int, words: Sequence[int], key: object) -> None:
+        """The keyed fill of :meth:`write_words`, which fits in memory."""
+        at = self._at
+        code = self._code
+        # The outgoing fill at base marked [base, stop) filled.
+        stop = base
+        old = self._fills.pop(base, None)
+        if old is not None:
+            old_key, old_words = old
+            stop = base + len(old_words)
+            self._stash[old_key] = (base, old_words, at[base:stop])
+        if end > stop:
+            # Past it, another filled range drops its key, and a
+            # translation outside the filled ranges may not span one.
+            if code.find(_FILLED, stop, end) >= 0:
+                self._unfill(stop, end)
+            if code.find(_COVERED, stop, end) >= 0:
+                self._invalidate(stop, end, every=True)
+            code[stop:end] = bytes((_FILLED,)) * (end - stop)
+        elif stop > end:
+            code[end:stop] = bytes(stop - end)
+        stashed = self._stash.pop(key, None)
+        if stashed is not None and stashed[0] == base and stashed[1] == words:
+            # The words of the fill the stash was taken from, so in
+            # range, and its translations hold again.
+            words = stashed[1]
+            at[base:end] = stashed[2]
+            if stop > end:
+                at[end:stop] = [None] * (stop - end)
+        else:
+            words = [word & _U32 for word in words]
+            if stop > base:
+                at[base:stop] = [None] * (stop - base)
+        self.mem[base:end] = words
+        self._fills[base] = (key, words)
 
     def _revalidate(self, key: tuple[int, int]) -> bool:
         """Reinstate a translation kept under *key* (entry pc, the word
-        there now) whose words are all in memory again: a region
-        refilled into the runtime buffer reuses the translations of its
-        last stay without compiling anew."""
-        entry = key[0]
+        there now) whose words are all in memory again: code a store
+        rewrote and a later one restored reuses its translations
+        without compiling anew."""
         kept = self._kept[key]
         mem = self.mem
         for index, block in enumerate(kept):
-            if mem[entry : entry + block[1]] == block[2]:
+            if all(
+                mem[start : start + len(words)] == words
+                for start, words in block[3]
+            ):
                 del kept[index]
                 if not kept:
                     del self._kept[key]
-                self._install(entry, block)
-                return True
+                return self._install(block)
         return False
 
     # -- execution -----------------------------------------------------------
@@ -596,20 +778,23 @@ class Machine:
         Raises a :class:`MachineFault` subclass on errors, including
         :class:`FuelExhausted` after *max_steps* instructions.
 
-        Each loop iteration runs one instruction in the step body (or
-        one service), then chains translated superblocks while the next
+        Each loop iteration runs one instruction in the step body, or
+        one service, then chains translated superblocks while the next
         pc has one whose whole pass fits the budgets; a superblock is
         given the instructions left and reports those it ran.  The
-        first instruction of a run
-        and after every service takes the step body, whose per-step
-        ``min_sp`` check then sees an sp the service may have moved.
+        first instruction of a run takes the step body.  After a
+        service, a direct ``br`` at the pc it left (the runtime
+        buffer's entry jump, or the ``br`` after a CreateStub call)
+        runs at once, and chaining goes on from its target; a service
+        that left sp below the lowest seen hands the next instruction
+        to the step body, whose per-step ``min_sp`` check then sees it.
         """
         mem = self.mem
         regs = self.regs
         services = self.services
         heads = self._block_heads
         counts = self.block_counts
-        next_block = self._blocks.get
+        at = self._at
         kept = self._kept
         heat = self._heat
         translate_after = TRANSLATE_AFTER
@@ -651,203 +836,217 @@ class Machine:
             )
         try:
             while True:
-                if services:
-                    handler = services.get(pc)
-                    if handler is not None:
-                        svc_charge += _SERVICE_WATCHDOG_COST
-                        budget = min(max_steps_total, wd_limit - svc_charge)
-                        if steps + svc_charge >= wd_limit:
-                            raise WatchdogExpired(
-                                f"watchdog budget {self.watchdog} exhausted "
-                                f"in runtime services at pc={pc:#x}"
-                            )
-                        self.pc = pc
-                        self.steps = steps
-                        self.cycles = cycles
-                        handler(self)
-                        pc = self.pc
-                        cycles = self.cycles
-                        if self.exit_code is not None:
-                            break
+                if services and (handler := services.get(pc)) is not None:
+                    svc_charge += _SERVICE_WATCHDOG_COST
+                    budget = min(max_steps_total, wd_limit - svc_charge)
+                    if steps + svc_charge >= wd_limit:
+                        raise WatchdogExpired(
+                            f"watchdog budget {self.watchdog} exhausted "
+                            f"in runtime services at pc={pc:#x}"
+                        )
+                    self.pc = pc
+                    self.steps = steps
+                    self.cycles = cycles
+                    handler(self)
+                    pc = self.pc
+                    cycles = self.cycles
+                    if self.exit_code is not None:
+                        break
+                    if regs[30] < min_sp:
                         continue
-                if steps >= budget:
-                    if steps >= max_steps_total:
-                        raise FuelExhausted("step budget exceeded", pc)
-                    raise WatchdogExpired(
-                        f"watchdog budget {self.watchdog} exhausted "
-                        f"at pc={pc:#x} after {steps} steps"
-                    )
-                # Counted only once the budget lets it run, so a run
-                # stopped here and resumed counts the head once.
-                if heads and pc in heads:
-                    counts[pc] = counts.get(pc, 0) + 1
-                if not 0 <= pc < mem_len:
-                    raise MemoryFault("pc outside memory", pc)
-                word = mem[pc]
-                decoded = _DECODE_CACHE.get(word)
-                if decoded is None:
-                    try:
-                        decoded = _predecode(word)
-                    except Exception as exc:
-                        raise IllegalInstructionFault(str(exc), pc) from exc
-                op, ra, rb, rc, func, imm = decoded
-                steps += 1
-                cycles += 1
-
-                if op == OP_OPR or op == OP_OPI:
-                    a = regs[ra]
-                    b = imm if op == OP_OPI else regs[rb]
-                    if func == 0:
-                        value = (a + b) & _U32
-                    elif func == 1:
-                        value = (a - b) & _U32
-                    elif func == 2:
-                        value = (a * b) & _U32
-                    elif func == 3:
-                        value = a & b
-                    elif func == 4:
-                        value = a | b
-                    elif func == 5:
-                        value = a ^ b
-                    elif func == 6:
-                        value = (a << (b & 31)) & _U32
-                    elif func == 7:
-                        value = a >> (b & 31)
-                    elif func == 8:
-                        value = (_signed(a) >> (b & 31)) & _U32
-                    elif func == 9:
-                        value = 1 if a == b else 0
-                    elif func == 10:
-                        value = 1 if _signed(a) < _signed(b) else 0
-                    elif func == 11:
-                        value = 1 if _signed(a) <= _signed(b) else 0
-                    elif func == 12:
-                        value = 1 if a < b else 0
-                    elif func == 13:
-                        value = 1 if a <= b else 0
-                    elif func == 14:
-                        value = a // b if b else 0
-                    elif func == 15:
-                        value = a % b if b else 0
-                    else:
-                        raise IllegalInstructionFault(
-                            f"bad ALU func {func}", pc
-                        )
-                    if rc != 31:
-                        regs[rc] = value
-                    pc += 1
-                elif op == OP_LDW:
-                    addr = (regs[rb] + imm) & _U32
-                    if addr >= mem_len:
-                        raise MemoryFault(f"load from {addr:#x}", pc)
-                    if ra != 31:
-                        regs[ra] = mem[addr]
-                    pc += 1
-                elif op == OP_STW:
-                    addr = (regs[rb] + imm) & _U32
-                    if addr >= mem_len or (
-                        addr < heap_base
-                        and not data_start <= addr < data_end
+                    # The step body's work for a br to a known target.
+                    if (
+                        0 <= pc < mem_len
+                        and steps < budget
+                        and pc not in heads
+                        and pc not in services
                     ):
-                        raise MemoryFault(f"store to {addr:#x}", pc)
-                    mem[addr] = regs[ra]
-                    pc += 1
-                elif op == OP_LDA:
-                    if ra != 31:
-                        regs[ra] = (regs[rb] + imm) & _U32
-                        if ra == 30 and regs[30] < min_sp:
-                            min_sp = regs[30]
-                    pc += 1
-                elif op == OP_LDAH:
-                    if ra != 31:
-                        regs[ra] = (regs[rb] + (imm << 16)) & _U32
-                    pc += 1
-                elif OP_BEQ <= op <= OP_BLBS:
-                    a = regs[ra]
-                    if op == OP_BEQ:
-                        taken = a == 0
-                    elif op == OP_BNE:
-                        taken = a != 0
-                    elif op == OP_BLT:
-                        taken = bool(a & _SIGN_BIT)
-                    elif op == OP_BLE:
-                        taken = a == 0 or bool(a & _SIGN_BIT)
-                    elif op == OP_BGT:
-                        taken = a != 0 and not a & _SIGN_BIT
-                    elif op == OP_BGE:
-                        taken = not a & _SIGN_BIT
-                    elif op == OP_BLBC:
-                        taken = not a & 1
-                    else:
-                        taken = bool(a & 1)
-                    pc = pc + 1 + imm if taken else pc + 1
-                elif op == OP_BR or op == OP_BSR:
-                    if ra != 31:
-                        regs[ra] = pc + 1
-                    pc = pc + 1 + imm
-                elif op == OP_JMP or op == OP_JSR or op == OP_RET:
-                    target = regs[rb]
-                    if ra != 31:
-                        regs[ra] = pc + 1
-                    pc = target
-                elif op == OP_SPC:
-                    if imm == 0:  # NOP
-                        pc += 1
-                    elif imm == 1:  # HALT
-                        self.exit_code = 0
-                        break
-                    elif imm == 2:  # READ
-                        if self.in_pos < len(self.input):
-                            regs[0] = self.input[self.in_pos] & _U32
-                            regs[1] = 1
-                            self.in_pos += 1
-                        else:
-                            regs[1] = 0
-                        pc += 1
-                    elif imm == 3:  # WRITE
-                        self.output.append(regs[16])
-                        pc += 1
-                    elif imm == 4:  # EXIT
-                        self.exit_code = regs[16]
-                        break
-                    elif imm == 5:  # SETJMP
-                        buf = regs[16]
-                        if buf + 4 > mem_len or (
-                            buf < heap_base
-                            and not data_start <= buf < data_end
+                        decoded = _DECODE_CACHE.get(mem[pc])
+                        if (
+                            decoded is not None
+                            and decoded[0] == OP_BR
+                            and decoded[1] == 31
                         ):
-                            raise MemoryFault(f"setjmp buf {buf:#x}", pc)
-                        mem[buf] = pc + 1
-                        mem[buf + 1] = regs[30]
-                        mem[buf + 2] = regs[15]
-                        mem[buf + 3] = regs[26]
-                        regs[0] = 0
+                            steps += 1
+                            cycles += 1
+                            pc += 1 + decoded[5]
+                else:
+                    if steps >= budget:
+                        if steps >= max_steps_total:
+                            raise FuelExhausted("step budget exceeded", pc)
+                        raise WatchdogExpired(
+                            f"watchdog budget {self.watchdog} exhausted "
+                            f"at pc={pc:#x} after {steps} steps"
+                        )
+                    # Counted only once the budget lets it run, so a run
+                    # stopped here and resumed counts the head once.
+                    if heads and pc in heads:
+                        counts[pc] = counts.get(pc, 0) + 1
+                    if not 0 <= pc < mem_len:
+                        raise MemoryFault("pc outside memory", pc)
+                    word = mem[pc]
+                    decoded = _DECODE_CACHE.get(word)
+                    if decoded is None:
+                        try:
+                            decoded = _predecode(word)
+                        except Exception as exc:
+                            raise IllegalInstructionFault(str(exc), pc) from exc
+                    op, ra, rb, rc, func, imm = decoded
+                    steps += 1
+                    cycles += 1
+
+                    if op == OP_OPR or op == OP_OPI:
+                        a = regs[ra]
+                        b = imm if op == OP_OPI else regs[rb]
+                        if func == 0:
+                            value = (a + b) & _U32
+                        elif func == 1:
+                            value = (a - b) & _U32
+                        elif func == 2:
+                            value = (a * b) & _U32
+                        elif func == 3:
+                            value = a & b
+                        elif func == 4:
+                            value = a | b
+                        elif func == 5:
+                            value = a ^ b
+                        elif func == 6:
+                            value = (a << (b & 31)) & _U32
+                        elif func == 7:
+                            value = a >> (b & 31)
+                        elif func == 8:
+                            value = (_signed(a) >> (b & 31)) & _U32
+                        elif func == 9:
+                            value = 1 if a == b else 0
+                        elif func == 10:
+                            value = 1 if _signed(a) < _signed(b) else 0
+                        elif func == 11:
+                            value = 1 if _signed(a) <= _signed(b) else 0
+                        elif func == 12:
+                            value = 1 if a < b else 0
+                        elif func == 13:
+                            value = 1 if a <= b else 0
+                        elif func == 14:
+                            value = a // b if b else 0
+                        elif func == 15:
+                            value = a % b if b else 0
+                        else:
+                            raise IllegalInstructionFault(
+                                f"bad ALU func {func}", pc
+                            )
+                        if rc != 31:
+                            regs[rc] = value
                         pc += 1
-                    elif imm == 6:  # LONGJMP
-                        buf = regs[16]
-                        if buf + 4 > mem_len:
-                            raise MemoryFault(f"longjmp buf {buf:#x}", pc)
-                        value = regs[17]
-                        pc = mem[buf]
-                        regs[30] = mem[buf + 1]
-                        regs[15] = mem[buf + 2]
-                        regs[26] = mem[buf + 3]
-                        regs[0] = value if value else 1
+                    elif op == OP_LDW:
+                        addr = (regs[rb] + imm) & _U32
+                        if addr >= mem_len:
+                            raise MemoryFault(f"load from {addr:#x}", pc)
+                        if ra != 31:
+                            regs[ra] = mem[addr]
+                        pc += 1
+                    elif op == OP_STW:
+                        addr = (regs[rb] + imm) & _U32
+                        if addr >= mem_len or (
+                            addr < heap_base
+                            and not data_start <= addr < data_end
+                        ):
+                            raise MemoryFault(f"store to {addr:#x}", pc)
+                        mem[addr] = regs[ra]
+                        pc += 1
+                    elif op == OP_LDA:
+                        if ra != 31:
+                            regs[ra] = (regs[rb] + imm) & _U32
+                            if ra == 30 and regs[30] < min_sp:
+                                min_sp = regs[30]
+                        pc += 1
+                    elif op == OP_LDAH:
+                        if ra != 31:
+                            regs[ra] = (regs[rb] + (imm << 16)) & _U32
+                        pc += 1
+                    elif OP_BEQ <= op <= OP_BLBS:
+                        a = regs[ra]
+                        if op == OP_BEQ:
+                            taken = a == 0
+                        elif op == OP_BNE:
+                            taken = a != 0
+                        elif op == OP_BLT:
+                            taken = bool(a & _SIGN_BIT)
+                        elif op == OP_BLE:
+                            taken = a == 0 or bool(a & _SIGN_BIT)
+                        elif op == OP_BGT:
+                            taken = a != 0 and not a & _SIGN_BIT
+                        elif op == OP_BGE:
+                            taken = not a & _SIGN_BIT
+                        elif op == OP_BLBC:
+                            taken = not a & 1
+                        else:
+                            taken = bool(a & 1)
+                        pc = pc + 1 + imm if taken else pc + 1
+                    elif op == OP_BR or op == OP_BSR:
+                        if ra != 31:
+                            regs[ra] = pc + 1
+                        pc = pc + 1 + imm
+                    elif op == OP_JMP or op == OP_JSR or op == OP_RET:
+                        target = regs[rb]
+                        if ra != 31:
+                            regs[ra] = pc + 1
+                        pc = target
+                    elif op == OP_SPC:
+                        if imm == 0:  # NOP
+                            pc += 1
+                        elif imm == 1:  # HALT
+                            self.exit_code = 0
+                            break
+                        elif imm == 2:  # READ
+                            if self.in_pos < len(self.input):
+                                regs[0] = self.input[self.in_pos] & _U32
+                                regs[1] = 1
+                                self.in_pos += 1
+                            else:
+                                regs[1] = 0
+                            pc += 1
+                        elif imm == 3:  # WRITE
+                            self.output.append(regs[16])
+                            pc += 1
+                        elif imm == 4:  # EXIT
+                            self.exit_code = regs[16]
+                            break
+                        elif imm == 5:  # SETJMP
+                            buf = regs[16]
+                            if buf + 4 > mem_len or (
+                                buf < heap_base
+                                and not data_start <= buf < data_end
+                            ):
+                                raise MemoryFault(f"setjmp buf {buf:#x}", pc)
+                            mem[buf] = pc + 1
+                            mem[buf + 1] = regs[30]
+                            mem[buf + 2] = regs[15]
+                            mem[buf + 3] = regs[26]
+                            regs[0] = 0
+                            pc += 1
+                        elif imm == 6:  # LONGJMP
+                            buf = regs[16]
+                            if buf + 4 > mem_len:
+                                raise MemoryFault(f"longjmp buf {buf:#x}", pc)
+                            value = regs[17]
+                            pc = mem[buf]
+                            regs[30] = mem[buf + 1]
+                            regs[15] = mem[buf + 2]
+                            regs[26] = mem[buf + 3]
+                            regs[0] = value if value else 1
+                        else:
+                            raise IllegalInstructionFault(
+                                f"bad system op {imm}", pc
+                            )
                     else:
                         raise IllegalInstructionFault(
-                            f"bad system op {imm}", pc
+                            f"sentinel or illegal opcode {op:#x} executed", pc
                         )
-                else:
-                    raise IllegalInstructionFault(
-                        f"sentinel or illegal opcode {op:#x} executed", pc
-                    )
-                if regs[30] < min_sp:
-                    min_sp = regs[30]
-                while True:
-                    block = next_block(pc)
+                    if regs[30] < min_sp:
+                        min_sp = regs[30]
+                while 0 <= pc < mem_len:
+                    block = at[pc]
                     if block is None:
-                        if not 0 <= pc < mem_len:
-                            break
                         key = (pc, mem[pc])
                         if key in kept and self._revalidate(key):
                             continue

@@ -146,6 +146,6 @@ def test_services_cover_all_registers(multi_region):
 def test_expanded_size_matches_descriptor(multi_region):
     machine, runtime = multi_region.make_machine(MINI_TIMING_INPUT)
     machine.run(max_steps=5_000_000)
-    for region_index, (words, _) in runtime._expanded_cache.items():
+    for region_index, (words, *_) in runtime._expanded_cache.items():
         region = multi_region.descriptor.region(region_index)
         assert len(words) + 1 == region.expanded_size

@@ -30,7 +30,7 @@ def ran(mini_program, mini_profile):
 def _find_xcall_expansion(result, machine, runtime):
     """Locate a materialised XCALLD expansion in the cached decode."""
     desc = result.descriptor
-    for region_index, (words, _) in runtime._expanded_cache.items():
+    for region_index, (words, *_) in runtime._expanded_cache.items():
         base = desc.region(region_index).base
         for position in range(len(words) - 1):
             first = decode(words[position])
@@ -122,7 +122,7 @@ def test_buffer_contents_match_cached_decode(ran):
     result, machine, runtime = ran
     desc = result.descriptor
     region = desc.region(runtime.current_region)
-    words, _ = runtime._expanded_cache[runtime.current_region]
+    words, *_ = runtime._expanded_cache[runtime.current_region]
     resident = [
         machine.mem[region.base + 1 + k] for k in range(len(words))
     ]
@@ -136,5 +136,5 @@ def test_sentinel_never_reaches_buffer(ran):
 
     result, machine, runtime = ran
     desc = result.descriptor
-    for words, _ in runtime._expanded_cache.values():
+    for words, *_ in runtime._expanded_cache.values():
         assert SENTINEL_WORD not in words

@@ -559,3 +559,305 @@ def test_kept_translation_reinstated_among_two_at_one_pc():
         sum(1 + 4 * (v is variants[2]) for v in steps),
         sum(1 + (v is variants[1]) for v in steps),
     ]
+
+
+# -- linked traces ------------------------------------------------------------
+
+
+def test_linked_exit_into_code_a_service_rewrites():
+    """The loop's superblock follows ``br far`` into a block elsewhere
+    in the text, whose first word a service swaps between two encodings
+    every third call: the trace spans that word, so each swap retires
+    it and the next pass runs the word just written."""
+    listing = "\n".join([
+        "addi r31, 90, r7",
+        "loop:",
+        "addi r9, 1, r9",
+        "br far",
+        "back:",
+        "bsr r26, svc",
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "add r10, r31, r16",
+        "sys write",
+        "halt",
+        "far:",
+        "addi r10, 1, r10",
+        "br back",
+        "svc:",
+        "ret",
+    ])
+    image = _raw_image(listing)
+    far = image.end - 3
+    variants = [encode(assemble(f"addi r10, {k}, r10")[0]) for k in (1, 5)]
+    assert image.memory[far - image.base] == variants[0]
+
+    def make_machine():
+        calls = []
+
+        def service(machine):
+            calls.append(machine.pc)
+            machine.write_words(far, [variants[len(calls) // 3 % 2]])
+            machine.pc = machine.regs[26]
+
+        svc = image.end - 1  # the final ret
+        return Machine(image, services={svc: service}, watchdog=0), None
+
+    oracle = _assert_modes_agree(make_machine)
+    # Pass i runs the variant the (i - 1)-th service call wrote.
+    assert oracle["run"].output == [
+        sum(1 if i == 0 or (i // 3) % 2 == 0 else 5 for i in range(90))
+    ]
+
+
+#: A loop whose superblock links a call and its return: eight
+#: instructions a pass, three of them in the callee.
+_LINKED_LOOP = "\n".join([
+    "addi r31, 250, r7",
+    "loop:",
+    "addi r9, 3, r9",
+    "bsr r26, f",
+    "xor r9, r7, r10",
+    "subi r7, 1, r7",
+    "bne r7, loop",
+    "add r10, r31, r16",
+    "sys write",
+    "halt",
+    "f:",
+    "addi r11, 1, r11",
+    "addi r12, 2, r12",
+    "ret",
+])
+
+
+@pytest.mark.parametrize("iteration", [5, 120])
+@pytest.mark.parametrize("budget", ["steps", "watchdog"])
+def test_budget_trips_inside_the_linked_part_of_a_trace(budget, iteration):
+    """A step budget, or a watchdog, that ends inside the callee on the
+    *iteration*-th pass of a loop whose superblock runs the call and
+    its return: no pass starts that does not fit, and the step body
+    trips at the exact step."""
+    image = _raw_image(_LINKED_LOOP)
+    limit = 1 + 8 * (iteration - 1) + 3
+    if budget == "steps":
+        oracle = _assert_modes_agree(
+            lambda: (Machine(image, watchdog=0), None), limit
+        )
+        assert oracle["run"][0] is FuelExhausted
+        assert oracle["resumed"].output == [(3 * 250) ^ 1]
+    else:
+        oracle = _assert_modes_agree(
+            lambda: (Machine(image, watchdog=limit), None)
+        )
+        assert oracle["run"][0] is WatchdogExpired
+    assert oracle["run"][3] == limit
+
+
+def test_ret_guard_misses_when_the_callee_moves_its_return():
+    """Every fourth call, the callee adds 1 to its link register and so
+    returns past the ``addi r10`` after the call: the trace's guard on
+    the predicted return address must leave for the real one."""
+    image = _raw_image("\n".join([
+        "addi r31, 100, r7",
+        "loop:",
+        "addi r9, 1, r9",
+        "bsr r26, f",
+        "addi r10, 1, r10",
+        "subi r7, 1, r7",
+        "bne r7, loop",
+        "add r10, r31, r16",
+        "sys write",
+        "halt",
+        "f:",
+        "andi r9, 3, r1",
+        "cmpeqi r1, 0, r1",
+        "add r26, r1, r26",
+        "ret",
+    ]))
+    oracle = _assert_modes_agree(lambda: (Machine(image), None))
+    assert oracle["run"].output == [75]
+
+
+def test_deopt_in_the_linked_part_after_registers_written_before_the_link():
+    """The load after ``br body`` walks off the top of memory on the
+    41st pass.  The step body must resume at the load's own pc, with
+    r2 (written before the link) holding the 41st pass's value and r3
+    and r5 (written after the load) the 40th's."""
+    end = 0x100 + 9  # the listing below is 9 words long
+    image = _raw_image("\n".join([
+        _load_constant(3, end + 16384 - 40),
+        "loop:",
+        "addi r2, 3, r2",
+        "br body",
+        "halt",
+        "body:",
+        "ldw r4, 0(r3)",
+        "addi r3, 1, r3",
+        "add r4, r2, r5",
+        "br loop",
+    ]))
+    assert image.end == end
+    oracle = _assert_modes_agree(lambda: (Machine(image), None))
+    assert oracle["run"][0] is machine_mod.MemoryFault
+    assert oracle["run"][1] == end - 4
+    regs = oracle["state"][4]
+    assert (regs[2], regs[3], regs[5]) == (3 * 41, end + 16384, 3 * 40)
+
+
+# -- keyed refills ------------------------------------------------------------
+
+
+def _filled_translations_hold(machine) -> int:
+    """Assert that every live translation inside a keyed fill's range
+    spans words equal to memory (the compare a keyed refill skips), and
+    return how many there are."""
+    live = 0
+    for base, (_, words) in machine._fills.items():
+        for block in machine._at[base : base + len(words)]:
+            if block is not None:
+                live += 1
+                for start, run in block[3]:
+                    assert machine.mem[start : start + len(run)] == run
+    return live
+
+
+#: A loop that asks the service at ``svc`` for buffer fill r1 (0, 1, 2
+#: or 3 by pass), then calls the buffer's first word through r3.
+_BUFFER_LOOP = "\n".join([
+    "addi r31, 120, r7",
+    "loop:",
+    "andi r7, 3, r1",
+    "bsr r26, svc",
+    "jsr r26, (r3)",
+    "subi r7, 1, r7",
+    "bne r7, loop",
+    "add r9, r31, r16",
+    "sys write",
+    "add r10, r31, r16",
+    "sys write",
+    "add r11, r31, r16",
+    "sys write",
+    "halt",
+    "svc:",
+    "ret",
+])
+
+#: The two regions a buffer fill writes: A is entered at its first or
+#: second word, B at its first.
+_REGIONS = {
+    "A": ["addi r9, 1, r9", "addi r10, 1, r10", "ret"],
+    "B": ["addi r11, 1, r11", "ret"],
+}
+
+
+def _buffer_machine(plan, jump_in_fill: bool, reinstated: list):
+    """A machine running :data:`_BUFFER_LOOP` over a four-word buffer
+    after the text.  Fill r1 is ``plan[r1]``: (region, entry slot) for
+    a keyed fill of the entry jump and the region, or ("poke", value)
+    for a plain store of *value* into the buffer's third word.  With
+    *jump_in_fill* the entry jump is part of the keyed fill (so the
+    words under one key change with the entry slot); otherwise it is a
+    store of its own before it, as the squash runtime does."""
+    text = [encode(instr) for instr in assemble(_BUFFER_LOOP)]
+    buffer = 0x100 + len(text)
+    image = LoadedImage(
+        memory=text + [0] * 4, base=0x100, entry_pc=0x100, block_heads={},
+    )
+    bodies = {
+        name: [encode(instr) for instr in assemble("\n".join(lines))]
+        for name, lines in _REGIONS.items()
+    }
+
+    def service(machine):
+        name, arg = plan[machine.regs[1]]
+        if name == "poke":
+            machine.write_word(buffer + 2, arg)
+        else:
+            jump = encode(assemble(f"br {arg - 1}")[0])
+            if jump_in_fill:
+                machine.write_words(buffer, [jump, *bodies[name]], key=name)
+            else:
+                machine.write_word(buffer, jump)
+                machine.write_words(buffer + 1, bodies[name], key=name)
+            reinstated.append(_filled_translations_hold(machine))
+        machine.regs[3] = buffer
+        machine.pc = machine.regs[26]
+
+    svc = buffer - 1  # the ret after the halt
+    return Machine(image, services={svc: service}, watchdog=0), None
+
+
+@pytest.mark.parametrize("jump_in_fill", [True, False])
+def test_region_refilled_at_a_new_entry_slot(jump_in_fill):
+    """Region A is refilled entered at its second word after two fills
+    entered at its first, and B's fills come between: the entry jump
+    changes while A's body does not.  A keyed refill whose words differ
+    from its stash's must not bring back a translation of the old
+    entry jump; one with the same words brings its translations back."""
+    plan = [("A", 1), ("A", 1), ("A", 2), ("B", 1)]
+    reinstated: list[int] = []
+    oracle = _assert_modes_agree(
+        lambda: _buffer_machine(plan, jump_in_fill, reinstated)
+    )
+    # r7 runs 120..1; fill r7 & 3.
+    fills = [plan[n & 3] for n in range(120, 0, -1)]
+    assert oracle["run"].output == [
+        sum(f == ("A", 1) for f in fills),
+        sum(f[0] == "A" for f in fills),
+        sum(f[0] == "B" for f in fills),
+    ]
+    assert sum(reinstated) > 0
+
+
+def test_store_into_a_filled_region_then_its_refill():
+    """A plain store rewrites the middle of region A while it is in the
+    buffer (as the fault harness writes words); the next passes run the
+    rewritten word.  Then A is filled again: that refill must not
+    reinstate, or leave running, a translation of the rewritten words."""
+    poked = encode(assemble("addi r10, 7, r10")[0])
+    plan = [("A", 1), ("poke", poked), ("A", 1), ("B", 1)]
+    reinstated: list[int] = []
+    oracle = _assert_modes_agree(
+        lambda: _buffer_machine(plan, False, reinstated)
+    )
+    # After a poke the buffer still holds A, rewritten; the pass runs it.
+    assert oracle["run"].output == [90, 30 * 2 + 30 * 7, 30]
+    assert sum(reinstated) > 0
+
+
+@pytest.mark.parametrize("strategy", list(BufferStrategy))
+def test_regions_alternating_in_the_buffer(strategy):
+    """A squashed program at θ = 1, where the runtime fills the buffer
+    with one region after another thousands of times: every translation
+    a keyed refill brings back spans words equal to memory, and the
+    run agrees with the step interpreter."""
+    program, _, profile, inputs = _prepared("adpcm", 0, 0.03)
+    result = api.squash(
+        program, profile, api.SquashConfig(theta=1.0, strategy=strategy)
+    )
+    reinstated: list[int] = []
+
+    def make_machine():
+        runtime = SquashRuntime(result.descriptor)
+
+        def checked(handler):
+            def service(machine):
+                handler(machine)
+                reinstated.append(_filled_translations_hold(machine))
+            return service
+
+        services = {
+            addr: checked(handler)
+            for addr, handler in runtime.services().items()
+        }
+        machine = Machine(result.image, input_words=inputs, services=services)
+        return machine, runtime
+
+    oracle = _assert_modes_agree(make_machine)
+    if strategy is BufferStrategy.DECOMPRESS_ONCE:
+        # Each region is filled once into an area of its own; later
+        # entries rewrite only its entry jump.
+        assert oracle["stats"]["buffer_hits"] > 100
+    else:
+        assert oracle["stats"]["decompressions"] > 100
+        assert sum(reinstated) > 0
