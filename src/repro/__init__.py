@@ -74,7 +74,6 @@ _EXPORTS = {
     "ServiceClient": ("repro.service.client", "ServiceClient"),
     "JobHandle": ("repro.service.client", "JobHandle"),
     "ServiceOverloaded": ("repro.errors", "ServiceOverloaded"),
-    "TenantQuotaExceeded": ("repro.errors", "TenantQuotaExceeded"),
     "JobExpired": ("repro.errors", "JobExpired"),
     "SpecError": ("repro.errors", "SpecError"),
     "MEDIABENCH": ("repro.workloads.mediabench", "MEDIABENCH"),

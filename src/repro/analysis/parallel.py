@@ -30,9 +30,8 @@ discarded.  Knobs: ``REPRO_CELL_DEADLINE``, ``REPRO_CELL_RETRIES``,
 :meth:`repro.resilience.SupervisorConfig.from_env`).
 
 :func:`sweep_grid`, :func:`grid_cells` and :func:`grid_rows` are the
-pieces of a size or time sweep; :func:`repro.api.sweep` and the
-service's fan-out sweeps (:mod:`repro.service.fanout`) build their
-rows from them.
+pieces of a size or time sweep; :func:`repro.api.sweep` builds its
+rows from them, and the chaos sweep its cells.
 """
 
 from __future__ import annotations

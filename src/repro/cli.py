@@ -619,8 +619,6 @@ def _cmd_submit(args) -> int:
     elif kind == "sweep":
         payload = {"names": list(args.names), "scale": args.scale,
                    "sweep_kind": "size"}
-        if args.fanout:
-            payload["fanout"] = True
     elif kind == "verify":
         if not args.save:
             print("submit: verify jobs need --save PREFIX")
@@ -835,11 +833,6 @@ def main(argv: list[str] | None = None) -> int:
         help="base URL of a running 'repro serve' (submit command; "
         "default built from REPRO_SERVICE_HTTP_HOST and "
         "REPRO_SERVICE_HTTP_PORT)",
-    )
-    parser.add_argument(
-        "--fanout", action="store_true",
-        help="partition a sweep job into per-benchmark cells claimed "
-        "by every serving engine sharing the store (submit command)",
     )
     parser.add_argument(
         "--scenarios", nargs="*", default=None,

@@ -25,7 +25,6 @@ The taxonomy::
     ├── StoreDegraded           artifact store unusable; recompute instead
     ├── SpecError               (also ValueError) malformed api spec/config
     ├── ServiceOverloaded       job service shed the submission (load)
-    │   └── TenantQuotaExceeded one tenant over its store byte budget
     ├── JobExpired              job deadline passed; cancelled, not late
     ├── JobFailed               job reached a terminal failure state
     └── UnknownJob              (also KeyError) no such job id
@@ -59,7 +58,6 @@ __all__ = [
     "StoreDegraded",
     "SpecError",
     "ServiceOverloaded",
-    "TenantQuotaExceeded",
     "JobExpired",
     "JobFailed",
     "UnknownJob",
@@ -304,35 +302,6 @@ class ServiceOverloaded(SquashError):
             message = f"{message} [{', '.join(detail)}]" if message else (
                 ", ".join(detail)
             )
-        super().__init__(message, **kwargs)
-
-
-class TenantQuotaExceeded(ServiceOverloaded):
-    """One tenant is over its per-tenant store byte budget.
-
-    A :class:`ServiceOverloaded` subclass because it is the same
-    contract — typed admission shedding with a retry hint — scoped to
-    one tenant instead of the whole service: the engine sheds the
-    hog's submissions (``REPRO_TENANT_QUOTA_BYTES``) and the store
-    refuses the hog's writes once tenant-scoped eviction cannot free
-    enough of *its own* refs.  Other tenants are untouched; their
-    working set is never evicted to make room for the hog.
-    """
-
-    def __init__(
-        self,
-        message: str = "",
-        *,
-        usage_bytes: int = 0,
-        quota_bytes: int = 0,
-        **kwargs,
-    ):
-        self.usage_bytes = usage_bytes
-        self.quota_bytes = quota_bytes
-        kwargs.setdefault("reason", "tenant-quota")
-        if quota_bytes and f"{usage_bytes}/" not in message:
-            detail = f"usage {usage_bytes}/{quota_bytes} bytes"
-            message = f"{message} [{detail}]" if message else detail
         super().__init__(message, **kwargs)
 
 

@@ -1,7 +1,7 @@
 """Serve chaos: the squash-as-a-service stack under overload and murder.
 
 ``repro servechaos`` proves the robustness claims of
-:mod:`repro.service` end to end, in six scenarios over private roots:
+:mod:`repro.service` end to end, in four scenarios over private roots:
 
 1. **Overload storm** — an engine with a tiny admission queue and
    dispatch frozen is flooded past capacity over its HTTP front end.
@@ -27,22 +27,11 @@
    ENOSPC storm with retries off; journaling degrades (counted by
    ``service.journal_degraded``) but admission, execution, and results
    keep working — availability outlives the journal.
-5. **Tenant quota** — under a tiny ``REPRO_TENANT_QUOTA_BYTES`` a hog
-   tenant floods until admission sheds it with a typed
-   :class:`~repro.errors.TenantQuotaExceeded` (retry-after attached),
-   while a mouse tenant's jobs complete and its journal records stay
-   unevicted — one tenant's appetite never costs another's results.
-6. **Fan-out** — a sweep is partitioned across two engines sharing
-   one store (:mod:`repro.service.fanout`); the peer engine is
-   SIGKILLed right after it claims a cell.  The survivor must reclaim
-   the dead engine's cells after lease expiry and finish with rows
-   byte-identical to a serial sweep — zero lost cells.
 
 The run **fails** (non-zero exit) if a shed was untyped, an accepted
 job was lost, a deadline was ignored, tenants starved, a SIGKILL lost
-a job, the dead-store pass either broke job execution or recorded no
-degradation, a hog tenant escaped its quota (or evicted the mouse), or
-the fan-out sweep lost cells or diverged from serial rows.
+a job, or the dead-store pass either broke job execution or recorded
+no degradation.
 """
 
 from __future__ import annotations
@@ -57,12 +46,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
-from repro.errors import (
-    JobExpired,
-    ServiceOverloaded,
-    SquashError,
-    TenantQuotaExceeded,
-)
+from repro.errors import JobExpired, ServiceOverloaded, SquashError
 from repro.faultinject import chaos
 from repro.faultinject.chaossweep import _env
 from repro.obs.metrics import get_registry
@@ -71,9 +55,7 @@ __all__ = ["SCENARIOS", "ServeChaosReport", "run_serve_chaos"]
 
 _METRICS = get_registry()
 
-SCENARIOS = (
-    "overload", "fairness", "quota", "sigkill", "deadstore", "fanout",
-)
+SCENARIOS = ("overload", "fairness", "sigkill", "deadstore")
 
 
 @dataclass
@@ -114,20 +96,6 @@ class ServeChaosReport:
     deadstore_completed: int = 0
     deadstore_degraded: int = 0
 
-    # tenant quota
-    quota_hog_submitted: int = 0
-    quota_hog_sheds: int = 0
-    quota_sheds_typed: bool = False
-    quota_mouse_jobs: int = 0
-    quota_mouse_done: int = 0
-    quota_mouse_unevicted: bool = False
-
-    # fan-out
-    fanout_cells: int = 0
-    fanout_kill_delivered: bool = False
-    fanout_lost: int = -1
-    fanout_rows_match: bool = False
-
     @property
     def overload_ok(self) -> bool:
         return (
@@ -160,35 +128,14 @@ class ServeChaosReport:
         )
 
     @property
-    def quota_ok(self) -> bool:
-        return (
-            self.quota_hog_sheds > 0
-            and self.quota_sheds_typed
-            and self.quota_mouse_jobs > 0
-            and self.quota_mouse_done == self.quota_mouse_jobs
-            and self.quota_mouse_unevicted
-        )
-
-    @property
-    def fanout_ok(self) -> bool:
-        return (
-            self.fanout_cells > 0
-            and self.fanout_kill_delivered
-            and self.fanout_lost == 0
-            and self.fanout_rows_match
-        )
-
-    @property
     def ok(self) -> bool:
         if self.errors:
             return False
         checks = {
             "overload": self.overload_ok,
             "fairness": self.fairness_ok,
-            "quota": self.quota_ok,
             "sigkill": self.sigkill_ok,
             "deadstore": self.deadstore_ok,
-            "fanout": self.fanout_ok,
         }
         return all(checks[name] for name in self.scenarios)
 
@@ -228,31 +175,12 @@ class ServeChaosReport:
                 f"{'identical' if self.kill_digests_match else 'DIVERGED'}"
                 f"  [{'OK' if self.sigkill_ok else 'FAILED'}]"
             )
-        if "quota" in self.scenarios:
-            lines.append(
-                f"  quota: hog {self.quota_hog_sheds}"
-                f"/{self.quota_hog_submitted} shed "
-                f"({'typed' if self.quota_sheds_typed else 'UNTYPED'}), "
-                f"mouse {self.quota_mouse_done}/{self.quota_mouse_jobs} "
-                f"done, records "
-                f"{'unevicted' if self.quota_mouse_unevicted else 'EVICTED'}"
-                f"  [{'OK' if self.quota_ok else 'FAILED'}]"
-            )
         if "deadstore" in self.scenarios:
             lines.append(
                 f"  dead store: {self.deadstore_completed}"
                 f"/{self.deadstore_jobs} jobs completed, "
                 f"journal degradations {self.deadstore_degraded}"
                 f"  [{'OK' if self.deadstore_ok else 'FAILED'}]"
-            )
-        if "fanout" in self.scenarios:
-            lost = "?" if self.fanout_lost < 0 else self.fanout_lost
-            lines.append(
-                f"  fanout: {self.fanout_cells} cells, peer "
-                f"{'killed post-claim' if self.fanout_kill_delivered else 'NOT KILLED'}, "
-                f"{lost} lost, rows "
-                f"{'identical to serial' if self.fanout_rows_match else 'DIVERGED'}"
-                f"  [{'OK' if self.fanout_ok else 'FAILED'}]"
             )
         for name, message in self.errors.items():
             lines.append(f"  {name}: ERROR {message}")
@@ -610,171 +538,11 @@ def _run_deadstore(report: ServeChaosReport, root: pathlib.Path,
     )
 
 
-def _run_quota(report: ServeChaosReport, root: pathlib.Path,
-               scale: float) -> None:
-    from repro.service import JobEngine, JobJournal, ServiceConfig
-    from repro.store import get_store, reset_stores
-
-    quota = 8 * 1024
-    with _env(
-        REPRO_CACHE_DIR=str(root),
-        REPRO_TENANT_QUOTA_BYTES=str(quota),
-    ):
-        reset_stores()
-        config = ServiceConfig(
-            queue_depth=32, workers=1, tenant_cap=1,
-            drain_timeout=30.0, tenant_quota_bytes=quota,
-        )
-        engine = JobEngine(config, journal=JobJournal(root))
-        engine.start(recover=False)
-        try:
-            # The mouse goes first so its records are on disk when the
-            # hog starts flooding — surviving the flood is the claim.
-            mouse_ids = []
-            for index in range(2):
-                job = engine.submit(_squash_spec(
-                    3e-4 * (index + 1), scale, tenant="mouse",
-                ))
-                engine.result(job.id, timeout=300.0)
-                mouse_ids.append(job.id)
-            report.quota_mouse_jobs = len(mouse_ids)
-
-            sheds = []
-            for index in range(24):
-                report.quota_hog_submitted += 1
-                try:
-                    job = engine.submit(_squash_spec(
-                        1e-4 * (index + 1), scale, tenant="hog",
-                    ))
-                    engine.result(job.id, timeout=300.0)
-                except TenantQuotaExceeded as exc:
-                    sheds.append(exc)
-                    if len(sheds) >= 3:
-                        break
-            report.quota_hog_sheds = len(sheds)
-            report.quota_sheds_typed = bool(sheds) and all(
-                exc.tenant == "hog"
-                and exc.reason == "tenant-quota"
-                and exc.retry_after > 0
-                for exc in sheds
-            )
-
-            # The mouse's working set must have survived the hog: its
-            # journal records still load, its store refs still exist,
-            # and a fresh mouse job still completes.
-            journal = engine.journal
-            records_alive = all(
-                (journal.load(job_id) or {}).get("state") == "done"
-                for job_id in mouse_ids
-            )
-            refs_alive = bool(get_store(root).tenant_refs("mouse"))
-            job = engine.submit(_squash_spec(
-                9e-4, scale, tenant="mouse",
-            ))
-            engine.result(job.id, timeout=300.0)
-            report.quota_mouse_done = sum(
-                1 for job_id in mouse_ids
-                if (journal.load(job_id) or {}).get("state") == "done"
-            )
-            report.quota_mouse_unevicted = records_alive and refs_alive
-        finally:
-            engine.stop(drain_timeout=1.0)
-    reset_stores()
-
-
-def _run_fanout(report: ServeChaosReport, root: pathlib.Path,
-                scale: float) -> None:
-    from repro.service import execute_job
-    from repro.service.jobs import JobSpec
-    from repro.store import get_store, reset_stores
-
-    names = ["adpcm", "gsm"]
-    thetas = [0.0, 1e-3]
-    payload = {
-        "names": names, "scale": scale, "thetas": thetas,
-        "sweep_kind": "size",
-    }
-    # The reference rows come from a serial sweep, which writes no
-    # cells: the fan-out run below computes every cell itself.
-    serial = execute_job(JobSpec(kind="sweep", payload=dict(payload)))
-
-    env = dict(os.environ)
-    env.update(
-        REPRO_CACHE_DIR=str(root),
-        REPRO_SERVICE_LEASE_SECONDS="3.0",
-    )
-    peer = subprocess.Popen(
-        _serve_argv(["--http", "127.0.0.1:0"]), env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
-    try:
-        with _env(
-            REPRO_CACHE_DIR=str(root),
-            REPRO_SERVICE_LEASE_SECONDS="3.0",
-        ):
-            reset_stores()
-            from repro.service import fanout
-
-            store = get_store(root)
-            plan = fanout.publish_plan(store, payload)
-            report.fanout_cells = len(plan["names"])
-            # Murder window: the instant the peer claims a cell it
-            # dies, leaving a live-looking claim the survivor may only
-            # take over after the lease expires.
-            claims = root / "sweeps" / "claims" / plan["plan"]
-            mine = fanout.engine_id()
-            deadline = time.monotonic() + 120.0
-            while time.monotonic() < deadline:
-                foreign = [
-                    path for path in (
-                        list(claims.iterdir())
-                        if claims.is_dir() else []
-                    )
-                    if _claim_engine(path) not in ("", mine)
-                ]
-                if foreign:
-                    peer.send_signal(signal.SIGKILL)
-                    report.fanout_kill_delivered = True
-                    break
-                if peer.poll() is not None:
-                    break
-                time.sleep(0.01)
-            peer.wait(timeout=30.0)
-            # The survivor (this process) must reclaim the dead
-            # engine's cells and finish the sweep alone.
-            result = fanout.run_fanout_sweep(
-                dict(payload, fanout=True), plan=plan
-            )
-        reset_stores()
-    finally:
-        if peer.poll() is None:
-            peer.kill()
-            peer.wait(timeout=30.0)
-    report.fanout_lost = report.fanout_cells - len(result["rows"]) // max(
-        1, len(thetas)
-    )
-    report.fanout_rows_match = (
-        result["rows"] == serial["rows"]
-        and result["rows_digest"] == serial["rows_digest"]
-    )
-
-
-def _claim_engine(path: pathlib.Path) -> str:
-    import json
-
-    try:
-        return json.loads(path.read_text()).get("engine", "")
-    except (OSError, ValueError):
-        return ""
-
-
 _RUNNERS = {
     "overload": _run_overload,
     "fairness": _run_fairness,
-    "quota": _run_quota,
     "sigkill": _run_sigkill,
     "deadstore": _run_deadstore,
-    "fanout": _run_fanout,
 }
 
 

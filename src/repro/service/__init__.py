@@ -13,11 +13,9 @@ Entry points:
   typed client, over the ``"local"`` in-process engine or an
   ``"http://host:port"`` front end;
 * processes — ``repro serve`` runs the engine behind the JSON front
-  end (:mod:`repro.service.http`), ``repro submit`` POSTs to it, and
-  ``repro jobs`` lists journal records.  Serving processes sharing
-  one store also co-compute fan-out sweeps
-  (:mod:`repro.service.fanout`, whose :func:`serve_forever` is the
-  serve loop);
+  end (:mod:`repro.service.http`, whose :func:`serve_forever` is the
+  serve loop), ``repro submit`` POSTs to it, and ``repro jobs`` lists
+  journal records;
 * chaos — :mod:`repro.faultinject.servechaos` (``repro servechaos``)
   storms, starves, SIGKILLs, and degrades the whole stack.
 """
@@ -29,8 +27,7 @@ from repro.service.engine import (
     get_engine,
     reset_engine,
 )
-from repro.service.fanout import serve_forever
-from repro.service.http import HttpServiceServer, serve_http
+from repro.service.http import HttpServiceServer, serve_forever, serve_http
 from repro.service.jobs import (
     JOB_KINDS,
     PRIORITIES,

@@ -16,9 +16,7 @@ Both transports surface the *same* typed errors
 at submit time.  With ``retries > 0`` the client absorbs plain
 overload sheds itself — it sleeps for the service's ``retry_after``
 hint (never less than *retry_floor*) and resubmits, so a storm
-degrades into bounded latency instead of an exception.  Quota sheds
-(:class:`~repro.errors.TenantQuotaExceeded`) are never retried: a
-tenant over its byte budget will not be helped by politeness.
+degrades into bounded latency instead of an exception.
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ from repro.errors import (
     JobFailed,
     ServiceOverloaded,
     SpecError,
-    TenantQuotaExceeded,
     UnknownJob,
 )
 from repro.obs.metrics import get_registry
@@ -81,13 +78,6 @@ class _LocalTransport:
 #: Error body type name -> reconstructor; what makes the HTTP wire
 #: transparent to typed ``except`` clauses.
 _WIRE_ERRORS = {
-    "TenantQuotaExceeded": lambda p: TenantQuotaExceeded(
-        p.get("message", ""),
-        tenant=p.get("tenant", ""),
-        usage_bytes=p.get("usage_bytes", 0),
-        quota_bytes=p.get("quota_bytes", 0),
-        retry_after=p.get("retry_after", 0.0),
-    ),
     "ServiceOverloaded": lambda p: ServiceOverloaded(
         p.get("message", ""),
         reason=p.get("reason", ""),
@@ -268,8 +258,6 @@ class ServiceClient:
             try:
                 job_id = self._transport.submit(spec)
                 return JobHandle(self, spec, job_id)
-            except TenantQuotaExceeded:
-                raise
             except ServiceOverloaded as exc:
                 attempt += 1
                 if attempt > self.retries:

@@ -52,7 +52,6 @@ from repro.errors import (
     JobExpired,
     JobFailed,
     ServiceOverloaded,
-    TenantQuotaExceeded,
     UnknownJob,
 )
 from repro.obs.metrics import get_registry
@@ -73,10 +72,6 @@ _METRICS = get_registry()
 #: Retry-after floor so shed clients never busy-spin.
 _MIN_RETRY_AFTER = 0.05
 
-#: Upper-bound guess at one sealed journal record, so tenant-quota
-#: admission sheds *before* the write that would overrun the budget.
-_TENANT_RECORD_ESTIMATE = 2048
-
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -88,7 +83,6 @@ class ServiceConfig:
     default_deadline: float | None = None
     drain_timeout: float = 10.0
     journal: bool = True
-    tenant_quota_bytes: int | None = None
 
     @classmethod
     def from_settings(
@@ -103,7 +97,6 @@ class ServiceConfig:
             default_deadline=resolved.service_deadline,
             drain_timeout=resolved.service_drain_timeout,
             journal=resolved.service_journal,
-            tenant_quota_bytes=resolved.tenant_quota_bytes,
         )
 
 
@@ -439,24 +432,6 @@ class JobEngine:
                 retry_after=self.config.drain_timeout,
                 tenant=tenant,
             )
-        quota = self.config.tenant_quota_bytes
-        if quota is not None and self.journal is not None:
-            usage = self.journal.tenant_usage(tenant)
-            if usage + _TENANT_RECORD_ESTIMATE > quota:
-                _METRICS.inc("service.shed")
-                _METRICS.inc(f"service.tenant.{tenant}.quota_shed")
-                if self._tracer.enabled:
-                    self._tracer.emit(
-                        "job.quota_shed", "service", tenant=tenant,
-                        usage=usage, quota=quota,
-                    )
-                raise TenantQuotaExceeded(
-                    f"tenant {tenant} over its store budget",
-                    tenant=tenant,
-                    usage_bytes=usage,
-                    quota_bytes=quota,
-                    retry_after=self._retry_after(),
-                )
         if self._queued >= self.config.queue_depth:
             _METRICS.inc("service.shed")
             _METRICS.inc(f"service.tenant.{tenant}.shed")

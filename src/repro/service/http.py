@@ -22,7 +22,6 @@ The error contract (also the table in DESIGN.md §14):
 =====================  ======  ==========================================
 typed error            status  extras
 =====================  ======  ==========================================
-``TenantQuotaExceeded``  429   ``Retry-After`` header, tenant + usage
 ``ServiceOverloaded``    503   ``Retry-After`` header from the EWMA hint
 ``JobExpired``           410   job id + deadline
 ``SpecError``            422   ``field`` names the offending spec field
@@ -52,6 +51,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+import time
 import urllib.parse
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -63,7 +63,6 @@ from repro.errors import (
     ServiceOverloaded,
     SpecError,
     SquashError,
-    TenantQuotaExceeded,
     UnknownJob,
 )
 from repro.obs.metrics import get_registry
@@ -77,6 +76,7 @@ __all__ = [
     "ERROR_STATUS",
     "HttpServiceServer",
     "error_payload",
+    "serve_forever",
     "serve_http",
 ]
 
@@ -93,9 +93,8 @@ REQUEST_TIMEOUT_S = 10.0
 #: KiB; a larger declared ``Content-Length`` gets a 413 unread.
 MAX_BODY_BYTES = 1 << 20
 
-#: Typed error -> stable HTTP status; order matters (subclasses first).
+#: Typed error -> stable HTTP status.
 ERROR_STATUS: tuple[tuple[type, int], ...] = (
-    (TenantQuotaExceeded, 429),
     (ServiceOverloaded, 503),
     (JobExpired, 410),
     (SpecError, 422),
@@ -109,7 +108,7 @@ def error_payload(exc: SquashError) -> dict:
     wire-relevant typed field the exception carries."""
     payload = {"error": type(exc).__name__, "message": exc.message}
     for attr in ("reason", "retry_after", "tenant", "field", "job_id",
-                 "error_type", "deadline", "usage_bytes", "quota_bytes"):
+                 "error_type", "deadline"):
         value = getattr(exc, attr, None)
         if value not in (None, "", 0, 0.0) or (
             attr == "retry_after" and value is not None
@@ -415,3 +414,42 @@ def serve_http(engine, host: str | None = None,
     """Bind and start the HTTP front end for *engine*; returns the
     running server (callers own ``stop()``)."""
     return HttpServiceServer(engine, host=host, port=port).start()
+
+
+def serve_forever(
+    engine,
+    poll_interval: float = 0.05,
+    max_jobs: int | None = None,
+    idle_exit: float | None = None,
+    should_stop=None,
+) -> int:
+    """The ``repro serve`` loop: watch *engine* until told to stop.
+
+    Jobs reach *engine* through its HTTP front end; this loop only
+    watches the exit conditions.  Returns the number of jobs that
+    reached a terminal state while serving.  Exits when *should_stop*
+    (the signal flag) fires, after *max_jobs* terminal jobs, or after
+    *idle_exit* seconds with an empty queue and executor — whichever
+    comes first.
+    """
+    terminal_seen: set[str] = set()
+    idle_since: float | None = None
+    while True:
+        if should_stop is not None and should_stop():
+            break
+        for job_id, job in list(engine._jobs.items()):
+            if job.terminal:
+                terminal_seen.add(job_id)
+        if max_jobs is not None and len(terminal_seen) >= max_jobs:
+            break
+        stats = engine.stats()
+        if stats["queued"] or stats["running"]:
+            idle_since = None
+        elif idle_exit is not None:
+            now = time.monotonic()
+            if idle_since is None:
+                idle_since = now
+            elif now - idle_since >= idle_exit:
+                break
+        time.sleep(poll_interval)
+    return len(terminal_seen)

@@ -140,11 +140,6 @@ class JobSpec:
                     f"unknown sweep kind {kind!r} (size|time)",
                     field="payload.sweep_kind",
                 )
-            if not isinstance(self.payload.get("fanout", False), bool):
-                raise SpecError(
-                    "fanout must be a boolean",
-                    field="payload.fanout",
-                )
         elif self.kind == "verify":
             if not self.payload.get("prefix"):
                 raise SpecError(
@@ -259,10 +254,6 @@ def _execute_squash(payload: dict) -> dict:
 def _execute_sweep(payload: dict) -> dict:
     import repro.api as api
 
-    if payload.get("fanout"):
-        from repro.service.fanout import run_fanout_sweep
-
-        return run_fanout_sweep(payload)
     thetas = payload.get("thetas")
     spec = api.SweepSpec(
         names=tuple(payload.get("names") or ()),

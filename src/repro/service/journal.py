@@ -24,7 +24,7 @@ from __future__ import annotations
 import pathlib
 import time
 
-from repro.errors import StoreDegraded, TenantQuotaExceeded
+from repro.errors import StoreDegraded
 from repro.obs.metrics import get_registry
 from repro.service.jobs import Job, JobSpec
 
@@ -64,27 +64,11 @@ class JobJournal:
             "error": list(job.error) if job.error else None,
         }
         try:
-            self._store.put(
-                "job", job.id, record, tenant=job.spec.tenant
-            )
-        except TenantQuotaExceeded:
-            # The tenant is over budget and its own refs could not
-            # make room; the job keeps running from memory — only its
-            # persistence is lost, and admission sheds the tenant's
-            # *next* submissions.
-            _METRICS.inc(
-                f"service.tenant.{job.spec.tenant}.journal_quota_drops"
-            )
-            return False
+            self._store.put("job", job.id, record)
         except StoreDegraded:
             _METRICS.inc("service.journal_degraded")
             return False
         return True
-
-    def tenant_usage(self, tenant: str) -> int:
-        """Live store bytes attributed to *tenant* (see
-        :meth:`repro.store.store.ArtifactStore.tenant_usage`)."""
-        return self._store.tenant_usage(tenant)
 
     # -- reads ---------------------------------------------------------------
 

@@ -221,14 +221,6 @@ class Settings:
     #: Bind port of the HTTP front end (``REPRO_SERVICE_HTTP_PORT``;
     #: 0 asks the OS for an ephemeral port).
     service_http_port: int = 8737
-    #: Seconds a fan-out cell claim stays valid before peers may
-    #: reclaim it from a dead engine (``REPRO_SERVICE_LEASE_SECONDS``).
-    service_lease_seconds: float = 30.0
-    #: Per-tenant byte budget across the tenant's store refs
-    #: (``REPRO_TENANT_QUOTA_BYTES``; None/0 disables per-tenant
-    #: quotas).  Enforced at service admission and on tenant-attributed
-    #: store writes, with eviction scoped to the tenant's own refs.
-    tenant_quota_bytes: int | None = None
 
     # -- observability ------------------------------------------------------
     #: Enable the structured trace layer (``REPRO_TRACE``).
@@ -277,10 +269,6 @@ ENV_KNOBS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "service_journal": ("REPRO_SERVICE_JOURNAL", _parse_strict_bool),
     "service_http_host": ("REPRO_SERVICE_HTTP_HOST", _parse_str),
     "service_http_port": ("REPRO_SERVICE_HTTP_PORT", _parse_nonneg_int),
-    "service_lease_seconds": (
-        "REPRO_SERVICE_LEASE_SECONDS", _parse_backoff
-    ),
-    "tenant_quota_bytes": ("REPRO_TENANT_QUOTA_BYTES", _parse_quota),
     "trace": ("REPRO_TRACE", _parse_bool),
     "trace_buffer": ("REPRO_TRACE_BUFFER", _parse_int),
 }

@@ -11,6 +11,7 @@ Layout (under one root, ``REPRO_CACHE_DIR`` / ``.repro-cache``)::
     <root>/stages/<aa>/<keydigest>.json   stage-bundle refs
     <root>/images/<aa>/<keydigest>.json   squashed-image refs
     <root>/profiles/<aa>/<keydigest>.json profile refs
+    <root>/jobs/<aa>/<keydigest>.json     service job-journal records
     <root>/objects/<cc>/<contenthash>.obj content objects (stored once)
     <root>/.store-lock                    quota/eviction critical section
     <root>/store-manifest.json            sealed manifest snapshot (gc)
@@ -66,7 +67,7 @@ import warnings
 from dataclasses import dataclass
 
 from repro import settings as _settings
-from repro.errors import StoreDegraded, TenantQuotaExceeded
+from repro.errors import StoreDegraded
 from repro.obs.metrics import get_registry
 from repro.store.locks import LockTimeout, StoreLock
 from repro.store.sealed import (
@@ -94,17 +95,7 @@ NAMESPACES = {
     "image": "images",
     "profile": "profiles",
     "job": "jobs",
-    "sweep": "sweeps",
 }
-
-#: Directory names under the root that are never ref namespaces.
-_RESERVED = {"objects", "tenants", "claims"} | {
-    sub for sub in NAMESPACES.values() if sub
-}
-
-#: Where tenant-attribution markers live (one empty file per
-#: tenant-attributed ref, named ``<ns>@<key>``).
-_TENANTS_DIR = "tenants"
 
 _MANIFEST_NAME = "store-manifest.json"
 _LOCK_NAME = ".store-lock"
@@ -126,14 +117,13 @@ class StoreConfig:
     backoff: float
     breaker_threshold: int
     breaker_cooldown: float
-    tenant_quota_bytes: int | None = None
 
     @classmethod
     def from_settings(cls) -> "StoreConfig":
         resolved = _settings.current()
         invalid = [
             name for name in resolved.invalid
-            if name.startswith(("REPRO_STORE_", "REPRO_TENANT_"))
+            if name.startswith("REPRO_STORE_")
         ]
         if invalid:
             warnings.warn(
@@ -148,7 +138,6 @@ class StoreConfig:
             backoff=resolved.store_backoff,
             breaker_threshold=resolved.store_breaker_threshold,
             breaker_cooldown=resolved.store_breaker_cooldown,
-            tenant_quota_bytes=resolved.tenant_quota_bytes,
         )
 
 
@@ -306,23 +295,13 @@ class ArtifactStore:
 
     # -- write path ----------------------------------------------------------
 
-    def put(
-        self, ns: str, key: str, obj: dict, tenant: str | None = None
-    ) -> bool:
+    def put(self, ns: str, key: str, obj: dict) -> bool:
         """Persist *obj* under (ns, key); True when it is stored.
 
         ``False`` means the entry was *refused admission* (larger than
         the quota, or the evictor could not free enough) — a policy
         outcome, not a failure.  Infrastructure failures retry with
         backoff and then raise :class:`StoreDegraded`.
-
-        With *tenant* the ref is attributed to that tenant: it counts
-        toward the tenant's usage (:meth:`tenant_usage`), the
-        per-tenant quota (``REPRO_TENANT_QUOTA_BYTES``) is enforced
-        with eviction scoped to the tenant's *own* refs — raising a
-        typed :class:`~repro.errors.TenantQuotaExceeded` when they
-        cannot make room — and global-quota eviction for this write
-        never victimizes refs attributed to *other* tenants.
         """
         cfg = StoreConfig.from_settings()
         self._check_breaker(cfg)
@@ -334,9 +313,7 @@ class ArtifactStore:
         attempt = 0
         while True:
             try:
-                admitted = self._put_once(
-                    ns, key, payload, size, cfg, tenant
-                )
+                admitted = self._put_once(ns, key, payload, size, cfg)
             except (OSError, LockTimeout) as exc:
                 attempt += 1
                 _METRICS.inc("store.write_retries")
@@ -367,56 +344,29 @@ class ArtifactStore:
         payload: bytes,
         size: int,
         cfg: StoreConfig,
-        tenant: str | None = None,
     ) -> bool:
         content = hashlib.sha256(payload).hexdigest()
         obj_path = self.object_path(content)
         ref = self.ref_path(ns, key)
-        tenant_quota = (
-            cfg.tenant_quota_bytes if tenant is not None else None
-        )
-        if cfg.quota_bytes is None and tenant_quota is None:
+        if cfg.quota_bytes is None:
             self._publish(obj_path, ref, payload)
-            if tenant is not None:
-                self._mark_tenant(tenant, ns, key)
             return True
         # Admission + eviction + publish is one cross-process critical
         # section: without it two workers could each see room and
         # overshoot the quota together.
         with self._lock():
             entries = self.scan()
-            if tenant_quota is not None:
-                if self._admit_tenant_locked(
-                    entries, ns, key, size, tenant, tenant_quota
-                ):
-                    entries = self.scan()
-            if cfg.quota_bytes is not None:
-                usage = self.usage_bytes(entries)
-                new_bytes = 0 if obj_path.exists() else size
-                if usage + new_bytes > cfg.quota_bytes:
-                    protect = None
-                    if tenant is not None:
-                        protect = {
-                            owned
-                            for owned, owner in self._tenant_map().items()
-                            if owner != tenant
-                        }
-                    freed = self._evict_locked(
-                        entries, usage + new_bytes - cfg.quota_bytes,
-                        protect=protect,
-                    )
-                    usage -= freed
-                    if usage + new_bytes > cfg.quota_bytes:
-                        _METRICS.inc("store.admission_rejected")
-                        return False
-                self._publish(obj_path, ref, payload)
-                _METRICS.set_gauge(
-                    "store.usage_bytes", usage + new_bytes
+            usage = self.usage_bytes(entries)
+            new_bytes = 0 if obj_path.exists() else size
+            if usage + new_bytes > cfg.quota_bytes:
+                usage -= self._evict_locked(
+                    entries, usage + new_bytes - cfg.quota_bytes
                 )
-            else:
-                self._publish(obj_path, ref, payload)
-            if tenant is not None:
-                self._mark_tenant(tenant, ns, key)
+                if usage + new_bytes > cfg.quota_bytes:
+                    _METRICS.inc("store.admission_rejected")
+                    return False
+            self._publish(obj_path, ref, payload)
+            _METRICS.set_gauge("store.usage_bytes", usage + new_bytes)
         return True
 
     def _publish(
@@ -501,177 +451,6 @@ class ArtifactStore:
             _METRICS.inc("store.dedup_saves")
         _fsync_dir(ref.parent)
 
-    # -- tenant attribution --------------------------------------------------
-
-    @staticmethod
-    def _safe_tenant(tenant: str) -> str:
-        """A filesystem-safe directory name for *tenant* (hashed when
-        the raw name carries separators or oddities)."""
-        import re
-
-        if re.fullmatch(r"[A-Za-z0-9._-]{1,64}", tenant):
-            return tenant
-        digest = hashlib.sha256(tenant.encode("utf-8")).hexdigest()
-        return f"t-{digest[:16]}"
-
-    def _tenant_dir(self, tenant: str) -> pathlib.Path:
-        return self.root / _TENANTS_DIR / self._safe_tenant(tenant)
-
-    def _mark_tenant(self, tenant: str, ns: str, key: str) -> None:
-        """Attribute the (ns, key) ref to *tenant* with an empty
-        marker file (idempotent; markers carry no bytes of their own)."""
-        marker = self._tenant_dir(tenant) / f"{ns}@{key}"
-        try:
-            marker.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(marker, os.O_WRONLY | os.O_CREAT, 0o644)
-            os.close(fd)
-        except OSError:
-            pass  # attribution is accounting, never a write failure
-
-    def tenants(self) -> list[str]:
-        """Tenant directory names with at least one marker."""
-        base = self.root / _TENANTS_DIR
-        try:
-            return sorted(
-                child.name for child in base.iterdir()
-                if child.is_dir()
-            )
-        except OSError:
-            return []
-
-    def _tenant_map(self) -> dict[tuple[str, str], str]:
-        """(ns, key) -> tenant directory name, from the marker tree."""
-        owners: dict[tuple[str, str], str] = {}
-        for tenant in self.tenants():
-            for marker in self._iter_markers(tenant):
-                ns, _, key = marker.name.partition("@")
-                if key:
-                    owners[(ns, key)] = tenant
-        return owners
-
-    def _iter_markers(self, tenant: str) -> list[pathlib.Path]:
-        try:
-            return [
-                path for path in self._tenant_dir(tenant).iterdir()
-                if "@" in path.name
-            ]
-        except OSError:
-            return []
-
-    def tenant_refs(
-        self, tenant: str, entries: list[ManifestEntry] | None = None
-    ) -> list[ManifestEntry]:
-        """The live manifest entries attributed to *tenant*; markers
-        whose ref is gone (evicted, quarantined) are pruned as seen."""
-        if entries is None:
-            entries = self.scan()
-        by_key = {(entry.ns, entry.key): entry for entry in entries}
-        refs: list[ManifestEntry] = []
-        for marker in self._iter_markers(self._safe_tenant(tenant)):
-            ns, _, key = marker.name.partition("@")
-            entry = by_key.get((ns, key))
-            if entry is None:
-                try:
-                    marker.unlink()
-                except OSError:
-                    pass
-                continue
-            refs.append(entry)
-        return refs
-
-    def tenant_usage(
-        self, tenant: str, entries: list[ManifestEntry] | None = None
-    ) -> int:
-        """Live bytes attributed to *tenant* (each inode once)."""
-        seen: set[int] = set()
-        total = 0
-        for entry in self.tenant_refs(tenant, entries):
-            if entry.ino not in seen:
-                seen.add(entry.ino)
-                total += entry.size
-        _METRICS.set_gauge(
-            f"store.tenant.{self._safe_tenant(tenant)}.usage_bytes",
-            total,
-        )
-        return total
-
-    def _admit_tenant_locked(
-        self,
-        entries: list[ManifestEntry],
-        ns: str,
-        key: str,
-        size: int,
-        tenant: str,
-        quota: int,
-    ) -> int:
-        """Make room for a *size*-byte write inside *tenant*'s budget.
-
-        Caller holds the store lock.  Victims come exclusively from
-        the tenant's own refs, least recently accessed first, with the
-        generation stamp re-checked — one tenant's pressure never
-        touches another tenant's working set.  Returns the number of
-        refs evicted; raises :class:`~repro.errors.TenantQuotaExceeded`
-        when even that cannot fit the write.
-        """
-        refs = self.tenant_refs(tenant, entries)
-        live = [
-            entry for entry in refs
-            if not (entry.ns == ns and entry.key == key)
-        ]
-
-        def _usage(pool: list[ManifestEntry]) -> int:
-            seen: set[int] = set()
-            total = 0
-            for entry in pool:
-                if entry.ino not in seen:
-                    seen.add(entry.ino)
-                    total += entry.size
-            return total
-
-        if _usage(live) + size <= quota:
-            return 0
-        evicted = 0
-        remaining = list(live)
-        for victim in sorted(live, key=lambda e: (e.atime_ns, str(e.path))):
-            if _usage(remaining) + size <= quota:
-                break
-            try:
-                stat = os.stat(victim.path)
-            except OSError:
-                remaining = [e for e in remaining if e is not victim]
-                continue
-            if (
-                stat.st_ino != victim.ino
-                or stat.st_mtime_ns != victim.mtime_ns
-                or stat.st_atime_ns != victim.atime_ns
-            ):
-                _METRICS.inc("store.eviction_skipped_generation")
-                continue
-            try:
-                os.unlink(victim.path)
-            except OSError:
-                continue
-            remaining = [e for e in remaining if e is not victim]
-            evicted += 1
-            _METRICS.inc("store.tenant_evictions")
-            marker = (
-                self._tenant_dir(tenant) / f"{victim.ns}@{victim.key}"
-            )
-            try:
-                marker.unlink()
-            except OSError:
-                pass
-        usage = _usage(remaining)
-        if usage + size > quota:
-            _METRICS.inc("store.tenant_quota_rejected")
-            raise TenantQuotaExceeded(
-                f"tenant {tenant} write refused by the store",
-                tenant=tenant,
-                usage_bytes=usage,
-                quota_bytes=quota,
-            )
-        return evicted
-
     # -- manifest / accounting -----------------------------------------------
 
     def scan(self) -> list[ManifestEntry]:
@@ -685,11 +464,7 @@ class ArtifactStore:
             except OSError:
                 continue
             for shard in shards:
-                if (
-                    len(shard.name) != 2
-                    or shard.name in _RESERVED
-                    or not shard.is_dir()
-                ):
+                if len(shard.name) != 2 or not shard.is_dir():
                     continue
                 try:
                     files = list(shard.iterdir())
@@ -759,20 +534,14 @@ class ArtifactStore:
     # -- eviction ------------------------------------------------------------
 
     def _evict_locked(
-        self,
-        entries: list[ManifestEntry],
-        need_bytes: int,
-        protect: set[tuple[str, str]] | None = None,
+        self, entries: list[ManifestEntry], need_bytes: int
     ) -> int:
         """Free at least *need_bytes* if possible; returns bytes freed.
 
         Caller holds the store lock.  Orphan objects (no live ref — a
         crashed writer's leftovers) go first; then refs least recently
         accessed first, each re-checked against its generation stamp so
-        a racing rewrite or fresh hit is never clobbered.  Refs whose
-        (ns, key) is in *protect* — other tenants' working sets, when
-        the write being admitted is tenant-attributed — are never
-        victims.
+        a racing rewrite or fresh hit is never clobbered.
         """
         freed = 0
         objects = self._scan_objects()
@@ -797,9 +566,6 @@ class ArtifactStore:
         ):
             if freed >= need_bytes:
                 break
-            if protect and (victim.ns, victim.key) in protect:
-                _METRICS.inc("store.eviction_skipped_tenant")
-                continue
             try:
                 stat = os.stat(victim.path)
             except OSError:
@@ -861,16 +627,14 @@ class ArtifactStore:
     def gc(self, stale_temp_seconds: float = 300.0) -> dict:
         """Collect crash leftovers and rewrite the manifest snapshot.
 
-        Removes stale temp files, orphan objects, corrupt refs
-        (quarantined by reason), and tenant markers whose ref is gone,
-        then persists a sealed manifest snapshot for `repro store
-        stats` and enforces the quota.
+        Removes stale temp files, orphan objects and corrupt refs
+        (quarantined by reason), then persists a sealed manifest
+        snapshot for `repro store stats` and enforces the quota.
         """
         report = {
             "stale_temps": 0,
             "orphan_objects": 0,
             "corrupt_refs": 0,
-            "stale_markers": 0,
             "evicted": 0,
         }
         now = time.time()
@@ -902,17 +666,6 @@ class ArtifactStore:
                     os.unlink(path)
                     report["orphan_objects"] += 1
                     _METRICS.inc("store.orphans_collected")
-                except OSError:
-                    continue
-        live_keys = {(entry.ns, entry.key) for entry in entries}
-        for tenant in self.tenants():
-            for marker in self._iter_markers(tenant):
-                ns, _, key = marker.name.partition("@")
-                if (ns, key) in live_keys:
-                    continue
-                try:
-                    marker.unlink()
-                    report["stale_markers"] += 1
                 except OSError:
                     continue
         self._write_manifest(entries)
@@ -1015,11 +768,6 @@ class ArtifactStore:
             "usage_bytes": usage,
             "quota_bytes": cfg.quota_bytes,
             "breaker_open": time.monotonic() < self._breaker_open_until,
-            "tenants": {
-                tenant: self.tenant_usage(tenant, entries)
-                for tenant in self.tenants()
-            },
-            "tenant_quota_bytes": cfg.tenant_quota_bytes,
         }
 
 

@@ -1047,6 +1047,10 @@ class Machine:
                 while 0 <= pc < mem_len:
                     block = at[pc]
                     if block is None:
+                        # A trap address never translates: leave for the
+                        # service dispatch without counting the entry.
+                        if pc in services:
+                            break
                         key = (pc, mem[pc])
                         if key in kept and self._revalidate(key):
                             continue

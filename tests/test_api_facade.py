@@ -63,7 +63,6 @@ class TestSurface:
             "StageReport",
             "StoreDegraded",
             "SweepSpec",
-            "TenantQuotaExceeded",
             "Tracer",
             "collect_profile",
             "current_settings",

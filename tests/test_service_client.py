@@ -15,7 +15,6 @@ from repro.errors import (
     JobFailed,
     ServiceOverloaded,
     SpecError,
-    TenantQuotaExceeded,
     UnknownJob,
 )
 from repro.service import (
@@ -196,26 +195,6 @@ class TestHttpTransport:
             handle = client.submit(_spec(value=9))
             assert handle.result(timeout=30.0) == {"value": 9}
             assert _client_retries() > retries_before
-
-    def test_quota_shed_is_never_retried(self, http_url, monkeypatch):
-        eng, url = http_url()
-
-        calls = []
-
-        def quota_submit(spec, job_id=None):
-            calls.append(1)
-            raise TenantQuotaExceeded(
-                "over budget", tenant=spec.tenant,
-                usage_bytes=10, quota_bytes=5, retry_after=0.01,
-            )
-
-        monkeypatch.setattr(eng, "submit", quota_submit)
-        with ServiceClient(url, retries=5, retry_floor=0.01) as client:
-            with pytest.raises(TenantQuotaExceeded) as exc:
-                client.submit(_spec(value=0, tenant="hog"))
-            assert exc.value.tenant == "hog"
-            assert exc.value.usage_bytes == 10
-        assert len(calls) == 1
 
     def test_cancel_over_http(self, http_url):
         eng, url = http_url(paused=True)

@@ -1,4 +1,5 @@
-"""The HTTP front end: routes, the error→status contract, versioning.
+"""The HTTP front end: routes, the error→status contract, versioning,
+and the ``repro serve`` loop.
 
 Servers bind an ephemeral port on localhost with stub job bodies; the
 requests here go through raw ``urllib`` so the tests pin the *wire*
@@ -21,7 +22,6 @@ from repro.errors import (
     JobFailed,
     ServiceOverloaded,
     SpecError,
-    TenantQuotaExceeded,
     UnknownJob,
 )
 from repro.service import JobEngine, JobJournal, JobSpec, ServiceConfig
@@ -31,6 +31,7 @@ from repro.service.http import (
     HttpServiceServer,
     error_payload,
     error_status,
+    serve_forever,
     serve_http,
 )
 from repro.service.jobs import SCHEMA_VERSION, Job
@@ -102,7 +103,6 @@ class TestErrorContract:
     """Every typed service error maps to one stable status code."""
 
     CASES = [
-        (TenantQuotaExceeded("over", tenant="t"), 429),
         (ServiceOverloaded("full", reason="queue-full"), 503),
         (JobExpired("late", job_id="j"), 410),
         (SpecError("bad", field="kind"), 422),
@@ -115,13 +115,6 @@ class TestErrorContract:
     )
     def test_status_mapping(self, exc, status):
         assert error_status(exc) == status
-
-    def test_subclass_wins_over_base(self):
-        # TenantQuotaExceeded IS a ServiceOverloaded; the mapping must
-        # resolve the most specific class, not the first base match.
-        assert error_status(
-            TenantQuotaExceeded("over", tenant="t")
-        ) == 429
 
     def test_payload_carries_typed_fields(self):
         payload = error_payload(
@@ -525,3 +518,53 @@ class TestServerLifecycle:
                     assert srv.port > 0
         finally:
             eng.stop(drain_timeout=0.2)
+
+
+class TestServeLoop:
+    """Each exit of the ``repro serve`` loop ends it by itself."""
+
+    @pytest.mark.parametrize(
+        "limits",
+        [{}, {"max_jobs": 1}, {"idle_exit": 0.05}],
+        ids=["should_stop", "max_jobs", "idle_exit"],
+    )
+    def test_serve_forever_exits(self, limits):
+        eng = JobEngine(_config(), execute_fn=_echo)
+        eng._dispatch_paused = True
+        eng.start(recover=False)
+        stop = threading.Event()
+        polls = []
+        result = {}
+
+        def should_stop():
+            polls.append(1)
+            return stop.is_set()
+
+        def serve():
+            result["terminal"] = serve_forever(
+                eng, poll_interval=0.01, should_stop=should_stop, **limits
+            )
+
+        # Queued before the loop starts, so the idle exit cannot fire
+        # before the job has run.
+        job = eng.submit(_spec(value=4))
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        try:
+            eng._dispatch_paused = False
+            eng._loop.call_soon_threadsafe(eng._wake.set)
+            assert eng.result(job.id, timeout=10.0) == {"value": 4}
+            if not limits:
+                # Two more iterations: the second starts only after
+                # the first has counted the (already terminal) job.
+                seen, deadline = len(polls), time.monotonic() + 10.0
+                while len(polls) < seen + 2 and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                stop.set()
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+            eng.stop(drain_timeout=0.5)
+        assert result["terminal"] == 1

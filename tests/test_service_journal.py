@@ -140,7 +140,7 @@ class TestJournal:
     def test_dead_store_degrades_journal_not_jobs(self, tmp_path):
         engine = _engine(tmp_path)
 
-        def dead_put(ns, key, value, tenant=None):
+        def dead_put(ns, key, value):
             raise StoreDegraded("disk is gone", reason="enospc")
 
         engine.journal._store.put = dead_put
@@ -157,3 +157,22 @@ class TestJournal:
             _METRICS.counter("service.journal_degraded").value
             > degraded_before
         )
+
+    def test_journaled_jobs_leave_only_job_and_object_shards(self, tmp_path):
+        engine = _engine(tmp_path)
+        engine.start(recover=False)
+        try:
+            for tenant in ("alice", "bob"):
+                job = engine.submit(_spec(value=1, tenant=tenant))
+                assert engine.result(job.id, timeout=10.0) == {"value": 1}
+        finally:
+            engine.stop(drain_timeout=0.5)
+        assert sorted(child.name for child in tmp_path.iterdir()) == [
+            "jobs", "objects",
+        ]
+        for top in ("jobs", "objects"):
+            shards = list((tmp_path / top).iterdir())
+            assert shards
+            assert all(
+                shard.is_dir() and len(shard.name) == 2 for shard in shards
+            )

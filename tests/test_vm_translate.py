@@ -209,6 +209,36 @@ def test_translated_runs_match_the_step_interpreter(
     _assert_modes_agree(make_machine, max_steps)
 
 
+def test_trap_addresses_are_never_counted_or_translated(monkeypatch):
+    program, _, profile, inputs = _prepared("adpcm", 0, 0.03)
+    result = api.squash(program, profile, api.SquashConfig(theta=1.0))
+    translated = []
+    translate = Machine._translate
+
+    def spy(self, entry):
+        translated.append(entry)
+        return translate(self, entry)
+
+    monkeypatch.setattr(Machine, "_translate", spy)
+    machines = []
+
+    def make_machine():
+        runtime = SquashRuntime(result.descriptor)
+        machine = Machine(
+            result.image, input_words=inputs, services=runtime.services()
+        )
+        machines.append(machine)
+        return machine, runtime
+
+    oracle = _assert_modes_agree(make_machine)
+    assert oracle["stats"]["decompressions"] > 0
+    traps = set(machines[0].services)
+    assert translated and not traps & set(translated)
+    for machine in machines:
+        assert machine._heat
+        assert not traps & {pc for pc, _ in machine._heat}
+
+
 def _raw_image(
     listing: str, base: int = 0x100, heads: tuple[int, ...] = ()
 ) -> LoadedImage:
