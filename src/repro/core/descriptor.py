@@ -10,7 +10,7 @@ executable's header.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.costmodel import CostModel
 from repro.core.integrity import (
@@ -154,13 +154,88 @@ class SquashDescriptor:
 
 def descriptor_to_dict(desc: SquashDescriptor) -> dict:
     """A JSON-serialisable form of the descriptor (the squashed
-    executable's header, for :meth:`SquashResult.save`)."""
-    import dataclasses
+    executable's header, for :meth:`SquashResult.save`).
 
-    data = dataclasses.asdict(desc)
-    data["strategy"] = desc.strategy.value
-    data["restore_scheme"] = desc.restore_scheme.value
-    return data
+    Written out field by field, in dataclass field order, so its JSON
+    bytes equal those of ``dataclasses.asdict``, which deep-copies every
+    region, stub and seal of every saved or digested image.
+    """
+    integrity = desc.integrity
+    if integrity is not None:
+        integrity = {
+            "table_crc": integrity.table_crc,
+            "stream_crc": integrity.stream_crc,
+            "offset_table_crc": integrity.offset_table_crc,
+            "table_bits": integrity.table_bits,
+            "stream_bits": integrity.stream_bits,
+            "regions": [
+                {
+                    "start_bit": seal.start_bit,
+                    "end_bit": seal.end_bit,
+                    "crc": seal.crc,
+                }
+                for seal in integrity.regions
+            ],
+            "contexts": [
+                {
+                    "kind": seal.kind,
+                    "ctx": seal.ctx,
+                    "start_bit": seal.start_bit,
+                    "end_bit": seal.end_bit,
+                    "crc": seal.crc,
+                }
+                for seal in integrity.contexts
+            ],
+        }
+    return {
+        "strategy": desc.strategy.value,
+        "restore_scheme": desc.restore_scheme.value,
+        "cost": {
+            f.name: getattr(desc.cost, f.name) for f in fields(desc.cost)
+        },
+        "decomp_base": desc.decomp_base,
+        "decomp_words": desc.decomp_words,
+        "offset_table_addr": desc.offset_table_addr,
+        "table_addr": desc.table_addr,
+        "table_words": desc.table_words,
+        "stream_addr": desc.stream_addr,
+        "stream_words": desc.stream_words,
+        "stub_area_base": desc.stub_area_base,
+        "stub_area_words": desc.stub_area_words,
+        "stub_capacity": desc.stub_capacity,
+        "buffer_base": desc.buffer_base,
+        "buffer_words": desc.buffer_words,
+        "regions": [
+            {
+                "index": region.index,
+                "bit_offset": region.bit_offset,
+                "expanded_size": region.expanded_size,
+                "base": region.base,
+                "block_slots": dict(region.block_slots),
+                "original_instrs": region.original_instrs,
+            }
+            for region in desc.regions
+        ],
+        "entry_stubs": [
+            {
+                "label": stub.label,
+                "region": stub.region,
+                "offset": stub.offset,
+                "addr": stub.addr,
+            }
+            for stub in desc.entry_stubs
+        ],
+        "compile_time_stubs": [
+            {
+                "addr": stub.addr,
+                "region": stub.region,
+                "return_offset": stub.return_offset,
+            }
+            for stub in desc.compile_time_stubs
+        ],
+        "buffer_caching": desc.buffer_caching,
+        "integrity": integrity,
+    }
 
 
 def descriptor_from_dict(data: dict) -> SquashDescriptor:

@@ -18,11 +18,13 @@
    second tenant submits afterwards; round-robin scheduling under the
    per-tenant cap must interleave the second tenant's jobs instead of
    starving them behind the hog's backlog.
-3. **SIGKILL mid-job** — a real ``repro serve`` subprocess is
-   SIGKILLed while a job submitted over HTTP is running; a restarted
-   server must recover the journal, finish every submitted job (none
-   lost, none stuck), and produce digests identical to direct facade
-   calls.
+3. **SIGKILL mid-job** — a real ``repro serve`` subprocess, in a
+   session of its own, is SIGKILLed while a job submitted over HTTP
+   is running; every process it started (worker processes, their
+   forkserver, the resource tracker) must be gone within
+   :data:`GROUP_EXIT_S`, and a restarted server must recover the
+   journal, finish every submitted job (none lost, none stuck), and
+   produce digests identical to direct facade calls.
 4. **Dead store** — the journal's store is put under an unbounded
    ENOSPC storm with retries off; journaling degrades (counted by
    ``service.journal_degraded``) but admission, execution, and results
@@ -30,8 +32,9 @@
 
 The run **fails** (non-zero exit) if a shed was untyped, an accepted
 job was lost, a deadline was ignored, tenants starved, a SIGKILL lost
-a job, or the dead-store pass either broke job execution or recorded
-no degradation.
+a job or left a process of the killed server running, or the
+dead-store pass either broke job execution or recorded no
+degradation.
 """
 
 from __future__ import annotations
@@ -56,6 +59,12 @@ __all__ = ["SCENARIOS", "ServeChaosReport", "run_serve_chaos"]
 _METRICS = get_registry()
 
 SCENARIOS = ("overload", "fairness", "sigkill", "deadstore")
+
+#: Seconds the SIGKILLed server's process group gets to empty.  Its
+#: workers exit at once, but the orphaned forkserver and resource
+#: tracker stay in the group until init reaps them, which can take
+#: a second or two.
+GROUP_EXIT_S = 10.0
 
 
 @dataclass
@@ -87,6 +96,8 @@ class ServeChaosReport:
     # SIGKILL mid-job
     kill_jobs: int = 0
     kill_delivered: bool = False
+    #: The killed server's process group emptied in time.
+    kill_group_gone: bool = False
     kill_recovered: int = 0
     kill_lost: int = 0
     kill_digests_match: bool = False
@@ -116,6 +127,7 @@ class ServeChaosReport:
     def sigkill_ok(self) -> bool:
         return (
             self.kill_delivered
+            and self.kill_group_gone
             and self.kill_lost == 0
             and self.kill_digests_match
         )
@@ -170,6 +182,7 @@ class ServeChaosReport:
             lines.append(
                 f"  sigkill: {self.kill_jobs} jobs, server "
                 f"{'killed mid-job' if self.kill_delivered else 'NOT KILLED'}, "
+                f"{'no process left' if self.kill_group_gone else 'PROCESSES LEFT RUNNING'}, "
                 f"{self.kill_recovered} recovered, {self.kill_lost} lost, "
                 f"digests "
                 f"{'identical' if self.kill_digests_match else 'DIVERGED'}"
@@ -362,6 +375,37 @@ def _wait_http_up(url: str, timeout: float = 60.0) -> bool:
     return False
 
 
+def _serve(extra: list[str], env: dict) -> subprocess.Popen:
+    """``repro serve`` in a session of its own: its process group holds
+    every process it starts."""
+    return subprocess.Popen(
+        _serve_argv(extra), env=env, start_new_session=True,
+        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+    )
+
+
+def _group_gone(pgid: int, timeout: float) -> bool:
+    """Whether process group *pgid* empties within *timeout* seconds."""
+    deadline = time.monotonic() + timeout
+    while True:
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return True
+        if time.monotonic() >= deadline:
+            return False
+        time.sleep(0.05)
+
+
+def _end_group(server: subprocess.Popen) -> None:
+    """SIGKILL whatever is left of *server*'s group and reap it."""
+    try:
+        os.killpg(server.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    server.wait(timeout=30.0)
+
+
 def _wait_terminal(journal, job_id: str, timeout: float) -> dict | None:
     """Poll *journal* until *job_id* has a terminal record (None on
     timeout): the truth a murdered server cannot take down."""
@@ -431,10 +475,7 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
     port = _free_port()
     serve_extra = ["--http", f"127.0.0.1:{port}"]
     url = f"http://127.0.0.1:{port}"
-    server = subprocess.Popen(
-        _serve_argv(serve_extra), env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    server = _serve(serve_extra, env)
     try:
         if not _wait_http_up(url):
             raise RuntimeError(f"serve never answered at {url}")
@@ -451,17 +492,13 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
             )
         if report.kill_delivered:
             server.wait(timeout=30.0)
+            report.kill_group_gone = _group_gone(server.pid, GROUP_EXIT_S)
     finally:
-        if server.poll() is None:
-            server.kill()
-            server.wait(timeout=30.0)
+        _end_group(server)
 
     # Restart: journal recovery must finish every job; none lost,
     # none stuck.
-    server = subprocess.Popen(
-        _serve_argv([*serve_extra, "--idle-exit", "2.0"]), env=env,
-        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-    )
+    server = _serve([*serve_extra, "--idle-exit", "2.0"], env)
     try:
         if not _wait_http_up(url):
             raise RuntimeError(f"restarted serve never answered at {url}")
@@ -480,9 +517,7 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
         report.kill_digests_match = bool(matches) and all(matches)
         server.wait(timeout=120.0)
     finally:
-        if server.poll() is None:
-            server.kill()
-            server.wait(timeout=30.0)
+        _end_group(server)
 
 
 def _run_deadstore(report: ServeChaosReport, root: pathlib.Path,

@@ -22,30 +22,56 @@ per-tenant cap on concurrently running jobs
 throughput, not a monopoly: other tenants' jobs interleave at every
 slot the hog's cap frees.
 
-**Execution** — up to ``REPRO_SERVICE_WORKERS`` jobs run concurrently
-on an executor thread pool, each dispatching through the typed facade
+**Execution** — up to ``REPRO_SERVICE_WORKERS`` jobs run concurrently,
+each on an executor thread that dispatches through the typed facade
 (:func:`repro.service.jobs.execute_job`) so results are byte-identical
-to direct :mod:`repro.api` calls.  A job deadline propagates: the
-remaining budget tightens ``cell_deadline`` (scoped thread-locally via
-:func:`repro.settings.use_settings`), so supervisor cells under the
-job observe it; a job whose deadline lapses before or during execution
-terminates ``expired`` with a typed :class:`~repro.errors.JobExpired`
-— cancelled, never completed late.
+to direct :mod:`repro.api` calls.  A squash job's body runs in one of
+as many worker processes, which the engine owns from
+:meth:`~JobEngine.start` until :meth:`~JobEngine.drain`: the thread
+only waits for it, so squashes use the other cores while HTTP, the
+event loop and the journal keep this process.  Each task carries the
+thread's resolved settings, so in-process ``use_settings`` overrides
+reach the worker.  Workers are forked by a forkserver that has
+already imported the squash path (never by this threaded process),
+all of them when the engine starts, and each exits when the engine
+process does, SIGKILL included.  A worker's death fails the jobs in
+flight in its pool with a typed :class:`~repro.errors.JobFailed`
+(``error_type`` ``BrokenProcessPool``), and the next job gets a fresh
+pool.  Sweep and verify jobs run on the thread itself; a parallel
+sweep fans out through the supervisor's pool.  A job deadline
+propagates: the remaining budget tightens ``cell_deadline`` (scoped
+thread-locally via :func:`repro.settings.use_settings`), so
+supervisor cells under the job observe it; a job whose deadline
+lapses before or during execution terminates ``expired`` with a typed
+:class:`~repro.errors.JobExpired` — cancelled, never completed late.
 
 **Drain** — SIGTERM/SIGINT (wired by ``repro serve``) stop admission,
 let running jobs finish inside ``REPRO_SERVICE_DRAIN_TIMEOUT``,
-journal still-queued jobs as ``requeued`` for the next start, and
-release the warm worker-pool leases.
+journal still-queued jobs as ``requeued`` for the next start, stop
+the worker processes (a squash still running past the budget is
+journaled ``requeued`` as well), and release the warm worker-pool
+leases.
+
+The engine keeps the newest :data:`KEPT_TERMINAL_JOBS` terminal jobs
+in memory.  Older ones are answered from the journal, as a previous
+process's jobs are; without a journal their ids become
+:class:`~repro.errors.UnknownJob`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
+import os
+import pathlib
+import select
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from multiprocessing import forkserver
 
 from repro import settings as _settings
 from repro.errors import (
@@ -62,15 +88,160 @@ from repro.service.jobs import (
     JobSpec,
     execute_job,
     new_job_id,
+    use_squash_pool,
 )
 from repro.service.journal import JobJournal
 
-__all__ = ["JobEngine", "ServiceConfig", "get_engine", "reset_engine"]
+__all__ = [
+    "KEPT_TERMINAL_JOBS",
+    "JobEngine",
+    "ServiceConfig",
+    "get_engine",
+    "reset_engine",
+]
 
 _METRICS = get_registry()
 
 #: Retry-after floor so shed clients never busy-spin.
 _MIN_RETRY_AFTER = 0.05
+
+#: Terminal jobs an engine keeps in memory, newest first.
+KEPT_TERMINAL_JOBS = 1000
+
+#: What a squash job imports.  The forkserver imports it once, so a
+#: worker forked from it pays none of it on its first job.
+_WORKER_PRELOAD = [
+    "repro.analysis.experiments",
+    "repro.api",
+    "repro.program.imagefile",
+    "repro.service.jobs",
+]
+
+#: The directory that holds the ``repro`` package this process runs.
+_PACKAGE_ROOT = str(pathlib.Path(__file__).resolve().parents[2])
+
+#: Seconds between a worker's checks that the engine still runs, where
+#: the platform cannot wait on a process descriptor.
+_ENGINE_POLL_S = 0.5
+
+
+def _forkserver_context():
+    """The ``forkserver`` context, its server running with
+    :data:`_WORKER_PRELOAD` imported.
+
+    The server is a fresh interpreter that imports the preload list on
+    its default ``sys.path``: CPython hands it this process's
+    ``sys.path`` but does not apply it (3.11 to 3.13).  So it starts
+    with this package's root at the head of ``PYTHONPATH``.  Otherwise,
+    run from a checkout that puts ``src`` on ``sys.path`` at run time,
+    it would preload nothing, and every worker would import the package
+    itself (about 0.2 s); or it would preload another installed copy.
+    """
+    context = multiprocessing.get_context("forkserver")
+    context.set_forkserver_preload(_WORKER_PRELOAD)
+    # Set for the server's exec alone; os.environ is left as it is.
+    saved = _settings._ENVIRON.get("PYTHONPATH")
+    os.putenv(
+        "PYTHONPATH", os.pathsep.join(filter(None, (_PACKAGE_ROOT, saved)))
+    )
+    try:
+        forkserver.ensure_running()
+    finally:
+        if saved is None:
+            os.unsetenv("PYTHONPATH")
+        else:
+            os.putenv("PYTHONPATH", saved)
+    return context
+
+
+def _exit_with_engine(pid: int) -> None:
+    """Pool initializer: end this worker when process *pid* ends.
+
+    Otherwise a worker waits on its call queue for ever once the engine
+    is SIGKILLed, and keeps its forkserver alive with it.
+    """
+    threading.Thread(
+        target=_wait_for_exit, args=(pid,),
+        name="repro-engine-watch", daemon=True,
+    ).start()
+
+
+def _wait_for_exit(pid: int) -> None:
+    try:
+        # Readable once *pid* has exited, reaped or not.
+        fd = os.pidfd_open(pid)
+    except ProcessLookupError:
+        os._exit(1)
+    except (AttributeError, OSError):
+        # No pidfd_open: poll, which takes an unreaped engine for alive.
+        while True:
+            try:
+                os.kill(pid, 0)
+            except ProcessLookupError:
+                os._exit(1)
+            time.sleep(_ENGINE_POLL_S)
+    select.select([fd], [], [])
+    os._exit(1)
+
+
+class _SquashPool:
+    """The engine's worker processes for squash jobs.
+
+    Its :meth:`run` is what :func:`~repro.service.jobs.use_squash_pool`
+    hands squash jobs.  Workers come from a ``forkserver`` context: the
+    engine process runs HTTP and loop threads, so it must not ``fork``,
+    and ``spawn`` would import the package again in every worker of
+    every engine.
+    """
+
+    def __init__(self, workers: int):
+        self._workers = workers
+        self._lock = threading.Lock()
+        self._executor: ProcessPoolExecutor | None = self._start()
+
+    def _start(self) -> ProcessPoolExecutor:
+        executor = ProcessPoolExecutor(
+            max_workers=self._workers, mp_context=_forkserver_context(),
+            initializer=_exit_with_engine, initargs=(os.getpid(),),
+        )
+        # The executor starts a worker for each submission that finds
+        # none idle, so these start every worker now, not in the first
+        # jobs.
+        for future in [
+            executor.submit(os.getpid) for _ in range(self._workers)
+        ]:
+            future.result()
+        return executor
+
+    def run(self, fn, *args):
+        """``fn(*args)`` in a worker; raises ``BrokenProcessPool`` when a
+        worker died while the call was in flight, or after
+        :meth:`close`."""
+        with self._lock:
+            if self._executor is None:
+                raise BrokenProcessPool("the engine's worker pool is closed")
+            try:
+                future = self._executor.submit(fn, *args)
+            except BrokenProcessPool:
+                # A worker died since the last call.
+                self._executor.shutdown(wait=True)
+                self._executor = self._start()
+                future = self._executor.submit(fn, *args)
+        return future.result()
+
+    def close(self, kill: bool) -> None:
+        """Stop every worker and wait until it has exited; with *kill*,
+        end the calls still running too."""
+        with self._lock:
+            executor, self._executor = self._executor, None
+        if executor is None:
+            return
+        if kill:
+            # ``_processes`` is private-but-stable CPython, as in
+            # ``repro.resilience.workerpool``.
+            for process in list((executor._processes or {}).values()):
+                process.terminate()
+        executor.shutdown(wait=True, cancel_futures=True)
 
 
 @dataclass(frozen=True)
@@ -134,14 +305,20 @@ class JobEngine:
         self._queued = 0
         self._running: dict[str, Job] = {}
         self._tenant_running: dict[str, int] = {}
-        #: Sync waiters: job id -> Future resolved at terminal state.
+        #: Sync waiters of unfinished jobs: job id -> Future resolved
+        #: (and, at a terminal state, dropped) when the job ends.
         self._waiters: dict[str, Future] = {}
+        #: Ids of the terminal jobs still in ``_jobs``, oldest first.
+        self._terminal: deque[str] = deque()
+        #: Jobs that reached a terminal state in this engine.
+        self._terminal_count = 0
         #: EWMA of observed job run seconds (retry-after hints).
         self._avg_run = 0.5
         self._state = "stopped"
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
         self._executor: ThreadPoolExecutor | None = None
+        self._pool: _SquashPool | None = None
         self._wake: asyncio.Event | None = None
         self._idle = threading.Event()
         self._idle.set()
@@ -156,6 +333,7 @@ class JobEngine:
         non-terminal journaled job a previous process left behind."""
         if self._state != "stopped":
             return self
+        self._pool = _SquashPool(self.config.workers)
         self._state = "running"
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
@@ -216,11 +394,13 @@ class JobEngine:
     def drain(self, timeout: float | None = None) -> dict:
         """Stop admitting, wait for running jobs, requeue the rest.
 
-        Returns ``{"finished": n, "requeued": n}``.  Queued jobs are
-        journaled as ``requeued`` (recovered on the next start) and
-        their in-process waiters fail with a typed
-        :class:`~repro.errors.ServiceOverloaded`; warm pool leases are
-        released back to the OS.
+        Returns ``{"finished": n, "requeued": n}``.  Queued jobs, and
+        jobs still running when the budget is spent, are journaled as
+        ``requeued`` (recovered on the next start) and their in-process
+        waiters fail with a typed
+        :class:`~repro.errors.ServiceOverloaded`.  The worker processes
+        are stopped, a squash still running in one with it, and warm
+        pool leases are released back to the OS.
         """
         if self._state != "running" or self._loop is None:
             return {"finished": 0, "requeued": 0}
@@ -229,47 +409,54 @@ class JobEngine:
             timeout if timeout is not None else self.config.drain_timeout
         )
         deadline = time.monotonic() + budget
-        finished = 0
         # Running jobs get the drain budget to finish.
         while time.monotonic() < deadline:
             if not self._running and self._idle.is_set():
                 break
             time.sleep(0.01)
-        report = self._call(self._drain_queued())
-        finished = report["finished"]
+        report = self._call(self._requeue_unfinished())
+        self._pool.close(kill=report["interrupted"] > 0)
         from repro.resilience.workerpool import get_pool_manager
 
         get_pool_manager().shutdown_all()
         _METRICS.inc("service.drains")
-        return {"finished": finished, "requeued": report["requeued"]}
+        return {
+            "finished": self._terminal_count,
+            "requeued": report["requeued"],
+        }
 
-    async def _drain_queued(self) -> dict:
-        requeued = 0
+    async def _requeue_unfinished(self) -> dict:
+        """Requeue every queued and running job (drain, on the loop)."""
+        unfinished = []
         for priority in PRIORITIES:
             for queue in self._queues[priority].values():
-                while queue:
-                    job = queue.popleft()
-                    self._queued -= 1
-                    job.state = "requeued"
-                    self._journal(job)
-                    _METRICS.inc("service.requeued")
-                    self._resolve_waiter(
-                        job,
-                        ServiceOverloaded(
-                            "service draining; job journaled for the "
-                            "next start",
-                            reason="draining",
-                            retry_after=self.config.drain_timeout,
-                            tenant=job.spec.tenant,
-                        ),
-                    )
-                    requeued += 1
+                unfinished.extend(queue)
             self._queues[priority].clear()
             self._rr[priority].clear()
-        finished = sum(
-            1 for job in self._jobs.values() if job.terminal
-        )
-        return {"finished": finished, "requeued": requeued}
+        self._queued = 0
+        interrupted = list(self._running.values())
+        for job in interrupted:
+            # Its late completion finds it gone and is dropped.
+            self._release_slot(job)
+        for job in unfinished + interrupted:
+            job.state = "requeued"
+            self._journal(job)
+            _METRICS.inc("service.requeued")
+            self._resolve_waiter(
+                job,
+                ServiceOverloaded(
+                    "service draining; job journaled for the "
+                    "next start",
+                    reason="draining",
+                    retry_after=self.config.drain_timeout,
+                    tenant=job.spec.tenant,
+                ),
+            )
+        self._idle.set()
+        return {
+            "requeued": len(unfinished) + len(interrupted),
+            "interrupted": len(interrupted),
+        }
 
     # -- public API ----------------------------------------------------------
 
@@ -283,7 +470,8 @@ class JobEngine:
         A client-supplied *job_id* is an idempotency key: when this
         engine or its journal already holds that id, the held job is
         returned and nothing runs again (a retried POST, or one
-        replayed across a restart).
+        replayed across a restart).  Without a journal the engine
+        holds only its newest :data:`KEPT_TERMINAL_JOBS` terminal ids.
         """
         spec.validate()
         if job_id is None:
@@ -291,8 +479,13 @@ class JobEngine:
         return self._call(self._admit_once(Job(id=job_id, spec=spec)))
 
     def status(self, job_id: str) -> dict:
-        """A JSON snapshot of one job's state (journal fallback for
-        jobs from a previous process)."""
+        """A JSON snapshot of one job's state.
+
+        The journal answers for jobs of a previous process and for
+        terminal jobs beyond the newest :data:`KEPT_TERMINAL_JOBS`;
+        without a journal those raise
+        :class:`~repro.errors.UnknownJob`.
+        """
         job = self._jobs.get(job_id)
         if job is not None:
             return self._snapshot(job)
@@ -332,14 +525,16 @@ class JobEngine:
 
         A running job is not interrupted (its executor thread owns the
         work) and a terminal job cannot change state — both return
-        False.  Raises :class:`~repro.errors.UnknownJob` for ids the
-        engine never saw.
+        False, as does a job only the journal holds.  Raises
+        :class:`~repro.errors.UnknownJob` for ids neither knows.
         """
         return self._call(self._cancel(job_id))
 
     async def _cancel(self, job_id: str) -> bool:
         job = self._jobs.get(job_id)
         if job is None:
+            if self.journal is not None and self.journal.load(job_id):
+                return False
             raise UnknownJob(job_id=job_id)
         if job.terminal or job.state != "queued":
             return False
@@ -364,6 +559,7 @@ class JobEngine:
             "queued": self._queued,
             "running": len(self._running),
             "jobs": len(self._jobs),
+            "terminal": self._terminal_count,
             "tenants_running": dict(self._tenant_running),
             "avg_run_seconds": self._avg_run,
         }
@@ -496,17 +692,28 @@ class JobEngine:
     async def _waiter_for(self, job: Job) -> Future:
         waiter = self._waiters.get(job.id)
         if waiter is None:
-            waiter = self._waiters[job.id] = Future()
+            waiter = Future()
             if job.terminal:
-                self._resolve_waiter(job, None)
+                self._settle(waiter, job, None)
+            else:
+                self._waiters[job.id] = waiter
         return waiter
 
     def _resolve_waiter(
         self, job: Job, error: BaseException | None
     ) -> None:
-        waiter = self._waiters.get(job.id)
-        if waiter is None or waiter.done():
-            return
+        """Settle *job*'s waiter, if it has one; a terminal job's waiter
+        also leaves ``_waiters``."""
+        if job.terminal:
+            waiter = self._waiters.pop(job.id, None)
+        else:
+            waiter = self._waiters.get(job.id)
+        if waiter is not None and not waiter.done():
+            self._settle(waiter, job, error)
+
+    def _settle(
+        self, waiter: Future, job: Job, error: BaseException | None
+    ) -> None:
         if error is not None:
             waiter.set_exception(error)
         elif job.state == "done":
@@ -664,7 +871,8 @@ class JobEngine:
                 job_id=job.id, deadline=job.spec.deadline,
             )
         cell_deadline = self.effective_cell_deadline(job, now)
-        with _settings.use_settings(cell_deadline=cell_deadline):
+        with _settings.use_settings(cell_deadline=cell_deadline), \
+                use_squash_pool(self._pool):
             result = self._execute_fn(job.spec)
         if job.deadline_at is not None and (
             time.monotonic() > job.deadline_at
@@ -694,16 +902,22 @@ class JobEngine:
         except RuntimeError:
             pass  # loop closed between the check and the call
 
-    def _finish_running(
-        self, job: Job, result: dict | None, error: BaseException | None
-    ) -> None:
-        self._running.pop(job.id, None)
+    def _release_slot(self, job: Job) -> None:
+        del self._running[job.id]
         tenant = job.spec.tenant
         count = self._tenant_running.get(tenant, 0) - 1
         if count > 0:
             self._tenant_running[tenant] = count
         else:
             self._tenant_running.pop(tenant, None)
+
+    def _finish_running(
+        self, job: Job, result: dict | None, error: BaseException | None
+    ) -> None:
+        if job.id not in self._running:
+            return  # a drain requeued it
+        self._release_slot(job)
+        tenant = job.spec.tenant
         if job.started_at is not None:
             elapsed = time.monotonic() - job.started_at
             self._avg_run = 0.8 * self._avg_run + 0.2 * elapsed
@@ -741,6 +955,10 @@ class JobEngine:
                 error, (JobExpired, ServiceOverloaded)
             ) else None,
         )
+        self._terminal_count += 1
+        self._terminal.append(job.id)
+        while len(self._terminal) > KEPT_TERMINAL_JOBS:
+            self._jobs.pop(self._terminal.popleft(), None)
         if not self._queued and not self._running:
             self._idle.set()
 

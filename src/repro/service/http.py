@@ -93,6 +93,10 @@ REQUEST_TIMEOUT_S = 10.0
 #: KiB; a larger declared ``Content-Length`` gets a 413 unread.
 MAX_BODY_BYTES = 1 << 20
 
+#: Seconds between the serve thread's checks for :meth:`stop`, which
+#: waits up to this long (``socketserver``'s default is 0.5 s).
+_SHUTDOWN_POLL_S = 0.05
+
 #: Typed error -> stable HTTP status.
 ERROR_STATUS: tuple[tuple[type, int], ...] = (
     (ServiceOverloaded, 503),
@@ -326,9 +330,10 @@ def _make_handler(engine):
                     for job_id, record in sorted(records.items())
                 ]
             else:
+                # A copy: the engine drops old terminal jobs meanwhile.
+                held = dict(engine._jobs)
                 jobs = [
-                    engine.status(job_id)
-                    for job_id in sorted(engine._jobs)
+                    engine._snapshot(held[job_id]) for job_id in sorted(held)
                 ]
             self._respond(200, {"jobs": jobs})
 
@@ -389,6 +394,7 @@ class HttpServiceServer:
         if self._thread is None:
             self._thread = threading.Thread(
                 target=self._httpd.serve_forever,
+                args=(_SHUTDOWN_POLL_S,),
                 name="repro-service-http",
                 daemon=True,
             )
@@ -432,17 +438,13 @@ def serve_forever(
     *idle_exit* seconds with an empty queue and executor — whichever
     comes first.
     """
-    terminal_seen: set[str] = set()
     idle_since: float | None = None
     while True:
         if should_stop is not None and should_stop():
             break
-        for job_id, job in list(engine._jobs.items()):
-            if job.terminal:
-                terminal_seen.add(job_id)
-        if max_jobs is not None and len(terminal_seen) >= max_jobs:
-            break
         stats = engine.stats()
+        if max_jobs is not None and stats["terminal"] >= max_jobs:
+            break
         if stats["queued"] or stats["running"]:
             idle_since = None
         elif idle_exit is not None:
@@ -452,4 +454,4 @@ def serve_forever(
             elif now - idle_since >= idle_exit:
                 break
         time.sleep(poll_interval)
-    return len(terminal_seen)
+    return engine.stats()["terminal"]

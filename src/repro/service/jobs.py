@@ -22,7 +22,9 @@ spec round-trips byte-identically through the HTTP wire and the
 crash-safe journal.  :func:`execute_job` is the single dispatch
 point from a spec to the typed :mod:`repro.api` facade; it returns a
 JSON-able result payload whose digests let callers prove a service
-result is byte-identical to a direct facade call.
+result is byte-identical to a direct facade call.  A squash runs in
+the caller's thread, or, inside :func:`use_squash_pool` (the engine
+scopes one around every job), in that pool's worker processes.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ from __future__ import annotations
 import hashlib
 import math
 import secrets
-from dataclasses import dataclass, field
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass, field, fields
 
+from repro import settings as _settings
 from repro.errors import SpecError
 
 __all__ = [
@@ -44,6 +49,7 @@ __all__ = [
     "JobSpec",
     "execute_job",
     "new_job_id",
+    "use_squash_pool",
 ]
 
 #: Request kinds the service executes, each mapping onto one facade
@@ -231,7 +237,60 @@ def _image_digest(result) -> str:
     return digest.hexdigest()
 
 
+#: The pool the current thread's squash jobs run in (see
+#: :func:`use_squash_pool`); unset, they run in the calling thread.
+_SQUASH_POOL = threading.local()
+
+
+@contextmanager
+def use_squash_pool(pool):
+    """Run the squash jobs this thread executes in *pool* for the length
+    of the block.
+
+    *pool* has ``run(fn, *args)``, which calls ``fn(*args)`` in a worker
+    process and returns its result; the engine scopes its own pool
+    around each job the way it scopes ``cell_deadline``.  Sweep and
+    verify jobs ignore it: a parallel sweep fans out through the
+    supervisor's pool already.
+    """
+    saved = getattr(_SQUASH_POOL, "pool", None)
+    _SQUASH_POOL.pool = pool
+    try:
+        yield
+    finally:
+        _SQUASH_POOL.pool = saved
+
+
 def _execute_squash(payload: dict) -> dict:
+    pool = getattr(_SQUASH_POOL, "pool", None)
+    if pool is None:
+        return _squash(payload)
+    return pool.run(_squash_in_worker, payload, _settings.current())
+
+
+def _squash_in_worker(payload: dict, resolved: _settings.Settings) -> dict:
+    """A squash job in a worker process, under the caller's *resolved*
+    settings.
+
+    A worker resolves settings from its own environment, which carries
+    none of the caller's ``use_settings`` overrides (``codec_variant``
+    among them), so every field is installed again here.  The squash
+    is not kept past the job: ``squash_benchmark``'s memo is keyed on
+    the spec, not on these settings, so a kept result could answer a
+    later job that runs under another codec variant; a worker's memory
+    then holds only the programs it generated.
+    """
+    from repro.analysis.experiments import squash_benchmark
+
+    overrides = {f.name: getattr(resolved, f.name) for f in fields(resolved)}
+    with _settings.use_settings(**overrides):
+        try:
+            return _squash(payload)
+        finally:
+            squash_benchmark.cache_clear()
+
+
+def _squash(payload: dict) -> dict:
     import repro.api as api
 
     config = api.SquashConfig(theta=float(payload.get("theta", 0.0)))
@@ -293,8 +352,6 @@ def execute_job(spec: JobSpec) -> dict:
     (and the chaos harness) can assert that supervisor cells under
     this job observed the deadline the engine propagated.
     """
-    from repro import settings as _settings
-
     result = _EXECUTORS[spec.kind](spec.payload)
     result["cell_deadline"] = _settings.current().cell_deadline
     return result

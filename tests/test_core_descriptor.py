@@ -1,15 +1,20 @@
 """Descriptors and the cost model."""
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.analysis.experiments import squash_benchmark
+from repro.compress.codec import CODEC_VARIANTS
+from repro.core.config import SquashConfig
 from repro.core.costmodel import CostModel
 from repro.core.descriptor import (
     BufferStrategy,
     RegionDescriptor,
     RestoreStubScheme,
     SquashDescriptor,
+    descriptor_to_dict,
 )
 
 
@@ -109,3 +114,28 @@ def test_strategies_and_schemes_enumerate():
     assert {s.value for s in RestoreStubScheme} == {
         "compile_time", "runtime",
     }
+
+
+def _asdict_form(desc: SquashDescriptor) -> dict:
+    """The earlier ``descriptor_to_dict``, kept as its reference."""
+    data = dataclasses.asdict(desc)
+    data["strategy"] = desc.strategy.value
+    data["restore_scheme"] = desc.restore_scheme.value
+    return data
+
+
+@pytest.mark.parametrize("scheme", list(RestoreStubScheme))
+@pytest.mark.parametrize("variant", sorted(CODEC_VARIANTS))
+def test_descriptor_json_equals_the_asdict_form(variant, scheme):
+    result = squash_benchmark("adpcm", 0.1, SquashConfig(
+        theta=1e-3, codec_variant=variant, restore_scheme=scheme,
+    ))
+    desc = result.descriptor
+    assert desc.regions and desc.entry_stubs and desc.integrity.regions
+    assert bool(desc.compile_time_stubs) == (
+        scheme is RestoreStubScheme.COMPILE_TIME
+    )
+    for form in (desc, dataclasses.replace(desc, integrity=None)):
+        assert json.dumps(descriptor_to_dict(form)) == json.dumps(
+            _asdict_form(form)
+        )

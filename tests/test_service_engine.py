@@ -21,6 +21,7 @@ from repro.errors import (
     UnknownJob,
 )
 from repro.service import JobEngine, JobSpec, ServiceConfig
+from repro.service.engine import KEPT_TERMINAL_JOBS
 
 
 def _config(**overrides):
@@ -217,6 +218,21 @@ class TestDeadlines:
         with settings.use_settings(cell_deadline=None):
             remaining = eng.effective_cell_deadline(job)
             assert remaining is not None and remaining < 1000.0
+
+
+class TestMemory:
+    def test_old_terminal_jobs_are_unknown_without_a_journal(self, engine):
+        eng = engine(queue_depth=KEPT_TERMINAL_JOBS + 1)
+        jobs = [
+            eng.submit(_spec(value=i)) for i in range(KEPT_TERMINAL_JOBS + 1)
+        ]
+        assert eng.result(jobs[-1].id, timeout=30.0) == {
+            "value": KEPT_TERMINAL_JOBS
+        }
+        assert eng.stats()["jobs"] == KEPT_TERMINAL_JOBS
+        with pytest.raises(UnknownJob):
+            eng.status(jobs[0].id)
+        assert eng.status(jobs[1].id)["state"] == "done"
 
 
 class TestDrain:

@@ -12,6 +12,7 @@ from repro.service import (
     ServiceConfig,
     new_job_id,
 )
+from repro.service.engine import KEPT_TERMINAL_JOBS
 from repro.service.jobs import Job
 
 _METRICS = get_registry()
@@ -176,3 +177,31 @@ class TestJournal:
             assert all(
                 shard.is_dir() and len(shard.name) == 2 for shard in shards
             )
+
+    def test_old_terminal_jobs_leave_memory_and_answer_from_the_journal(
+        self, tmp_path
+    ):
+        engine = _engine(tmp_path, queue_depth=2048)
+        engine.start(recover=False)
+        try:
+            jobs = [engine.submit(_spec(value=i)) for i in range(2000)]
+            for index, job in enumerate(jobs):
+                assert engine.result(job.id, timeout=60.0) == {
+                    "value": index
+                }
+            stats = engine.stats()
+            assert stats["terminal"] == 2000
+            assert stats["jobs"] <= KEPT_TERMINAL_JOBS
+            assert not engine._waiters
+            oldest = jobs[0].id
+            assert oldest not in engine._jobs
+            assert engine.status(oldest)["state"] == "done"
+            assert engine.result(oldest, timeout=1.0) == {"value": 0}
+            assert engine.cancel(oldest) is False
+            # Its id is still an idempotency key: nothing runs again.
+            assert engine.submit(_spec(value=0), job_id=oldest).state == (
+                "done"
+            )
+            assert engine.stats()["terminal"] == 2000
+        finally:
+            engine.stop(drain_timeout=0.5)
