@@ -27,7 +27,7 @@ still lost after retries surfaces as one typed
 :class:`~repro.errors.CellFailure`; completed siblings are never
 discarded.  Knobs: ``REPRO_CELL_DEADLINE``, ``REPRO_CELL_RETRIES``,
 ``REPRO_CELL_BACKOFF``, ``REPRO_BREAKER_THRESHOLD`` (see
-:meth:`repro.resilience.SupervisorConfig.from_env`).
+:meth:`repro.resilience.SupervisorConfig.from_settings`).
 
 :func:`sweep_grid`, :func:`grid_cells` and :func:`grid_rows` are the
 pieces of a size or time sweep; :func:`repro.api.sweep` builds its
@@ -401,7 +401,7 @@ def compute_cells(
                     # cached.
                     return
 
-        cfg = config or SupervisorConfig.from_env()
+        cfg = config or SupervisorConfig.from_settings()
         if workers is not None:
             cfg = dataclasses.replace(cfg, workers=workers)
         elif cfg.workers is None:

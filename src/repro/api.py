@@ -249,14 +249,14 @@ def store_stats(root=None) -> dict:
 
 
 def store_gc(root=None) -> dict:
-    """Collect crash leftovers (stale temps, orphan objects, corrupt
-    refs), refresh the manifest snapshot, and enforce the quota."""
+    """Collect crash leftovers (stale temps, corrupt entries) and
+    enforce the quota."""
     return _store(root).gc()
 
 
 def store_verify(root=None) -> dict:
-    """Read-only health check of every store ref, object, and the
-    manifest snapshot; nothing is modified."""
+    """Read-only health check of every store entry; nothing is
+    modified."""
     return _store(root).verify()
 
 

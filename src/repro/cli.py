@@ -477,7 +477,6 @@ def _cmd_store(args) -> int:
         print(f"  refs: {stats['refs']}  "
               + "  ".join(f"{ns} {n}" for ns, n in
                           stats["per_namespace"].items()))
-        print(f"  objects: {stats['objects']}")
         quota = stats["quota_bytes"]
         print(f"  usage: {stats['usage_bytes']}B"
               + (f" / {quota}B quota" if quota else " (no quota)"))
@@ -487,7 +486,6 @@ def _cmd_store(args) -> int:
         report = api.store_gc()
         print("store gc: "
               f"{report['stale_temps']} stale temps, "
-              f"{report['orphan_objects']} orphan objects, "
               f"{report['corrupt_refs']} corrupt refs removed, "
               f"{report['evicted']}B evicted to quota")
         return 0
@@ -500,13 +498,8 @@ def _cmd_store(args) -> int:
             print(f"store verify: {report['ok']}/{report['refs']} refs ok"
                   + (f", corrupt by reason {report['corrupt']}"
                      if corrupt else "")
-                  + f"; {report['objects']} objects "
-                  f"({report['orphan_objects']} orphaned, "
-                  f"{report['dedup_refs']} deduplicated refs); "
-                  f"manifest {report['manifest']}; "
-                  f"usage {report['usage_bytes']}B")
-        return 1 if (sum(report["corrupt"].values())
-                     or report["manifest"] == "corrupt") else 0
+                  + f"; usage {report['usage_bytes']}B")
+        return 1 if sum(report["corrupt"].values()) else 0
     print(f"store: unknown action {action!r} (stats|gc|verify)")
     return 2
 

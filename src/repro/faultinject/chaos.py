@@ -37,16 +37,14 @@ keys.  Each must be *detected* by the cache loader and recomputed.
 
 Store faults (``REPRO_STORE_CHAOS`` / :func:`maybe_store_fault`)
 perturb the unified artifact store from the *inside*: ``enospc``
-raises ``OSError(ENOSPC)`` from the store's object-write path (after
-the temp file is created, before it is published — a full disk at the
-worst moment), and ``kill_evict`` delivers ``os._exit(137)`` in the
-middle of an eviction pass, right after a victim ref is unlinked and
-before its object is collected — the maximally awkward crash point,
-leaving both an orphan object and a held store lock behind.  Budgets
-are consumed through the same ``O_EXCL`` marker-file discipline as
-process faults, so each injected fault fires exactly once across any
-number of workers.  Manifest corruption needs no hook: the driver
-corrupts the sealed snapshot directly with :func:`corrupt_entry`.
+raises ``OSError(ENOSPC)`` from the store's entry-write path (just
+before the sealed bytes are written — a full disk under a write), and
+``kill_evict`` delivers ``os._exit(137)`` in the middle of an eviction
+pass, right after a victim is unlinked — the maximally awkward crash
+point, leaving a held store lock behind.  Budgets are consumed
+through the same ``O_EXCL`` marker-file discipline as process faults,
+so each injected fault fires exactly once across any number of
+workers.
 """
 
 from __future__ import annotations
@@ -81,7 +79,7 @@ ENV_STORE_SPEC = "REPRO_STORE_CHAOS"
 
 PROCESS_FAULT_KINDS = ("kill", "hang", "oom")
 CACHE_FAULT_KINDS = ("truncate", "garbage", "bitflip", "missing-keys")
-#: Store-internal fault kinds: ``enospc`` (object write fails with a
+#: Store-internal fault kinds: ``enospc`` (entry write fails with a
 #: full disk) and ``kill_evict`` (SIGKILL-equivalent death mid-evict).
 STORE_FAULT_KINDS = ("enospc", "kill_evict")
 
@@ -281,7 +279,7 @@ class StoreChaosSpec:
     exactly once each through ``O_EXCL`` markers in ``counter_dir``.
     """
 
-    #: How many object writes fail with ``OSError(ENOSPC)``.
+    #: How many entry writes fail with ``OSError(ENOSPC)``.
     enospc: int = 0
     #: How many eviction passes die (``os._exit(137)``) mid-victim.
     kill_evict: int = 0
@@ -335,11 +333,11 @@ def maybe_store_fault(point: str) -> None:
     """Store-side hook: fire an armed store fault at *point*.
 
     Called from inside :mod:`repro.store` at its two most fragile
-    moments — ``write`` (object bytes about to be published) and
-    ``evict`` (a victim ref just unlinked, its object not yet
-    collected).  A no-op unless ``REPRO_STORE_CHAOS`` is armed with
-    budget left for the point; each budgeted fault fires exactly once
-    across all processes sharing the counter dir.
+    moments — ``write`` (an entry's sealed bytes about to be written)
+    and ``evict`` (a victim just unlinked, the store lock held).  A
+    no-op unless ``REPRO_STORE_CHAOS`` is armed with budget left for
+    the point; each budgeted fault fires exactly once across all
+    processes sharing the counter dir.
     """
     spec = _active_store_spec()
     if spec is None or not spec.counter_dir:
@@ -370,9 +368,9 @@ def maybe_store_fault(point: str) -> None:
 def corrupt_entry(path: pathlib.Path, mode: str, rng: random.Random) -> None:
     """Apply one *mode* cache fault to the entry at *path*.
 
-    The faulty bytes replace *path* as a new file: store refs are hard
-    links to deduplicated objects, so writing through the link would
-    also corrupt every other entry that shares the object.
+    The faulty bytes replace *path* as a new file (a new inode), as a
+    foreign writer would leave it, so the entry's generation stamp
+    changes with its bytes.
     """
     data = path.read_bytes()
     if mode == "truncate":

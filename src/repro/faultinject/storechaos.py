@@ -5,16 +5,13 @@ against a real sweep, in four phases over one private store root:
 
 1. **Crash storm** — disposable writer subprocesses hammer the store
    with a tiny quota while ``REPRO_STORE_CHAOS`` injects ENOSPC into
-   object writes and SIGKILL-equivalent deaths mid-eviction (after a
-   victim ref is unlinked, before its object is collected — the
-   maximally awkward instant, leaving an orphan object and a held
-   lock).  A sampler thread measures physical on-disk usage
-   (inode-deduplicated) the whole time; the store must never exceed
-   its quota.
-2. **Self-healing** — after the storm the store must still be
-   readable; ``gc`` must collect the orphans and stale temps the
-   killed writers left, and a corrupted manifest snapshot must be
-   *detected* by its seal (``store.manifest_rebuilds``) and rebuilt.
+   entry writes and SIGKILL-equivalent deaths mid-eviction (right
+   after a victim is unlinked, with the store lock held).  A sampler
+   thread measures physical on-disk usage the whole time; the store
+   must never exceed its quota.
+2. **Self-healing** — after the storm every entry must read back
+   intact, and ``gc`` collects the stale temps the killed writers
+   left.
 3. **Quota'd sweep** — a real (fig6 ∪ fig7b) benchmark sweep runs
    through the cached sweep driver (:mod:`repro.analysis.parallel`)
    with the tiny quota still armed plus a fresh ENOSPC budget, and its
@@ -29,8 +26,8 @@ against a real sweep, in four phases over one private store root:
    the rows still match serial.
 
 The run **fails** (non-zero exit) if usage ever exceeded the quota,
-any phase left the store unreadable, planned faults did not fire, the
-degraded pass recorded no degradation, or any row diverged.
+planned faults did not fire, an entry was corrupt after the storm,
+the degraded pass recorded no degradation, or any row diverged.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
-import random
 import shutil
 import stat as statmod
 import subprocess
@@ -76,11 +72,8 @@ class StoreChaosReport:
     #: Post-storm verify: refs readable / corrupt (by reason).
     refs_ok: int = 0
     refs_corrupt: dict[str, int] = field(default_factory=dict)
-    #: gc findings after the storm.
-    gc_orphans: int = 0
+    #: Stale temp files gc collected after the storm.
     gc_stale_temps: int = 0
-    #: Manifest corruption was detected by its seal.
-    manifest_detected: bool = False
     #: Quota'd sweep rows matched the serial fault-free sweep.
     rows_match_quota: bool = False
     #: Read-only-store sweep rows matched, and degradations counted.
@@ -101,16 +94,16 @@ class StoreChaosReport:
 
     @property
     def store_readable(self) -> bool:
-        # Corrupt refs are an expected post-storm state *when
-        # detected*; unreadable means a reason we could not classify.
-        return self.refs_ok + sum(self.refs_corrupt.values()) >= 0
+        # Writes publish by atomic rename, so no kill or ENOSPC may
+        # leave a torn entry under a live name.
+        return not self.refs_corrupt
 
     @property
     def ok(self) -> bool:
         return (
             self.usage_ok
             and self.faults_ok
-            and self.manifest_detected
+            and self.store_readable
             and self.rows_match_quota
             and self.rows_match_readonly
             and self.degraded_count > 0
@@ -137,11 +130,9 @@ class StoreChaosReport:
                 f"  peak usage: {self.usage_max}B / {self.quota_bytes}B"
                 f"  [{'OK' if self.usage_ok else 'QUOTA EXCEEDED'}]",
                 f"  post-storm refs: {self.refs_ok} ok, "
-                f"corrupt {_fmt(self.refs_corrupt)}",
-                f"  gc healed: {self.gc_orphans} orphan objects, "
-                f"{self.gc_stale_temps} stale temps",
-                f"  manifest corruption "
-                f"{'detected' if self.manifest_detected else 'MISSED'}",
+                f"corrupt {_fmt(self.refs_corrupt)}"
+                f"  [{'OK' if self.store_readable else 'CORRUPT'}]",
+                f"  gc healed: {self.gc_stale_temps} stale temps",
                 f"  quota'd sweep rows "
                 f"{'identical to serial' if self.rows_match_quota else 'DIVERGED'}",
                 f"  read-only sweep rows "
@@ -156,8 +147,8 @@ def writer_main(argv: list[str] | None = None) -> int:
     """Disposable store-writer subprocess (the crash-storm workload).
 
     Reads root/seed/count from argv, then puts *count* synthetic cell
-    entries — some keys shared with sibling writers (racing identical
-    fingerprints, exercising dedup), some private — into the store.
+    entries — some keys shared with sibling writers (racing rewrites of
+    one key), some private — into the store.
     ``REPRO_STORE_CHAOS`` and ``REPRO_STORE_QUOTA_BYTES`` arrive via
     the environment; an injected kill takes the whole process with
     exit 137, which is the point.
@@ -189,21 +180,16 @@ def writer_main(argv: list[str] | None = None) -> int:
 
 
 def _physical_usage(root: pathlib.Path, skip: set[str]) -> int:
-    """Bytes physically on disk under *root*, each inode once."""
-    seen: set[int] = set()
+    """Bytes physically on disk under *root*, temp files included."""
     total = 0
     for base, _dirs, files in os.walk(root):
         for name in files:
             if name in skip:
                 continue
             try:
-                stat = os.stat(os.path.join(base, name))
+                total += os.stat(os.path.join(base, name)).st_size
             except OSError:
                 continue
-            if stat.st_ino in seen:
-                continue
-            seen.add(stat.st_ino)
-            total += stat.st_size
     return total
 
 
@@ -315,15 +301,7 @@ def run_store_chaos(
             report.refs_ok = verify["ok"]
             report.refs_corrupt = dict(verify["corrupt"])
             healed = store.gc(stale_temp_seconds=0.0)
-            report.gc_orphans = healed["orphan_objects"]
             report.gc_stale_temps = healed["stale_temps"]
-            # Manifest corruption: must be detected by its seal.
-            if store.manifest_path.exists():
-                chaos.corrupt_entry(
-                    store.manifest_path, "bitflip", random.Random(seed)
-                )
-                report.manifest_detected = store.load_manifest() is None
-                store.gc(stale_temp_seconds=0.0)  # rebuilds the snapshot
 
         # -- phase 3: quota'd sweep vs serial --------------------------
         reset_stores()
@@ -365,7 +343,7 @@ def run_store_chaos(
         )
         # chmod-based unwritability is a no-op for root
         # (CAP_DAC_OVERRIDE), so a privileged run models the dead disk
-        # with an unbounded ENOSPC storm instead: every object write
+        # with an unbounded ENOSPC storm instead: every entry write
         # fails, which exercises the identical retry → breaker →
         # StoreDegraded → recompute ladder.
         rootless = hasattr(os, "geteuid") and os.geteuid() != 0

@@ -34,12 +34,11 @@ Tasks preempted by a neighbour's timeout or crash are requeued with a
 
 Executors are leased from the process-wide
 :class:`~repro.resilience.workerpool.PoolManager` rather than built
-per run: with ``REPRO_POOL_PERSIST`` on (the default) a healthy pool
-is parked when the run finishes and the next supervised run reuses its
-warm workers — already-imported modules, built codec tables, memoized
-stage bundles — instead of re-spawning.  Broken or hung pools are
-discarded through the manager and replaced fresh, so the failure
-contract above is unchanged.
+per run: a healthy pool is parked when the run finishes and the next
+supervised run reuses its warm workers — already-imported modules,
+built codec tables, memoized stage bundles — instead of re-spawning.
+Broken or hung pools are discarded through the manager and replaced
+fresh, so the failure contract above is unchanged.
 """
 
 from __future__ import annotations
@@ -111,11 +110,6 @@ class SupervisorConfig:
             ),
             breaker_threshold=resolved.breaker_threshold,
         )
-
-    @classmethod
-    def from_env(cls) -> "SupervisorConfig":
-        """Alias of :meth:`from_settings` kept for existing callers."""
-        return cls.from_settings()
 
 
 @dataclass
@@ -196,7 +190,7 @@ class Supervisor:
         on_result: Callable[[Task, Any], None] | None = None,
     ):
         self.fn = fn
-        self.config = config or SupervisorConfig.from_env()
+        self.config = config or SupervisorConfig.from_settings()
         self.on_result = on_result
         self._tracer = get_tracer()
 

@@ -12,10 +12,8 @@ out: :meth:`~PoolManager.acquire` hands an exclusive
 building a fresh one otherwise) and :meth:`~PoolManager.release` parks
 the pool for the next run instead of killing it.  A pool that broke or
 hung is returned through :meth:`~PoolManager.discard` and is never
-parked.  Reuse is gated three ways:
+parked.  Reuse is gated two ways:
 
-- **Settings** — ``REPRO_POOL_PERSIST=0`` restores the old
-  build-per-run behaviour; released pools are shut down immediately.
 - **Fingerprint** — a cached pool is only reused while
   :func:`pool_fingerprint` (the resolved :class:`repro.settings`
   snapshot, the working directory, and every ``REPRO_*`` environment
@@ -39,7 +37,6 @@ from __future__ import annotations
 import atexit
 import os
 import threading
-import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
@@ -146,21 +143,10 @@ class PoolManager:
     def release(self, lease: PoolLease) -> bool:
         """Return a healthy pool; True when it was parked for reuse.
 
-        Persistence off, a broken executor, or an already-parked pool
-        for the same worker count all mean the pool is shut down
-        instead.
+        A broken executor, or an already-parked pool for the same
+        worker count, means the pool is shut down instead.
         """
-        resolved = _settings.current()
-        if "REPRO_POOL_PERSIST" in resolved.invalid:
-            warnings.warn(
-                "REPRO_POOL_PERSIST is not a boolean "
-                "(use 1/0/yes/no/on/off/true/false); "
-                "keeping the default (persist)",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        persist = resolved.pool_persist
-        if persist and not _pool_broken(lease.pool):
+        if not _pool_broken(lease.pool):
             with self._lock:
                 if lease.workers not in self._parked:
                     self._parked[lease.workers] = (

@@ -1,11 +1,11 @@
 """Crash-safe job journal on the unified artifact store.
 
-Every accepted job is persisted as one sealed record in the store's
-``job`` namespace (hardlinked, CRC-sealed, written with the O_EXCL
-temp + fsync + atomic replace discipline of :mod:`repro.store`),
-written twice: ``queued`` on admission, then the terminal state (or
-``requeued`` by a drain).  The start of execution is not recorded,
-since recovery treats a queued job and a running one alike.  A
+Every accepted job is persisted as one sealed file in the store's
+``job`` namespace (CRC-sealed, written by temp file, fsync and atomic
+replace — :func:`repro.store.sealed.write_sealed`), written twice:
+``queued`` on admission, then the terminal state (or ``requeued`` by a
+drain), which replaces the first.  The start of execution is not
+recorded, since recovery treats a queued job and a running one alike.  A
 SIGKILLed service therefore restarts knowing which jobs had not
 finished and which had — :meth:`JobJournal.recover` hands the
 non-terminal ones back to the engine to resume, so an accepted job is

@@ -172,10 +172,6 @@ class Settings:
     #: unknown names warn once and fall back to ``baseline`` at the
     #: resolution site).
     codec_variant: str = ""
-    #: Keep supervised worker pools alive across sweeps
-    #: (``REPRO_POOL_PERSIST``), so codec tables and stage bundles are
-    #: built once per host instead of once per run.
-    pool_persist: bool = True
 
     # -- artifact store -----------------------------------------------------
     #: Total on-disk budget for the unified artifact store, bytes
@@ -191,9 +187,6 @@ class Settings:
     #: Consecutive store failures that open the degradation breaker
     #: (``REPRO_STORE_BREAKER_THRESHOLD``; 0 disables the breaker).
     store_breaker_threshold: int = 5
-    #: Seconds the open breaker short-circuits store operations before
-    #: probing the disk again (``REPRO_STORE_BREAKER_COOLDOWN``).
-    store_breaker_cooldown: float = 30.0
 
     # -- job service --------------------------------------------------------
     #: Bounded admission-queue depth of the job service
@@ -249,15 +242,11 @@ ENV_KNOBS: dict[str, tuple[str, Callable[[str], Any]]] = {
     "region_cache": ("REPRO_REGION_CACHE", _parse_bool),
     "decode_backend": ("REPRO_DECODE_BACKEND", _parse_backend),
     "codec_variant": ("REPRO_CODEC_VARIANT", _parse_str),
-    "pool_persist": ("REPRO_POOL_PERSIST", _parse_strict_bool),
     "store_quota_bytes": ("REPRO_STORE_QUOTA_BYTES", _parse_quota),
     "store_retries": ("REPRO_STORE_RETRIES", _parse_nonneg_int),
     "store_backoff": ("REPRO_STORE_BACKOFF", _parse_backoff),
     "store_breaker_threshold": (
         "REPRO_STORE_BREAKER_THRESHOLD", _parse_nonneg_int
-    ),
-    "store_breaker_cooldown": (
-        "REPRO_STORE_BREAKER_COOLDOWN", _parse_backoff
     ),
     "service_queue_depth": ("REPRO_SERVICE_QUEUE_DEPTH", _parse_workers),
     "service_workers": ("REPRO_SERVICE_WORKERS", _parse_workers),

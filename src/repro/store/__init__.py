@@ -3,8 +3,8 @@
 :func:`get_store` is the entry point: it hands back one
 :class:`~repro.store.store.ArtifactStore` per root per process, so
 breaker state is shared by every caller hitting the same directory
-(the sweep cell cache, the stage bundles, images, profiles).
-:mod:`repro.store.sealed` is the entry format every ref holds.
+(the sweep cell cache, the stage bundles, the job journal).
+:mod:`repro.store.sealed` writes and reads every entry.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ from repro.store.locks import LockTimeout, StoreLock
 from repro.store.store import (
     NAMESPACES,
     ArtifactStore,
-    ManifestEntry,
     StoreConfig,
+    StoreEntry,
 )
 
 __all__ = [
     "NAMESPACES",
     "ArtifactStore",
     "LockTimeout",
-    "ManifestEntry",
     "StoreConfig",
+    "StoreEntry",
     "StoreLock",
     "get_store",
     "reset_stores",

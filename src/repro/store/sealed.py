@@ -13,11 +13,13 @@ seal (or JSON parse, or required-key check) and the loader reports the
 entry as absent, so the caller recomputes instead of crashing or —
 worse — trusting a corrupt number.
 
-Writes are atomic and unique per writer: the payload goes to
-``.<name>.<pid>-<token>.tmp`` in the target directory, is fsynced, and
-is published with ``os.replace``; concurrent writers of the same cell
-cannot clobber each other's temp file and a crash mid-write leaves only
-a stale temp file, never a half-written entry under the final name.
+Writes are atomic and unique per writer: the sealed bytes go to
+``.<name>.<pid>-<token>.tmp`` in the target directory, are fsynced, and
+are published with ``os.replace`` and a directory fsync; concurrent
+writers of the same entry cannot clobber each other's temp file and a
+crash mid-write leaves only a stale temp file, never a half-written
+entry under the final name.  Every store entry is written this way
+(:func:`write_sealed`).
 
 Large entries — stage bundles carrying a whole serialized program —
 are read through ``mmap``: every warm pool worker deserializing the
@@ -41,7 +43,13 @@ from typing import Iterable, Mapping
 from repro.core.integrity import bytes_crc
 from repro.obs.metrics import get_registry
 
-__all__ = ["CacheStats", "read_entry", "write_entry", "seal_text"]
+__all__ = [
+    "CacheStats",
+    "read_entry",
+    "seal_text",
+    "write_entry",
+    "write_sealed",
+]
 
 #: Unified metrics sink: entry reads/writes/rejections mirror here
 #: (names ``cellcache.*``) alongside the per-pass ``CacheStats``.
@@ -109,23 +117,39 @@ def seal_text(payload: str) -> str:
 
 def write_entry(path: pathlib.Path, obj: Mapping) -> None:
     """Atomically publish *obj* as a sealed entry at *path*."""
+    write_sealed(
+        path, seal_text(json.dumps(obj, sort_keys=True)).encode("utf-8")
+    )
+
+
+def write_sealed(path: pathlib.Path, data: bytes) -> None:
+    """Atomically publish already-sealed *data* at *path*.
+
+    A failed write removes its temp file; only a crash leaves one
+    behind, for the store's gc to collect.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    payload = json.dumps(obj, sort_keys=True)
     tmp = path.parent / f".{path.name}.{os.getpid()}-{secrets.token_hex(4)}.tmp"
-    data = seal_text(payload).encode("utf-8")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o644)
     try:
-        os.write(fd, data)
-        os.fsync(fd)
-    finally:
-        os.close(fd)
-    os.replace(tmp, path)
+        try:
+            os.write(fd, data)
+            os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
     _fsync_dir(path.parent)
     _METRICS.inc("cellcache.writes")
 
 
 def _fsync_dir(directory: pathlib.Path) -> None:
-    """Best-effort durability for link/rename publications."""
+    """Best-effort durability for a rename publication."""
     try:
         fd = os.open(directory, os.O_RDONLY)
     except OSError:

@@ -3,8 +3,7 @@
 The :class:`~repro.resilience.workerpool.PoolManager` must hand warm
 workers to consecutive supervised runs (same worker PIDs), yet never
 reuse a pool across a fingerprint change (settings, ``REPRO_*``
-environment, working directory), a broken executor, or with
-``REPRO_POOL_PERSIST=0``.
+environment, working directory) or a broken executor.
 """
 
 from __future__ import annotations
@@ -99,11 +98,6 @@ class TestInvalidation:
         assert not (
             set(first.results.values()) & set(second.results.values())
         )
-
-    def test_persist_off_never_parks(self):
-        with settings.use_settings(pool_persist=False):
-            Supervisor(work, _config()).run(_pid_tasks())
-            assert get_pool_manager().parked_count() == 0
 
 
 class TestBrokenPools:

@@ -269,7 +269,7 @@ class TestEnvConfig:
         monkeypatch.setenv("REPRO_CELL_DEADLINE", "12.5")
         monkeypatch.setenv("REPRO_CELL_RETRIES", "5")
         monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "3")
-        config = SupervisorConfig.from_env()
+        config = SupervisorConfig.from_settings()
         assert config.deadline == 12.5
         assert config.retry.max_attempts == 5
         assert config.breaker_threshold == 3
@@ -277,6 +277,6 @@ class TestEnvConfig:
     def test_malformed_env_falls_back_silently(self, monkeypatch):
         monkeypatch.setenv("REPRO_CELL_DEADLINE", "soon")
         monkeypatch.setenv("REPRO_CELL_RETRIES", "many")
-        config = SupervisorConfig.from_env()
+        config = SupervisorConfig.from_settings()
         assert config.deadline is None
         assert config.retry.max_attempts == 3

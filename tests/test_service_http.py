@@ -86,7 +86,8 @@ def _call(url, method="GET", body=None):
         with urllib.request.urlopen(req, timeout=30.0) as resp:
             return resp.status, dict(resp.headers), json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        raw = exc.read()
+        with exc:
+            raw = exc.read()
         return exc.code, dict(exc.headers), json.loads(raw or b"{}")
 
 
@@ -238,6 +239,7 @@ class TestRoutes:
             req.add_header("Content-Length", length)
         with pytest.raises(urllib.error.HTTPError) as exc:
             urllib.request.urlopen(req, timeout=10.0)
+        exc.value.close()
         assert exc.value.code == 400
 
     def test_result_timeout_is_504(self, served):

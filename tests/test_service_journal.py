@@ -160,23 +160,36 @@ class TestJournal:
         )
 
     def test_journaled_jobs_leave_only_job_and_object_shards(self, tmp_path):
+        """N journaled jobs leave the root holding only ``jobs/``, with
+        one sealed file per job: the terminal record replaced the
+        ``queued`` one, and nothing else is written."""
         engine = _engine(tmp_path)
         engine.start(recover=False)
+        jobs = []
         try:
-            for tenant in ("alice", "bob"):
-                job = engine.submit(_spec(value=1, tenant=tenant))
-                assert engine.result(job.id, timeout=10.0) == {"value": 1}
+            for index in range(6):
+                tenant = ("alice", "bob")[index % 2]
+                jobs.append(engine.submit(_spec(value=index, tenant=tenant)))
+            for index, job in enumerate(jobs):
+                assert engine.result(job.id, timeout=10.0) == {
+                    "value": index
+                }
         finally:
             engine.stop(drain_timeout=0.5)
-        assert sorted(child.name for child in tmp_path.iterdir()) == [
-            "jobs", "objects",
-        ]
-        for top in ("jobs", "objects"):
-            shards = list((tmp_path / top).iterdir())
-            assert shards
-            assert all(
-                shard.is_dir() and len(shard.name) == 2 for shard in shards
-            )
+        assert [child.name for child in tmp_path.iterdir()] == ["jobs"]
+        shards = list((tmp_path / "jobs").iterdir())
+        assert all(
+            shard.is_dir() and len(shard.name) == 2 for shard in shards
+        )
+        files = sorted(
+            path for path in (tmp_path / "jobs").rglob("*") if path.is_file()
+        )
+        assert [path.name for path in files] == sorted(
+            f"{job.id}.json" for job in jobs
+        )
+        assert all(path.stat().st_nlink == 1 for path in files)
+        records = JobJournal(tmp_path).load_all().values()
+        assert {record["state"] for record in records} == {"done"}
 
     def test_old_terminal_jobs_leave_memory_and_answer_from_the_journal(
         self, tmp_path

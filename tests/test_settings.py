@@ -135,7 +135,7 @@ class TestConsumers:
         monkeypatch.setenv("REPRO_CELL_DEADLINE", "4.0")
         monkeypatch.setenv("REPRO_CELL_RETRIES", "5")
         monkeypatch.setenv("REPRO_BREAKER_THRESHOLD", "11")
-        cfg = SupervisorConfig.from_env()
+        cfg = SupervisorConfig.from_settings()
         assert cfg.deadline == 4.0
         assert cfg.retry.max_attempts == 5
         assert cfg.breaker_threshold == 11
@@ -214,39 +214,34 @@ class TestNewKnobs:
         assert resolved.decode_backend == "table"
         assert "REPRO_DECODE_BACKEND" in resolved.invalid
 
-    def test_pool_persist_default_and_env(self, monkeypatch):
-        assert settings.current().pool_persist is True
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "0")
-        assert settings.current().pool_persist is False
-
 
 class TestStrictBool:
-    """``REPRO_POOL_PERSIST`` is a *strict* boolean: unlike the
+    """``REPRO_SERVICE_JOURNAL`` is a *strict* boolean: unlike the
     historical knobs (where any unknown spelling reads as truthy), a
     typo is flagged instead of silently flipping behaviour."""
 
     @pytest.mark.parametrize("raw", ["true", "TRUE", "1", "yes", "on"])
     def test_truthy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", raw)
+        monkeypatch.setenv("REPRO_SERVICE_JOURNAL", raw)
         resolved = settings.current()
-        assert resolved.pool_persist is True
+        assert resolved.service_journal is True
         assert resolved.invalid == frozenset()
 
     @pytest.mark.parametrize("raw", ["false", "False", "0", "no", "off"])
     def test_falsy_spellings(self, monkeypatch, raw):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", raw)
+        monkeypatch.setenv("REPRO_SERVICE_JOURNAL", raw)
         resolved = settings.current()
-        assert resolved.pool_persist is False
+        assert resolved.service_journal is False
         assert resolved.invalid == frozenset()
 
     @pytest.mark.parametrize("raw", ["maybe", "2", "yep"])
     def test_unknown_spelling_keeps_default_and_is_flagged(
         self, monkeypatch, raw
     ):
-        monkeypatch.setenv("REPRO_POOL_PERSIST", raw)
+        monkeypatch.setenv("REPRO_SERVICE_JOURNAL", raw)
         resolved = settings.current()
-        assert resolved.pool_persist is True
-        assert "REPRO_POOL_PERSIST" in resolved.invalid
+        assert resolved.service_journal is True
+        assert "REPRO_SERVICE_JOURNAL" in resolved.invalid
 
     def test_historical_bools_stay_permissive(self, monkeypatch):
         """Pinned: the old knobs keep anything-not-falsy truthy —
@@ -256,24 +251,6 @@ class TestStrictBool:
         assert resolved.trace is True
         assert resolved.invalid == frozenset()
 
-    def test_pool_release_warns_on_invalid_value(self, monkeypatch):
-        from repro.resilience import workerpool
-
-        monkeypatch.setenv("REPRO_POOL_PERSIST", "maybe")
-        manager = workerpool.PoolManager()
-
-        class FakePool:
-            _broken = True  # never parked, shut down instead
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
-        lease = workerpool.PoolLease(
-            pool=FakePool(), workers=1, fingerprint="fp"
-        )
-        with pytest.warns(RuntimeWarning, match="REPRO_POOL_PERSIST"):
-            assert manager.release(lease) is False
-
 
 class TestStoreKnobs:
     def test_defaults(self):
@@ -282,20 +259,17 @@ class TestStoreKnobs:
         assert resolved.store_retries == 2
         assert resolved.store_backoff == 0.05
         assert resolved.store_breaker_threshold == 5
-        assert resolved.store_breaker_cooldown == 30.0
 
     def test_env_spellings(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_QUOTA_BYTES", "65536")
         monkeypatch.setenv("REPRO_STORE_RETRIES", "4")
         monkeypatch.setenv("REPRO_STORE_BACKOFF", "0.2")
         monkeypatch.setenv("REPRO_STORE_BREAKER_THRESHOLD", "9")
-        monkeypatch.setenv("REPRO_STORE_BREAKER_COOLDOWN", "1.5")
         resolved = settings.current()
         assert resolved.store_quota_bytes == 65536
         assert resolved.store_retries == 4
         assert resolved.store_backoff == 0.2
         assert resolved.store_breaker_threshold == 9
-        assert resolved.store_breaker_cooldown == 1.5
 
     def test_zero_quota_disables_enforcement(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_QUOTA_BYTES", "0")

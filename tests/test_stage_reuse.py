@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from repro import settings
 from repro.analysis import experiments, parallel, stagecache
 from repro.analysis.experiments import FIG7_THETAS
 from repro.program.serialize import program_from_dict, program_to_dict
@@ -195,8 +194,7 @@ class TestWarmInPool:
             assert results[cell]["footprint_total"] == (
                 _golden(name, theta)["footprint_total"]
             )
-        if settings.current().pool_persist:
-            assert reuses() > before
+        assert reuses() > before
 
     def test_lost_warm_task_is_not_fatal(self, monkeypatch):
         """A warm task that keeps failing costs its retries, not the

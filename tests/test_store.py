@@ -1,10 +1,11 @@
-"""The unified artifact store: CAS layout, dedup, quotas, LRU
+"""The unified artifact store: one sealed file per key, quotas, LRU
 eviction, locking, and graceful degradation."""
 
 import errno
 import hashlib
 import json
 import os
+import pathlib
 import time
 
 import pytest
@@ -13,11 +14,13 @@ from repro import settings
 from repro.errors import StoreDegraded
 from repro.obs.metrics import get_registry
 from repro.store import (
+    NAMESPACES,
     ArtifactStore,
     StoreLock,
     get_store,
     reset_stores,
 )
+from repro.store import store as store_module
 from repro.store.locks import LockTimeout
 from repro.store.sealed import CacheStats, read_entry, write_entry
 
@@ -35,7 +38,7 @@ def store(tmp_path):
 
 class TestRoundTrip:
     def test_put_get_all_namespaces(self, store):
-        for ns in ("cell", "stage", "image", "profile"):
+        for ns in NAMESPACES:
             key = _key(ns)
             assert store.put(ns, key, {"ns": ns, "v": 1})
             assert store.get(ns, key, ("ns", "v")) == {"ns": ns, "v": 1}
@@ -75,36 +78,34 @@ class TestRoundTrip:
         store.put("cell", key, {"a": 1})
         assert store.get("cell", key, ("a", "b")) is None
 
-
-class TestDedup:
-    def test_identical_content_stored_once(self, store):
-        """Two keys carrying byte-identical payloads share one object
-        inode — identical stage bundles/images are stored once."""
-        store.put("cell", _key("k1"), {"same": True})
-        store.put("stage", _key("k2"), {"same": True})
-        ino1 = os.stat(store.ref_path("cell", _key("k1"))).st_ino
-        ino2 = os.stat(store.ref_path("stage", _key("k2"))).st_ino
-        assert ino1 == ino2
-        assert len(store._scan_objects()) == 1
-
-    def test_dedup_counted(self, store):
-        before = get_registry().counter("store.dedup_saves").value
-        store.put("cell", _key("d1"), {"same": 2})
-        store.put("cell", _key("d2"), {"same": 2})
-        assert get_registry().counter("store.dedup_saves").value == before + 1
-
-    def test_rewrite_same_key_new_content_repoints(self, store):
+    def test_rewrite_same_key_replaces_entry(self, store):
         key = _key("repoint")
         store.put("cell", key, {"v": 1})
         store.put("cell", key, {"v": 2})
         assert store.get("cell", key) == {"v": 2}
+        ref = store.ref_path("cell", key)
+        assert [path.name for path in ref.parent.iterdir()] == [ref.name]
 
-    def test_usage_counts_each_inode_once(self, store):
-        store.put("cell", _key("u1"), {"pad": "x" * 100})
-        store.put("cell", _key("u2"), {"pad": "x" * 100})
-        usage = store.usage_bytes()
-        size = os.stat(store.ref_path("cell", _key("u1"))).st_size
-        assert usage == size
+    def test_every_entry_is_one_sealed_file(self, store):
+        """Identical payloads under different keys are separate files,
+        each the sealed bytes at its ref path, and nothing else is
+        written under the root."""
+        for ns in NAMESPACES:
+            store.put(ns, _key(f"one-{ns}"), {"same": True})
+            store.put(ns, _key(f"two-{ns}"), {"same": True})
+        store.put("cell", _key("one-cell"), {"same": False})
+        refs = {
+            store.ref_path(ns, _key(f"{tag}-{ns}"))
+            for ns in NAMESPACES for tag in ("one", "two")
+        }
+        files = {path for path in store.root.rglob("*") if path.is_file()}
+        assert files == refs
+        for path in files:
+            assert os.stat(path).st_nlink == 1
+            assert read_entry(path, ("same",)) is not None
+        assert store.usage_bytes() == sum(
+            os.stat(path).st_size for path in files
+        )
 
 
 class TestCorruption:
@@ -122,17 +123,19 @@ class TestCorruption:
         assert store.get("cell", key) == {"x": 2}
 
     def test_rewrite_of_same_content_replaces_damaged_object(self, store):
-        """The ref is a hard link, so writing through it damages the
-        content object too; putting the same content again must
-        replace that object, not deduplicate against it."""
-        key = _key("heal")
-        store.put("cell", key, {"x": 1})
-        store.ref_path("cell", key).write_bytes(b"\x00garbage\x00")
-        assert store.get("cell", key, ("x",)) is None
-        healed = get_registry().counter("store.objects_healed").value
-        assert store.put("cell", key, {"x": 1})
-        assert store.get("cell", key, ("x",)) == {"x": 1}
-        assert get_registry().counter("store.objects_healed").value == healed + 1
+        """Damage written in place into an entry is never trusted:
+        putting the same content again replaces the damaged file,
+        whether or not a read quarantined it first."""
+        for tag, read_first in (("heal", True), ("heal-unread", False)):
+            key = _key(tag)
+            path = store.ref_path("cell", key)
+            store.put("cell", key, {"x": 1})
+            path.write_bytes(b"\x00garbage\x00")
+            if read_first:
+                assert store.get("cell", key, ("x",)) is None
+                assert not path.exists()
+            assert store.put("cell", key, {"x": 1})
+            assert store.get("cell", key, ("x",)) == {"x": 1}
 
     def test_hit_preserves_mtime(self, store):
         """Recency bumps ride the atime; the mtime is the resume
@@ -177,6 +180,45 @@ class TestQuota:
             # The most recent keys survive; the oldest were evicted.
             assert store.get("cell", keys[-1]) is not None
             assert store.get("cell", keys[0]) is None
+
+    def test_same_key_rewrite_fits_the_quota_while_in_flight(
+        self, store, monkeypatch
+    ):
+        """A rewrite's new file sits beside the one it replaces until
+        the rename, so at a full quota it first evicts another entry to
+        make room; the key being rewritten is never the victim, and
+        when nothing else can go the rewrite is refused and the old
+        entry kept."""
+        entries = [_key(f"full{i}") for i in range(4)]
+        for index, key in enumerate(entries):
+            store.put("cell", key, {"i": index, "pad": "r" * 80})
+        full = store.usage_bytes()
+        one = full // len(entries)
+        on_disk = []
+        real_replace = os.replace
+
+        def measuring_replace(src, dst):
+            on_disk.append(sum(
+                path.stat().st_size for path in store.root.rglob("*")
+                if path.is_file() and path.name != ".store-lock"
+            ))
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", measuring_replace)
+        with settings.use_settings(store_quota_bytes=full):
+            assert store.put("cell", entries[0], {"i": 0, "pad": "s" * 80})
+        # Three entries and the temp file: at the quota, never over it.
+        assert on_disk == [full]
+        assert store.get("cell", entries[0]) == {"i": 0, "pad": "s" * 80}
+        assert sum(store.get("cell", k) is not None for k in entries) == 3
+        assert store.usage_bytes() == full - one
+
+        single = get_store(store.root.parent / "lone")
+        single.put("cell", _key("lone"), {"pad": "a" * 80})
+        size = single.usage_bytes()
+        with settings.use_settings(store_quota_bytes=2 * size - 1):
+            assert single.put("cell", _key("lone"), {"pad": "b" * 80}) is False
+        assert single.get("cell", _key("lone")) == {"pad": "a" * 80}
 
     def test_oversized_entry_rejected_not_degraded(self, store):
         with settings.use_settings(store_quota_bytes=64):
@@ -225,7 +267,7 @@ class TestDegradation:
         def _boom(*args, **kwargs):
             raise OSError(errno.EACCES, "injected: unwritable store")
 
-        monkeypatch.setattr(ArtifactStore, "_publish", _boom)
+        monkeypatch.setattr(ArtifactStore, "_write", _boom)
         return store
 
     def test_put_raises_typed_degraded_after_retries(self, failing):
@@ -241,10 +283,12 @@ class TestDegradation:
                 failing.put("cell", _key("dead2"), {"x": 1})
         assert get_registry().counter("store.degraded").value > before
 
-    def test_breaker_opens_and_short_circuits_reads(self, failing):
+    def test_breaker_opens_and_short_circuits_reads(
+        self, failing, monkeypatch
+    ):
+        monkeypatch.setattr(store_module, "BREAKER_COOLDOWN", 60.0)
         with settings.use_settings(
             store_retries=0, store_breaker_threshold=2,
-            store_breaker_cooldown=60.0,
         ):
             for index in range(2):
                 with pytest.raises(StoreDegraded):
@@ -253,10 +297,10 @@ class TestDegradation:
                 failing.get("cell", _key("b0"))
             assert info.value.reason == "breaker-open"
 
-    def test_breaker_cooldown_expires(self, failing):
+    def test_breaker_cooldown_expires(self, failing, monkeypatch):
+        monkeypatch.setattr(store_module, "BREAKER_COOLDOWN", 0.01)
         with settings.use_settings(
             store_retries=0, store_breaker_threshold=1,
-            store_breaker_cooldown=0.01,
         ):
             with pytest.raises(StoreDegraded):
                 failing.put("cell", _key("cool"), {"x": 1})
@@ -265,7 +309,7 @@ class TestDegradation:
             assert failing.get("cell", _key("cool-miss")) is None
 
     def test_retry_succeeds_on_transient_failure(self, store, monkeypatch):
-        real = ArtifactStore._publish
+        real = ArtifactStore._write
         calls = {"n": 0}
 
         def _flaky(self, *args, **kwargs):
@@ -274,61 +318,53 @@ class TestDegradation:
                 raise OSError(errno.ENOSPC, "transient")
             return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(ArtifactStore, "_publish", _flaky)
+        monkeypatch.setattr(ArtifactStore, "_write", _flaky)
         with settings.use_settings(store_retries=2, store_backoff=0.0):
             assert store.put("cell", _key("flaky"), {"x": 1})
         assert store.get("cell", _key("flaky")) == {"x": 1}
 
 
-class TestMaintenance:
-    def test_gc_collects_orphan_objects(self, store):
-        store.put("cell", _key("live"), {"x": 1})
-        orphan = store.object_path(hashlib.sha256(b"orphan").hexdigest())
-        orphan.parent.mkdir(parents=True, exist_ok=True)
-        orphan.write_text("dangling")
-        report = store.gc(stale_temp_seconds=0.0)
-        assert report["orphan_objects"] == 1
-        assert not orphan.exists()
-        assert store.get("cell", _key("live")) is not None
+def _plant_temp(ref: pathlib.Path, age: float) -> pathlib.Path:
+    """A temp file named as ``write_sealed`` names it next to *ref*,
+    last modified *age* seconds ago."""
+    tmp = ref.parent / f".{ref.name}.999-dead.tmp"
+    tmp.parent.mkdir(parents=True, exist_ok=True)
+    tmp.write_text("leftover")
+    then = time.time() - age
+    os.utime(tmp, (then, then))
+    return tmp
 
+
+class TestMaintenance:
     def test_gc_removes_stale_temps_and_corrupt_refs(self, store):
         store.put("cell", _key("ok"), {"x": 1})
         bad = store.ref_path("cell", _key("bad"))
         bad.parent.mkdir(parents=True, exist_ok=True)
         bad.write_bytes(b"not an entry")
-        tmp = store.root / "objects" / "ab" / ".tmp-999-dead"
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_text("leftover")
+        tmp = _plant_temp(store.ref_path("cell", _key("crashed")), 0.0)
         report = store.gc(stale_temp_seconds=0.0)
         assert report["corrupt_refs"] == 1
-        assert report["stale_temps"] >= 1
+        assert report["stale_temps"] == 1
         assert not bad.exists()
         assert not tmp.exists()
+        assert store.get("cell", _key("ok")) == {"x": 1}
 
-    def test_manifest_snapshot_round_trips(self, store):
-        store.put("cell", _key("m1"), {"x": 1})
-        store.gc(stale_temp_seconds=0.0)
-        snapshot = store.load_manifest()
-        assert snapshot is not None
-        assert f"cell/{_key('m1')}" in snapshot["entries"]
-
-    def test_manifest_corruption_detected_by_seal(self, store):
-        import random
-
-        from repro.faultinject.chaos import corrupt_entry
-
-        store.put("cell", _key("m2"), {"x": 1})
-        store.gc(stale_temp_seconds=0.0)
-        before = get_registry().counter("store.manifest_rebuilds").value
-        corrupt_entry(store.manifest_path, "bitflip", random.Random(0))
-        assert store.load_manifest() is None
-        assert (
-            get_registry().counter("store.manifest_rebuilds").value
-            == before + 1
-        )
-        # gc heals the snapshot.
-        store.gc(stale_temp_seconds=0.0)
-        assert store.load_manifest() is not None
+    def test_gc_removes_stale_temps_at_both_ref_depths(self, store):
+        """Cell entries sit in ``<root>/<aa>/``, the other namespaces
+        in ``<root>/<ns>/<aa>/``; a writer killed mid-write leaves its
+        temp at either depth.  Only stale ones go."""
+        stale = [
+            _plant_temp(store.ref_path(ns, _key(f"stale-{ns}")), 600.0)
+            for ns in NAMESPACES
+        ]
+        fresh = _plant_temp(store.ref_path("stage", _key("fresh")), 0.0)
+        assert {len(tmp.relative_to(store.root).parts) for tmp in stale} == {
+            2, 3,
+        }
+        report = store.gc(stale_temp_seconds=300.0)
+        assert report["stale_temps"] == len(stale)
+        assert not any(tmp.exists() for tmp in stale)
+        assert fresh.exists()
 
     def test_verify_reports_health(self, store):
         store.put("cell", _key("v1"), {"x": 1})
@@ -340,7 +376,6 @@ class TestMaintenance:
         assert report["refs"] == 3
         assert report["ok"] == 2
         assert sum(report["corrupt"].values()) == 1
-        assert report["dedup_refs"] == 1
         # verify is read-only: the corrupt ref is still there.
         assert bad.exists()
 
@@ -349,7 +384,6 @@ class TestMaintenance:
         stats = store.stats()
         assert stats["refs"] == 1
         assert stats["per_namespace"] == {"cell": 1}
-        assert stats["objects"] == 1
         assert stats["usage_bytes"] > 0
         assert stats["breaker_open"] is False
 

@@ -21,6 +21,7 @@ from repro.errors import StoreDegraded
 from repro.faultinject import chaos
 from repro.obs.metrics import get_registry
 from repro.store import get_store, reset_stores
+from repro.store import store as store_module
 
 
 def _arm(monkeypatch, tmp_path, **kwargs):
@@ -95,10 +96,9 @@ KILL_WRITER = textwrap.dedent(
 
 class TestSigkillMidEviction:
     def test_store_survives_and_heals(self, tmp_path):
-        """A writer SIGKILLed between a victim's ref unlink and its
-        object collection leaves the store fully readable: no torn
-        entries, an orphan object for gc, a stale lock the next writer
-        breaks."""
+        """A writer SIGKILLed right after unlinking an eviction victim
+        leaves the store fully readable: no torn entries, usage within
+        the quota, and a stale lock the next writer breaks."""
         quota = 4 * 1024
         root = tmp_path / "store"
         counters = tmp_path / "chaos-counters"
@@ -125,18 +125,24 @@ class TestSigkillMidEviction:
         reset_stores()
         store = get_store(root)
         report = store.verify()
-        # Readable: every surviving ref is intact, nothing torn.
+        # Readable: every surviving entry is intact, nothing torn, and
+        # the root holds only entries and the dead writer's lock.
         assert sum(report["corrupt"].values()) == 0, report
         assert report["ok"] == report["refs"] > 0
-        # The interrupted eviction stranded the victim's object.
-        assert report["orphan_objects"] >= 1
+        assert report["usage_bytes"] <= quota
+        assert (root / ".store-lock").exists()
+        assert sorted(
+            path.name for path in root.rglob("*") if path.is_file()
+        ) == sorted([".store-lock"] + [
+            entry.path.name for entry in store.scan()
+        ])
         # The dead writer's lock is broken, writes resume, gc heals.
         with settings.use_settings(store_quota_bytes=quota):
             assert store.put("cell", _key("resume"), {"x": 1})
             healed = store.gc(stale_temp_seconds=0.0)
             assert store.usage_bytes() <= quota
-        assert healed["orphan_objects"] >= 0  # collected here or evicted
-        assert store.verify()["orphan_objects"] == 0
+        assert healed == {"stale_temps": 0, "corrupt_refs": 0, "evicted": 0}
+        assert not (root / ".store-lock").exists()
         assert store.get("cell", _key("resume")) == {"x": 1}
         reset_stores()
 
@@ -156,6 +162,7 @@ class TestDeadStoreFallback:
             )
 
         _arm(monkeypatch, tmp_path, enospc=1000)
+        monkeypatch.setattr(store_module, "BREAKER_COOLDOWN", 60.0)
         reset_stores()
         registry = get_registry()
         degraded = registry.counter("store.degraded").value
@@ -165,7 +172,6 @@ class TestDeadStoreFallback:
             store_retries=0,
             store_backoff=0.0,
             store_breaker_threshold=2,
-            store_breaker_cooldown=60.0,
         ):
             rows = api.sweep(
                 api.SweepSpec(

@@ -1,10 +1,9 @@
 """Concurrent multi-process store writers.
 
 Two real processes race the same store root: once on *identical*
-fingerprints (every put is a dedup/EEXIST race) and once on *distinct*
-fingerprints under a quota (every put is an admission/eviction race).
-The O_EXCL loser-reuses-winner discipline is also pinned
-deterministically in-process.
+fingerprints (every put races a rewrite of the same key) and once on
+*distinct* fingerprints under a quota (every put is an
+admission/eviction race).
 """
 
 import hashlib
@@ -16,7 +15,6 @@ import textwrap
 import time
 
 from repro import settings
-from repro.obs.metrics import get_registry
 from repro.store import get_store, reset_stores
 
 WRITER = textwrap.dedent(
@@ -83,21 +81,17 @@ def _join(procs):
 
 
 def _physical_usage(root):
-    """On-disk bytes under *root*, each inode counted once, ignoring
-    the start marker and the lock."""
-    seen, total = set(), 0
+    """On-disk bytes under *root*, temp files included, ignoring the
+    start marker and the lock."""
+    total = 0
     for dirpath, _, names in os.walk(root):
         for name in names:
             if name in (".start", ".store-lock"):
                 continue
-            path = os.path.join(dirpath, name)
             try:
-                stat = os.stat(path)
+                total += os.stat(os.path.join(dirpath, name)).st_size
             except OSError:
                 continue
-            if stat.st_ino not in seen:
-                seen.add(stat.st_ino)
-                total += stat.st_size
     return total
 
 
@@ -114,13 +108,23 @@ class TestRacingProcesses:
         assert report["ok"] == 40, report
         assert sum(report["corrupt"].values()) == 0
         # Both writers published every key with identical bytes: each
-        # key converged to exactly one object, whoever won the race.
-        assert report["objects"] == 40
+        # key converged to exactly one sealed file, whoever won the
+        # race, and no temp file survived it.
+        files = sorted(
+            path for path in root.rglob("*")
+            if path.is_file() and path.name != ".start"
+        )
+        refs = sorted(
+            store.ref_path(
+                "cell", hashlib.sha256(f"shared-{index}".encode()).hexdigest()
+            )
+            for index in range(40)
+        )
+        assert files == refs
+        assert all(os.stat(path).st_nlink == 1 for path in files)
         for index in range(40):
             key = hashlib.sha256(f"shared-{index}".encode()).hexdigest()
             assert store.get("cell", key) == {"i": index, "pad": "x" * 64}
-        # No temp files survived the race.
-        assert not list(root.rglob(".tmp-*"))
         reset_stores()
 
     def test_distinct_fingerprints_respect_quota(self, tmp_path):
@@ -145,58 +149,4 @@ class TestRacingProcesses:
         assert report["ok"] == report["refs"] > 0
         with settings.use_settings(store_quota_bytes=quota):
             assert store.usage_bytes() <= quota
-        reset_stores()
-
-
-class TestExclRaceLoser:
-    def test_loser_of_object_excl_race_reuses_winner(
-        self, tmp_path, monkeypatch
-    ):
-        """Force the EEXIST branch: the object is already published
-        (the winner), but the loser's existence probe says otherwise,
-        so it writes a temp and loses the link race — and must end up
-        pointing at the winner's inode with no leftovers."""
-        import json
-
-        from repro.store.sealed import seal_text
-
-        reset_stores()
-        store = get_store(tmp_path / "store")
-        obj = {"winner": True, "pad": "w" * 32}
-        payload = seal_text(json.dumps(obj, sort_keys=True)).encode()
-        content = hashlib.sha256(payload).hexdigest()
-        obj_path = store.object_path(content)
-        obj_path.parent.mkdir(parents=True, exist_ok=True)
-        obj_path.write_bytes(payload)  # the winner's publication
-
-        real_exists = pathlib.Path.exists
-        monkeypatch.setattr(
-            pathlib.Path,
-            "exists",
-            lambda self: False if self == obj_path else real_exists(self),
-        )
-        key = hashlib.sha256(b"loser-key").hexdigest()
-        before = get_registry().counter("store.dedup_saves").value
-        assert store.put("cell", key, obj)
-        monkeypatch.undo()
-
-        assert store.get("cell", key) == obj
-        ref = store.ref_path("cell", key)
-        assert os.stat(ref).st_ino == os.stat(obj_path).st_ino
-        assert get_registry().counter("store.dedup_saves").value > before
-        assert not list(store.root.rglob(".tmp-*"))
-        reset_stores()
-
-    def test_second_writer_same_content_links_winner(self, tmp_path):
-        reset_stores()
-        store = get_store(tmp_path / "store")
-        obj = {"same": "content"}
-        key_a = hashlib.sha256(b"first").hexdigest()
-        key_b = hashlib.sha256(b"second").hexdigest()
-        assert store.put("cell", key_a, obj)
-        assert store.put("cell", key_b, obj)
-        ino_a = os.stat(store.ref_path("cell", key_a)).st_ino
-        ino_b = os.stat(store.ref_path("cell", key_b)).st_ino
-        assert ino_a == ino_b
-        assert store.verify()["dedup_refs"] == 1
         reset_stores()
