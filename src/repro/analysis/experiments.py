@@ -18,7 +18,7 @@ in-text statistics directly, memoising per process (``lru_cache``).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from repro.analysis.stats import geometric_mean
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
@@ -56,11 +56,28 @@ def map_theta(theta_paper: float) -> float:
 SQUASH_CACHE_SIZE = 6 * len(MEDIABENCH)
 
 
+def _keyed_on_variant(cached):
+    """*cached*, a memo of ``(name, scale, config)``, called with
+    :meth:`SquashConfig.variant_keyed`: results squashed under one
+    ``REPRO_CODEC_VARIANT`` never answer a call made under another.
+    ``cache_clear`` and ``cache_info`` are the memo's own."""
+
+    @wraps(cached)
+    def keyed(name: str, scale: float, config: SquashConfig):
+        return cached(name, scale, config.variant_keyed())
+
+    keyed.cache_clear = cached.cache_clear
+    keyed.cache_info = cached.cache_info
+    return keyed
+
+
+@_keyed_on_variant
 @lru_cache(maxsize=SQUASH_CACHE_SIZE)
 def squash_benchmark(
     name: str, scale: float, config: SquashConfig
 ) -> SquashResult:
-    """Squash one benchmark at one configuration (cached, LRU).
+    """Squash one benchmark at one configuration (cached, LRU, per
+    codec variant in effect).
 
     The baseline size comes from the layout the benchmark already
     holds, so the squeezed program is not validated again."""
@@ -79,6 +96,7 @@ def baseline_run(name: str, scale: float) -> RunResult:
     return machine.run()
 
 
+@_keyed_on_variant
 @lru_cache(maxsize=None)
 def squashed_run(
     name: str, scale: float, config: SquashConfig

@@ -133,12 +133,15 @@ def canonical(value):
 
 
 def _cell_digest(kind: str, name: str, scale: float, config: SquashConfig) -> str:
+    # Keyed on the codec variant in effect, so a cell squashed under
+    # one REPRO_CODEC_VARIANT never answers a sweep under another;
+    # without the setting the key is the configuration's own.
     payload = json.dumps(
         {
             "kind": kind,
             "name": name,
             "scale": scale,
-            "config": canonical(config),
+            "config": canonical(config.variant_keyed()),
             "salt": PIPELINE_SALT,
         },
         sort_keys=True,

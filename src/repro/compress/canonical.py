@@ -66,8 +66,10 @@ class CanonicalCode:
             if length <= 0:
                 raise ValueError("codeword lengths must be positive")
             counts[length] += 1
-        ordered = sorted(lengths, key=lambda sym: (lengths[sym], sym))
-        return cls(counts=tuple(counts), values=tuple(ordered))
+        ordered = sorted(zip(lengths.values(), lengths))
+        return cls(
+            counts=tuple(counts), values=tuple(sym for _, sym in ordered)
+        )
 
     def __post_init__(self) -> None:
         if sum(self.counts) != len(self.values):

@@ -52,6 +52,7 @@ from repro.compress.streams import (
     CodecInstr,
     OP_SENTINEL,
     codec_fields,
+    new_codec_item,
 )
 from repro.isa.fields import FIELD_WIDTHS, FieldKind
 
@@ -288,7 +289,8 @@ def _region_keys(
     """``(opcode, fields)`` of every item of *region* and its sentinel,
     MTF streams transformed with the recency lists reset here."""
     if not mtf_alphabets:
-        keys = [(item.opcode, item.fields) for item in region]
+        # An item is its own (opcode, fields) key.
+        keys = list(region)
     else:
         transforms = {
             kind: MoveToFront(alphabet)
@@ -306,6 +308,21 @@ def _region_keys(
             keys.append((item.opcode, fields))
     keys.append(_SENTINEL_KEY)
     return keys
+
+
+def _code_strings(
+    encoder: dict[int, tuple[int, int]], symbols
+) -> dict[int, str]:
+    """Each of *symbols*' codewords from *encoder*, as a bit string
+    (symbols a context table does not code are left out)."""
+    strings = {}
+    for symbol in symbols:
+        try:
+            code, length = encoder[symbol]
+        except KeyError:
+            continue
+        strings[symbol] = format(code, f"0{length}b")
+    return strings
 
 
 @dataclass
@@ -409,16 +426,20 @@ class ProgramCodec:
         frequencies: dict[FieldKind, dict[int, int]] = {
             FieldKind.OPCODE: {}
         }
-        opfreq = frequencies[FieldKind.OPCODE]
         bigrams: dict[int, dict[int, int]] = {}
         # opcode -> the frequency dicts of its field streams.
         freq_plans: dict[int, tuple[dict[int, int], ...]] = {}
-        for key, n in counts.items():
-            if by_prev:
-                prev, key = key
+        if by_prev:
+            for (prev, (opcode, _)), n in counts.items():
                 row = bigrams.setdefault(prev, {})
-                row[key[0]] = row.get(key[0], 0) + n
-            opcode, fields = key
+                row[opcode] = row.get(opcode, 0) + n
+            distinct: Counter = Counter()
+            for (_, key), n in counts.items():
+                distinct[key] += n
+        else:
+            distinct = counts
+        opfreq = frequencies[FieldKind.OPCODE]
+        for (opcode, fields), n in distinct.items():
             opfreq[opcode] = opfreq.get(opcode, 0) + n
             plan = freq_plans.get(opcode)
             if plan is None:
@@ -466,34 +487,44 @@ class ProgramCodec:
             models=models,
         )
 
-        # Pass 2: each distinct key's bits once (the opcode coded in
-        # the context of its predecessor when conditioned), then each
-        # region is one join.
-        encoders = {kind: code.encoder() for kind, code in codes.items()}
-        op_model = models.get(FieldKind.OPCODE)
-        op_bank = (
-            tuple(t.encoder() for t in op_model.tables) if op_model else ()
-        )
-        op_encoder = encoders[FieldKind.OPCODE]
-        # opcode -> the encoders of its field streams.
+        # Pass 2: each symbol's codeword as a bit string once per
+        # stream, then each distinct key's bits once (the opcode coded
+        # in the context of its predecessor when conditioned), then
+        # each region is one join.
+        strings = {
+            kind: _code_strings(codes[kind].encoder(), freq)
+            for kind, freq in frequencies.items()
+        }
+        # opcode -> the codeword strings of its field streams.
         code_plans = {
-            opcode: tuple(encoders[kind] for kind in codec_fields(opcode))
+            opcode: tuple(strings[kind] for kind in codec_fields(opcode))
             for opcode in opfreq
         }
-        bits_of: dict = {}
-        for key in counts:
-            if by_prev:
-                prev, (opcode, fields) = key
-                if op_model is not None:
-                    op_encoder = op_bank[op_model.context_of(prev)]
-            else:
-                opcode, fields = key
-            word, nbits = op_encoder[opcode]
-            for encoder, value in zip(code_plans[opcode], fields):
-                code, length = encoder[value]
-                word = (word << length) | code
-                nbits += length
-            bits_of[key] = format(word, f"0{nbits}b")
+        getitem = dict.__getitem__
+        op_model = models.get(FieldKind.OPCODE)
+        if op_model is None:
+            op_strings = strings[FieldKind.OPCODE]
+            bits_of = {
+                key: op_strings[key[0]] + "".join(
+                    map(getitem, code_plans[key[0]], key[1])
+                )
+                for key in distinct
+            }
+        else:
+            # Each context's table codes the opcodes that follow it.
+            op_bank = [
+                _code_strings(table.encoder(), opfreq)
+                for table in op_model.tables
+            ]
+            context_of = op_model.context_of
+            bits_of = {}
+            for prev, key in counts:
+                opcode = key[0]
+                bits_of[prev, key] = op_bank[context_of(prev)][
+                    opcode
+                ] + "".join(map(getitem, code_plans[opcode], key[1]))
+        if by_prev and op_model is None:
+            bits_of = {pair: bits_of[pair[1]] for pair in counts}
 
         offsets: list[int] = []
         chunks: list[str] = []
@@ -823,9 +854,6 @@ class ProgramCodec:
                 f"bit position {bit_offset} past end of stream",
                 bit_offset=bit_offset,
             )
-        new_instr = CodecInstr.__new__
-        instr_cls = CodecInstr
-        set_attr = object.__setattr__
         # The window: `acc` holds exactly `navail` upcoming bits;
         # `wi` counts words pulled in, including virtual zero-pad words
         # past the end (the hard-limit check rejects symbols that would
@@ -904,13 +932,9 @@ class ProgramCodec:
                     if transform is not None:
                         symbol = transform.decode_one(symbol)
                 values_out.append(symbol)
-            # CodecInstr.__init__ only re-validates the field count
-            # against the opcode's layout, which holds by construction
-            # here (the plan came from codec_fields); build directly.
-            item = new_instr(instr_cls)
-            set_attr(item, "opcode", opcode)
-            set_attr(item, "fields", tuple(values_out))
-            items.append(item)
+            # The field count fits the opcode's layout by construction
+            # (the plan came from codec_fields): skip CodecInstr's check.
+            items.append(new_codec_item((opcode, tuple(values_out))))
         return items, wi * 32 - navail - bit_offset
 
 

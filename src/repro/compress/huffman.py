@@ -24,45 +24,34 @@ def huffman_code_lengths(
     """
     if not frequencies:
         raise ValueError("cannot build a Huffman code for an empty alphabet")
-    for symbol, freq in frequencies.items():
-        if freq <= 0:
-            raise ValueError(f"symbol {symbol!r} has non-positive frequency")
+    if min(frequencies.values()) <= 0:
+        symbol = next(s for s, freq in frequencies.items() if freq <= 0)
+        raise ValueError(f"symbol {symbol!r} has non-positive frequency")
 
     symbols = list(frequencies)
-    if len(symbols) == 1:
+    count = len(symbols)
+    if count == 1:
         return {symbols[0]: 1}
 
-    # Heap entries: (weight, tie, node).  Nodes are tagged tuples so that
-    # integer symbols can never collide with internal node ids: a leaf is
-    # ("L", symbol) and an internal node is ("I", id).
-    heap: list[tuple[int, int, tuple[str, object]]] = []
-    for order, symbol in enumerate(symbols):
-        heap.append((frequencies[symbol], order, ("L", symbol)))
+    # Heap entries are (weight, node): leaves are nodes 0 .. count - 1
+    # in insertion order, and each merge makes the next node, so the
+    # node number is also the tie-break (creation order).
+    heap = list(zip(frequencies.values(), range(count)))
     heapq.heapify(heap)
-    tie = len(symbols)
+    parent = [0] * (2 * count - 1)
+    pop, push = heapq.heappop, heapq.heappush
+    for node in range(count, 2 * count - 1):
+        w1, n1 = pop(heap)
+        w2, n2 = pop(heap)
+        parent[n1] = parent[n2] = node
+        push(heap, (w1 + w2, node))
 
-    parents: dict[int, tuple[tuple[str, object], tuple[str, object]]] = {}
-    node_id = 0
-    while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        parents[node_id] = (n1, n2)
-        heapq.heappush(heap, (w1 + w2, tie, ("I", node_id)))
-        tie += 1
-        node_id += 1
-
-    lengths: dict[Hashable, int] = {}
-    _, _, root = heap[0]
-    stack: list[tuple[tuple[str, object], int]] = [(root, 0)]
-    while stack:
-        (tag, payload), depth = stack.pop()
-        if tag == "I":
-            left, right = parents[payload]  # type: ignore[index]
-            stack.append((left, depth + 1))
-            stack.append((right, depth + 1))
-        else:
-            lengths[payload] = depth
-    return lengths
+    # A parent is always made after its children: walk down from the
+    # root, whose depth is 0.
+    depth = [0] * (2 * count - 1)
+    for node in range(2 * count - 3, -1, -1):
+        depth[node] = depth[parent[node]] + 1
+    return dict(zip(symbols, depth))
 
 
 def count_frequencies(values: Iterable[Hashable]) -> dict[Hashable, int]:

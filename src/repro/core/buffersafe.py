@@ -9,13 +9,14 @@ caller is not re-decompressed on return.
 The analysis marks as non-buffer-safe every function with a compressed
 block and every function containing an indirect call whose possible
 targets include a non-buffer-safe function, then propagates unsafeness
-from callees to callers (and along inter-region control transfers)
-until a fixpoint; everything unmarked is buffer-safe.
+from callees to callers; everything unmarked is buffer-safe.  An
+indirect call may reach every address-taken function, so a ``jsr``
+with no address-taken function at all is unsafe outright.
 """
 
 from __future__ import annotations
 
-from repro.program.cfg import call_graph
+from repro.core.regions import RegionContext
 from repro.program.program import Program
 
 
@@ -27,35 +28,38 @@ def buffer_safe_functions(
 
     ``compressed_blocks`` is the union of all region blocks.
     """
-    graph = call_graph(program)
-    unsafe: set[str] = set()
+    return safe_functions(RegionContext.build(program), compressed_blocks)
 
-    # Seed: functions with any compressed block.
-    for function in program.functions.values():
-        if any(
-            block.label in compressed_blocks
-            for block in function.blocks.values()
-        ):
-            unsafe.add(function.name)
 
-    # Seed: indirect calls whose target set could contain unsafe code.
-    # Conservatively, an indirect call is dangerous unless every
-    # address-taken function is (eventually) safe; to stay monotone we
-    # treat an indirect call as an edge to every address-taken function
-    # (already encoded by call_graph), so no extra seeding is needed
-    # unless there are indirect calls with *no* known targets.
-    for function in program.functions.values():
-        if function.has_indirect_call and not program.address_taken:
-            unsafe.add(function.name)
+def safe_functions(
+    ctx: RegionContext, compressed_blocks: set[str]
+) -> set[str]:
+    """:func:`buffer_safe_functions` from the facts of *ctx*.
 
-    # Propagate: a caller of an unsafe function is unsafe.
-    changed = True
-    while changed:
-        changed = False
-        for name, callees in graph.items():
-            if name in unsafe:
-                continue
-            if any(callee in unsafe for callee in callees):
-                unsafe.add(name)
-                changed = True
+    Unsafeness spreads once, from each unsafe function to its callers
+    over the reverse call graph: the direct callers of its entry
+    (``ctx.call_sites_of``), and every function with a ``jsr`` when it
+    is address-taken.
+    """
+    program = ctx.program
+    block_func = ctx.block_func
+    taken = program.address_taken
+    unsafe = {
+        block_func[label] for label in compressed_blocks
+        if label in block_func
+    }
+    if not taken:
+        unsafe |= ctx.indirect_callers
+    work = list(unsafe)
+    while work:
+        name = work.pop()
+        callers = {
+            block_func[label]
+            for label in ctx.call_sites_of.get(ctx.entries.get(name), ())
+        }
+        if name in taken:
+            callers |= ctx.indirect_callers
+        callers -= unsafe
+        unsafe |= callers
+        work.extend(callers)
     return set(program.functions) - unsafe

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from repro import settings as _settings
 from repro.compress.codec import CodecConfig
 from repro.core.costmodel import CostModel
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
@@ -47,14 +48,26 @@ class SquashConfig:
     def with_buffer_bound(self, nbytes: int) -> "SquashConfig":
         return replace(self, cost=self.cost.with_buffer_bound(nbytes))
 
+    def variant_keyed(self) -> "SquashConfig":
+        """This configuration as a memo or cache key: with the
+        ``REPRO_CODEC_VARIANT`` setting in :attr:`codec_variant` when
+        its own is empty and the setting is not, so squashes under
+        different variants never share a key.  It squashes exactly like
+        this configuration, and without the setting it is this one."""
+        if self.codec_variant:
+            return self
+        variant = _settings.current_value("codec_variant")
+        return replace(self, codec_variant=variant) if variant else self
+
     def effective_codec(self) -> CodecConfig:
         """The :class:`CodecConfig` the encoder actually uses:
         :attr:`codec_variant` when set, else the ``REPRO_CODEC_VARIANT``
         setting, else the explicit :attr:`codec` object."""
-        from repro import settings as _settings
         from repro.compress.codec import resolve_codec_variant
 
-        variant = self.codec_variant or _settings.current().codec_variant
+        variant = self.codec_variant or _settings.current_value(
+            "codec_variant"
+        )
         if variant:
             return resolve_codec_variant(variant)
         return self.codec

@@ -131,10 +131,7 @@ class SegmentLayout:
         if config.restore_scheme is RestoreStubScheme.COMPILE_TIME:
             cursor = stub_area_base
             for plan in plans:
-                for site_key in sorted(
-                    plan.ct_sites, key=plan.ct_sites.get
-                ):
-                    ordinal = plan.ct_sites[site_key]
+                for ordinal in range(len(plan.ct_sites)):
                     ct_stub_bases[(plan.region.index, ordinal)] = cursor
                     cursor += SquashDescriptor.CT_STUB_WORDS
             stub_area_words = cursor - stub_area_base

@@ -218,9 +218,9 @@ def squash_program(
         cold = identify_cold_blocks(profile, config.theta).cold
         counters["cold_blocks"] = len(cold)
     with report.stage("plan") as counters:
-        # Unswitching rewrites the program in place: plan on copies.
+        # Unswitching adds profile counts: plan on a copy.
         plan = plan_regions(
-            program.copy(),
+            program,
             Profile(
                 counts=dict(profile.counts),
                 sizes=dict(profile.sizes),

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import AluOp, Op, REG_ZERO
 from repro.program.blocks import BasicBlock
+from repro.program.function import Function
 from repro.program.program import Program
 from repro.vm.profiler import Profile
 
@@ -76,10 +77,17 @@ def unswitch_cold_tables(
     cold: set[str],
     profile: Profile,
 ) -> UnswitchResult:
-    """Unswitch cold jump-table blocks in place; update *cold* and
-    *profile* with the new chain blocks."""
+    """Unswitch cold jump-table blocks; update *cold* and *profile*
+    with the new chain blocks.
+
+    *program* gets a copy of each function it rewrites in place of the
+    original and loses the tables it reclaims; the function and block
+    objects it held are never changed.
+    """
     result = UnswitchResult()
-    for function in program.functions.values():
+    for name in list(program.functions):
+        function = program.functions[name]
+        copied = False
         for label in list(function.blocks):
             block = function.blocks[label]
             if block.jump_table is None or label not in cold:
@@ -99,8 +107,11 @@ def unswitch_cold_tables(
                 result.excluded.update(targets)
                 continue
             rt, rs = match
+            if not copied:
+                function = program.functions[name] = function.copy()
+                copied = True
             _unswitch_block(
-                program, function.name, block, targets, rt, rs,
+                function, function.blocks[label], targets, rt, rs,
                 cold, profile, result,
             )
 
@@ -119,8 +130,7 @@ def unswitch_cold_tables(
 
 
 def _unswitch_block(
-    program: Program,
-    function_name: str,
+    function: Function,
     block: BasicBlock,
     targets: list[str],
     rt: int,
@@ -135,7 +145,6 @@ def _unswitch_block(
     tests ``rS == k`` (rS held a word offset in the table idiom, but
     the generator indexes by words, so case k's offset is k).
     """
-    function = program.functions[function_name]
     freq = profile.freq(block.label)
 
     # The selector register held a word index; keep its value live.

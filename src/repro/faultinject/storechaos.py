@@ -3,10 +3,11 @@
 ``repro storechaos`` proves the robustness claims of :mod:`repro.store`
 against a real sweep, in four phases over one private store root:
 
-1. **Crash storm** — disposable writer subprocesses hammer the store
-   with a tiny quota while ``REPRO_STORE_CHAOS`` injects ENOSPC into
-   entry writes and SIGKILL-equivalent deaths mid-eviction (right
-   after a victim is unlinked, with the store lock held).  A sampler
+1. **Crash storm** — disposable writer subprocesses, each seeded from
+   the run's seed, hammer the store with a tiny quota while
+   ``REPRO_STORE_CHAOS`` injects ENOSPC into entry writes and
+   SIGKILL-equivalent deaths mid-eviction (right after a victim is
+   unlinked, with the store lock held).  A sampler
    thread measures physical on-disk usage the whole time; the store
    must never exceed its quota.
 2. **Self-healing** — after the storm every entry must read back
@@ -35,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import os
 import pathlib
+import random
 import shutil
 import stat as statmod
 import subprocess
@@ -48,7 +50,13 @@ from repro.faultinject import chaos
 from repro.faultinject.chaossweep import _env, _reference_rows
 from repro.obs.metrics import get_registry
 
-__all__ = ["StoreChaosReport", "run_store_chaos", "writer_main"]
+__all__ = [
+    "StoreChaosReport",
+    "run_store_chaos",
+    "writer_main",
+    "writer_schedule",
+    "writer_seeds",
+]
 
 _METRICS = get_registry()
 
@@ -143,12 +151,34 @@ class StoreChaosReport:
         )
 
 
+def writer_seeds(seed: int, writers: int) -> list[int]:
+    """The seed of each crash-storm writer, drawn from the run's
+    *seed*."""
+    rng = random.Random(seed)
+    return [rng.getrandbits(32) for _ in range(writers)]
+
+
+def writer_schedule(seed: int, count: int) -> list[tuple[str, int]]:
+    """``(tag, pad bytes)`` of each of a writer's *count* puts.
+
+    Even puts use a key every sibling writer also writes (racing
+    rewrites of one key); odd ones a key private to this writer.  The
+    private tags and every pad size come from *seed*.
+    """
+    rng = random.Random(seed)
+    writer = rng.getrandbits(32)
+    schedule = []
+    for index in range(count):
+        tag = f"shared-{index}" if index % 2 == 0 else f"w{writer:08x}-{index}"
+        schedule.append((tag, rng.randint(512, 1536)))
+    return schedule
+
+
 def writer_main(argv: list[str] | None = None) -> int:
     """Disposable store-writer subprocess (the crash-storm workload).
 
-    Reads root/seed/count from argv, then puts *count* synthetic cell
-    entries — some keys shared with sibling writers (racing rewrites of
-    one key), some private — into the store.
+    Reads root/seed/count from argv, then puts the *count* synthetic
+    cell entries of :func:`writer_schedule` into the store.
     ``REPRO_STORE_CHAOS`` and ``REPRO_STORE_QUOTA_BYTES`` arrive via
     the environment; an injected kill takes the whole process with
     exit 137, which is the point.
@@ -161,14 +191,11 @@ def writer_main(argv: list[str] | None = None) -> int:
     store = get_store(pathlib.Path(root))
     import hashlib
 
-    for index in range(count):
-        # Even indices: shared across writers (same content, same
-        # key); odd: private to this writer.
-        tag = f"shared-{index}" if index % 2 == 0 else f"w{seed}-{index}"
+    for index, (tag, pad) in enumerate(writer_schedule(seed, count)):
         key = hashlib.sha256(tag.encode()).hexdigest()
         payload = {
             "cell": tag,
-            "pad": "x" * 1024,
+            "pad": "x" * pad,
             "values": [index] * 64,
         }
         try:
@@ -278,11 +305,11 @@ def run_store_chaos(
                     [
                         sys.executable, "-m",
                         "repro.faultinject.storechaos",
-                        str(root), str(index + 1), str(writes_per_worker),
+                        str(root), str(writer_seed), str(writes_per_worker),
                     ],
                     env=env,
                 )
-                for index in range(writers)
+                for writer_seed in writer_seeds(seed, writers)
             ]
             for proc in procs:
                 proc.wait(timeout=120)

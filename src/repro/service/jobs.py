@@ -276,9 +276,9 @@ def _squash_in_worker(payload: dict, resolved: _settings.Settings) -> dict:
     none of the caller's ``use_settings`` overrides (``codec_variant``
     among them), so every field is installed again here.  The squash
     is not kept past the job: ``squash_benchmark``'s memo is keyed on
-    the spec, not on these settings, so a kept result could answer a
-    later job that runs under another codec variant; a worker's memory
-    then holds only the programs it generated.
+    the spec and the codec variant, not on every one of these
+    settings, and a worker's memory then holds only the programs it
+    generated.
     """
     from repro.analysis.experiments import squash_benchmark
 

@@ -127,6 +127,28 @@ class TestPrecedence:
             with settings.use_settings(not_a_knob=1):
                 pass
 
+    @pytest.mark.parametrize("raw", [None, "", "0", "1", "7", "0.5", "x"])
+    def test_current_value_is_the_field_of_current(self, monkeypatch, raw):
+        """Each field resolved alone equals the full snapshot's, for
+        unset, empty, numeric and malformed variables, under no
+        override, one override and nested ones."""
+        for env_name in ALL_KNOB_VARS:
+            if raw is not None:
+                monkeypatch.setenv(env_name, raw)
+
+        def agree():
+            resolved = settings.current()
+            for name in settings.ENV_KNOBS:
+                assert settings.current_value(name) == getattr(
+                    resolved, name
+                ), (name, raw)
+
+        agree()
+        with settings.use_settings(codec_variant="ctx1", cell_retries=4):
+            agree()
+            with settings.use_settings(cell_retries=6, region_cache=False):
+                agree()
+
 
 class TestConsumers:
     def test_supervisor_config_resolves_from_settings(self, monkeypatch):

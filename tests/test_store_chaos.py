@@ -184,3 +184,31 @@ class TestDeadStoreFallback:
         ]
         assert registry.counter("store.degraded").value > degraded
         reset_stores()
+
+
+class TestStormSchedule:
+    """``repro storechaos --seed N`` runs a storm of its own per N."""
+
+    def test_equal_seeds_give_equal_schedules(self):
+        from repro.faultinject.storechaos import writer_schedule, writer_seeds
+
+        assert writer_seeds(7, 2) == writer_seeds(7, 2)
+        for seed in writer_seeds(7, 2):
+            assert writer_schedule(seed, 40) == writer_schedule(seed, 40)
+
+    def test_different_seeds_give_different_schedules(self):
+        from repro.faultinject.storechaos import writer_schedule, writer_seeds
+
+        assert writer_seeds(1, 2) != writer_seeds(2, 2)
+        first, second = writer_seeds(1, 2)
+        assert first != second
+        mine, theirs = writer_schedule(first, 40), writer_schedule(second, 40)
+        assert mine != theirs
+        # Even puts share their keys with the sibling; odd ones are
+        # private to each writer.
+        assert [tag for tag, _ in mine[::2]] == [tag for tag, _ in theirs[::2]]
+        assert not {tag for tag, _ in mine[1::2]} & {
+            tag for tag, _ in theirs[1::2]
+        }
+        sizes = {size for _, size in mine}
+        assert len(sizes) > 1 and all(512 <= size <= 1536 for size in sizes)
