@@ -58,8 +58,8 @@ FIELD_PLANS: dict[Op, tuple[FieldPlan, ...]] = {
 
 _SPC, _BR, _JMP, _JSR, _RET = Op.SPC, Op.BR, Op.JMP, Op.JSR, Op.RET
 
-#: Opcodes that call (BR also calls when it links; see is_call).
-_CALL_OPS = DIRECT_CALL_OPS | {Op.JSR}
+#: Opcodes that always call (BR also calls when it links; see is_call).
+CALL_OPS = DIRECT_CALL_OPS | {Op.JSR}
 
 #: Opcodes that can change the PC (SPC: see _PALF_TRANSFERS).
 _TRANSFER_OPS = frozenset(
@@ -186,7 +186,12 @@ class Instruction:
         """True for any call instruction, direct or indirect."""
         if self.op is _BR:
             return self.ra != REG_ZERO
-        return self.op in _CALL_OPS
+        return self.op in CALL_OPS
+
+    @property
+    def is_setjmp(self) -> bool:
+        """True for the SETJMP system call."""
+        return self.op is _SPC and self.imm == SysOp.SETJMP
 
     @property
     def is_return(self) -> bool:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.isa.opcodes import Op, SysOp
 from repro.program.blocks import BasicBlock
 
 
@@ -61,11 +60,11 @@ class Function:
         a longjmp can return past frames whose restore stubs would then
         leak or dangle.
         """
-        for block in self.blocks.values():
-            for instr in block.instrs:
-                if instr.op is Op.SPC and instr.imm == SysOp.SETJMP:
-                    return True
-        return False
+        return any(
+            instr.is_setjmp
+            for block in self.blocks.values()
+            for instr in block.instrs
+        )
 
     @property
     def has_indirect_call(self) -> bool:

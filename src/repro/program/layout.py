@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.isa.encoding import encode
+from repro.isa.encoding import encode, encode_fields
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import Op, REG_ZERO
 from repro.program.blocks import BasicBlock
@@ -41,11 +41,34 @@ def split_hi_lo(addr: int) -> tuple[int, int]:
     return hi, lo
 
 
+def data_ref_imm(op: Op, addr: int) -> int:
+    """The immediate a data relocation to *addr* gives an *op*
+    instruction: the high half for ``ldah``, the low half otherwise."""
+    hi, lo = split_hi_lo(addr)
+    return hi if op is Op.LDAH else lo
+
+
 def resolve_data_ref(instr: Instruction, addr: int) -> Instruction:
     """Materialise a data relocation into an ``lda``/``ldah`` immediate."""
-    hi, lo = split_hi_lo(addr)
-    imm = hi if instr.op is Op.LDAH else lo
-    return Instruction(instr.op, ra=instr.ra, rb=instr.rb, imm=imm)
+    return Instruction(
+        instr.op, ra=instr.ra, rb=instr.rb, imm=data_ref_imm(instr.op, addr)
+    )
+
+
+def rewritten_indices(block: BasicBlock) -> list[int]:
+    """The indices, in order, of the instructions of *block* whose
+    fields layout rewrites: its data references, its direct calls and a
+    terminating branch.
+
+    A data reference wins over a call at the same index, and either
+    wins over the terminating branch; every other instruction is
+    encoded as it is.
+    """
+    indices = {*block.data_refs, *block.call_targets}
+    term = block.terminator
+    if term is not None and (term.is_cond_branch or term.is_uncond_branch):
+        indices.add(len(block.instrs) - 1)
+    return sorted(indices)
 
 
 def encode_block_words(
@@ -62,46 +85,44 @@ def encode_block_words(
     (or None); an explicit ``br`` to the fallthrough successor is
     appended when they differ.  This helper is shared by the plain
     linker and the squash rewriter (which resolves labels of compressed
-    blocks to their entry stubs).
+    blocks to their entry stubs).  Only the instructions at
+    :func:`rewritten_indices` are packed field by field; each run
+    between them is encoded as it is.
     """
+    instrs = block.instrs
     words: list[int] = []
-    for index, instr in enumerate(block.instrs):
-        here = addr + index
-        if index in block.data_refs:
+    start = 0
+    for index in rewritten_indices(block):
+        words.extend(map(encode, instrs[start:index]))
+        start = index + 1
+        instr = instrs[index]
+        symbol = block.data_refs.get(index)
+        if symbol is not None:
             if resolve_data is None:
                 raise ValueError(
                     f"block {block.label!r} has data refs but no resolver"
                 )
-            instr = resolve_data_ref(
-                instr, resolve_data(block.data_refs[index])
-            )
-        elif index in block.call_targets:
-            target = resolve_func(block.call_targets[index])
-            instr = Instruction(
-                instr.op, ra=instr.ra, imm=branch_displacement(here, target)
-            )
-        elif index == len(block.instrs) - 1 and (
-            instr.is_cond_branch or block.ends_in_uncond_branch
-        ):
+            words.append(encode_fields(
+                instr.op, instr.ra, instr.rb,
+                data_ref_imm(instr.op, resolve_data(symbol)),
+            ))
+            continue
+        callee = block.call_targets.get(index)
+        if callee is not None:
+            target = resolve_func(callee)
+        else:  # the terminating branch
             assert block.branch_target is not None
             target = resolve_label(block.branch_target)
-            instr = Instruction(
-                instr.op, ra=instr.ra, imm=branch_displacement(here, target)
-            )
-        words.append(encode(instr))
+        words.append(encode_fields(
+            instr.op, instr.ra, branch_displacement(addr + index, target)
+        ))
+    words.extend(map(encode, instrs[start:]))
     if needs_fallthrough_br(block, next_label):
         assert block.fallthrough is not None
-        here = addr + len(words)
         target = resolve_label(block.fallthrough)
-        words.append(
-            encode(
-                Instruction(
-                    Op.BR,
-                    ra=REG_ZERO,
-                    imm=branch_displacement(here, target),
-                )
-            )
-        )
+        words.append(encode_fields(
+            Op.BR, REG_ZERO, branch_displacement(addr + len(words), target)
+        ))
     return words
 
 

@@ -107,6 +107,16 @@ def test_function_direct_callees_and_setjmp():
     assert not fn.has_indirect_call
 
 
+def test_is_setjmp_reads_the_palf_of_an_spc_only():
+    setjmp, halt = assemble("sys setjmp\nsys halt")
+    assert setjmp.is_setjmp
+    assert not halt.is_setjmp
+    assert not Instruction(Op.LDA, imm=setjmp.imm).is_setjmp
+    fn = Function("f")
+    fn.add_block(BasicBlock("f.a", instrs=[halt]))
+    assert not fn.calls_setjmp
+
+
 def test_function_copy_deep():
     fn = Function("f")
     fn.add_block(BasicBlock("f.a", instrs=assemble("ret")))
