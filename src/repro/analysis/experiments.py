@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache, wraps
 
+from repro import settings as _settings
 from repro.analysis.stats import geometric_mean
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
 from repro.core.coldcode import cold_code_stats
@@ -57,14 +58,16 @@ SQUASH_CACHE_SIZE = 6 * len(MEDIABENCH)
 
 
 def _keyed_on_variant(cached):
-    """*cached*, a memo of ``(name, scale, config)``, called with
-    :meth:`SquashConfig.variant_keyed`: results squashed under one
-    ``REPRO_CODEC_VARIANT`` never answer a call made under another.
+    """*cached*, a memo of ``(name, scale, config)``, called with the
+    ``REPRO_CODEC_VARIANT`` setting written into *config*
+    (:meth:`SquashConfig.with_default_variant`): results squashed under
+    one variant never answer a call made under another.
     ``cache_clear`` and ``cache_info`` are the memo's own."""
 
     @wraps(cached)
     def keyed(name: str, scale: float, config: SquashConfig):
-        return cached(name, scale, config.variant_keyed())
+        variant = _settings.current().codec_variant
+        return cached(name, scale, config.with_default_variant(variant))
 
     keyed.cache_clear = cached.cache_clear
     keyed.cache_info = cached.cache_info

@@ -12,9 +12,9 @@ supervisor runs the cells inline in this process and the cache is
 neither read nor written.
 
 Cache keys are the SHA-256 of (cell kind, spec name, scale, canonical
-config, :data:`PIPELINE_SALT`).  Bump the salt whenever a pipeline
-change can alter measured numbers -- it invalidates every cached cell
-at once.
+config, :data:`PIPELINE_SALT`), built once per cell per process.  Bump
+the salt whenever a pipeline change can alter measured numbers -- it
+invalidates every cached cell at once.
 
 Execution is supervised (:mod:`repro.resilience`): every miss runs
 under per-cell deadlines, bounded retries with deterministic backoff,
@@ -42,6 +42,7 @@ import hashlib
 import json
 import pathlib
 import warnings
+from functools import lru_cache
 
 from repro.analysis.experiments import (
     FIG3_BOUNDS,
@@ -132,21 +133,41 @@ def canonical(value):
     return value
 
 
-def _cell_digest(kind: str, name: str, scale: float, config: SquashConfig) -> str:
-    # Keyed on the codec variant in effect, so a cell squashed under
-    # one REPRO_CODEC_VARIANT never answers a sweep under another;
-    # without the setting the key is the configuration's own.
+#: Cell keys :func:`_cell_key` keeps: the 330 cells of the Figure 3, 6
+#: and 7 grids over every benchmark, about three times over.
+CELL_KEY_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=CELL_KEY_CACHE_SIZE)
+def _cell_key(cell: Cell) -> str:
+    """The cache key of *cell*, whose configuration already names the
+    codec variant in effect (see :func:`_keyed`), so a cell squashed
+    under one ``REPRO_CODEC_VARIANT`` never answers a sweep under
+    another.  Built once per cell per process."""
+    kind, name, scale, config = cell
     payload = json.dumps(
         {
             "kind": kind,
             "name": name,
             "scale": scale,
-            "config": canonical(config.variant_keyed()),
+            "config": canonical(config),
             "salt": PIPELINE_SALT,
         },
         sort_keys=True,
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def _keyed(cell: Cell, variant: str) -> Cell:
+    """*cell* as it squashes under the codec *variant* setting."""
+    kind, name, scale, config = cell
+    return kind, name, scale, config.with_default_variant(variant)
+
+
+def _cell_digest(kind: str, name: str, scale: float, config: SquashConfig) -> str:
+    """The cache key of a cell under the codec variant in effect."""
+    variant = _settings.current().codec_variant
+    return _cell_key((kind, name, scale, config.with_default_variant(variant)))
 
 
 def _stage_bundle(name: str, scale: float):
@@ -275,14 +296,15 @@ def cell_path(
 
 
 def _supervised_cell(cell: tuple[str, str, float, SquashConfig]) -> dict:
-    """Worker-side entry: chaos hook, then the real cell.
+    """Worker-side entry: chaos hook, then the real cell, which already
+    names the codec variant it squashes under.
 
     The chaos hook is a no-op unless ``REPRO_CHAOS_SPEC`` is armed
     (see :mod:`repro.faultinject.chaos`).
     """
     from repro.faultinject.chaos import maybe_inject
 
-    maybe_inject(_cell_digest(*cell))
+    maybe_inject(_cell_key(cell))
     return _compute_cell(*cell)
 
 
@@ -362,72 +384,79 @@ def compute_cells(
     cell still missing after bounded retries raises its typed
     :class:`~repro.errors.CellFailure`; pass ``strict=False`` and a
     *report_sink* list to inspect failures instead.
+
+    The call is one unit of work: everything below it reads the one
+    settings snapshot its frame resolves (:mod:`repro.settings`).
     """
-    stats = stats if stats is not None else CacheStats()
-    results: dict[tuple[str, str, float, SquashConfig], dict] = {}
-    misses: list[tuple[str, str, float, SquashConfig]] = []
-    root = cache_dir()
-    store = get_store(root)
-    digests: dict[tuple[str, str, float, SquashConfig], str] = {}
-    tracer = get_tracer()
-    unique = list(dict.fromkeys(cells))
-    hits: set = set()
+    with _settings.use_settings() as resolved:
+        stats = stats if stats is not None else CacheStats()
+        results: dict[tuple[str, str, float, SquashConfig], dict] = {}
+        misses: list[tuple[str, str, float, SquashConfig]] = []
+        root = cache_dir()
+        store = get_store(root)
+        digests: dict[tuple[str, str, float, SquashConfig], str] = {}
+        tracer = get_tracer()
+        unique = list(dict.fromkeys(cells))
+        hits: set = set()
+        variant = resolved.codec_variant
 
-    for cell in unique:
-        digest = _cell_digest(*cell)
-        digests[cell] = digest
-        if cache:
-            try:
-                entry = store.get(
-                    "cell", digest, REQUIRED_KEYS.get(cell[0], ()), stats
-                )
-            except StoreDegraded:
-                # Unusable store (breaker open): recompute every cell
-                # without caching rather than fail the sweep.
-                entry = None
-            if entry is not None:
-                results[cell] = entry
-                hits.add(cell)
-                continue
-        misses.append(cell)
-
-    if misses:
-        def _persist(task: Task, result: dict) -> None:
-            results[task.key] = result
+        for cell in unique:
+            digest = _cell_key(_keyed(cell, variant))
+            digests[cell] = digest
             if cache:
                 try:
-                    if store.put("cell", digests[task.key], result):
-                        stats.writes += 1
-                except (OSError, StoreDegraded):
-                    # A full, read-only, or degraded store must not
-                    # lose the computed value — it just will not be
-                    # cached.
-                    return
+                    entry = store.get(
+                        "cell", digest, REQUIRED_KEYS.get(cell[0], ()), stats
+                    )
+                except StoreDegraded:
+                    # Unusable store (breaker open): recompute every
+                    # cell without caching rather than fail the sweep.
+                    entry = None
+                if entry is not None:
+                    results[cell] = entry
+                    hits.add(cell)
+                    continue
+            misses.append(cell)
 
-        cfg = config or SupervisorConfig.from_settings()
-        if workers is not None:
-            cfg = dataclasses.replace(cfg, workers=workers)
-        elif cfg.workers is None:
-            cfg = dataclasses.replace(cfg, workers=_workers())
-        _warm_stage_bundles(misses, root, cache, cfg, parallel)
-        supervisor = Supervisor(_supervised_cell, cfg, on_result=_persist)
-        tasks = [
-            Task(key=cell, payload=cell, cls=cell[1], label=_cell_label(cell))
-            for cell in misses
-        ]
-        with tracer.span(
-            "sweep.compute_cells", "sweep",
-            misses=len(misses), cached=len(hits), parallel=parallel,
-        ):
-            report = supervisor.run(tasks, parallel=parallel)
-        if report_sink is not None:
-            report_sink.append(report)
-        _publish_rollup(unique, hits, set(report.failures))
-        if report.failures and strict:
-            raise next(iter(report.failures.values()))
-    else:
-        _publish_rollup(unique, hits, set())
-    return results
+        if misses:
+            def _persist(task: Task, result: dict) -> None:
+                results[task.key] = result
+                if cache:
+                    try:
+                        if store.put("cell", digests[task.key], result):
+                            stats.writes += 1
+                    except (OSError, StoreDegraded):
+                        # A full, read-only, or degraded store must not
+                        # lose the computed value — it just will not be
+                        # cached.
+                        return
+
+            cfg = config or SupervisorConfig.from_settings()
+            if workers is not None:
+                cfg = dataclasses.replace(cfg, workers=workers)
+            elif cfg.workers is None:
+                cfg = dataclasses.replace(cfg, workers=_workers())
+            _warm_stage_bundles(misses, root, cache, cfg, parallel)
+            supervisor = Supervisor(_supervised_cell, cfg, on_result=_persist)
+            # The workers squash each cell as it is keyed.
+            tasks = [
+                Task(key=cell, payload=_keyed(cell, variant), cls=cell[1],
+                     label=_cell_label(cell))
+                for cell in misses
+            ]
+            with tracer.span(
+                "sweep.compute_cells", "sweep",
+                misses=len(misses), cached=len(hits), parallel=parallel,
+            ):
+                report = supervisor.run(tasks, parallel=parallel)
+            if report_sink is not None:
+                report_sink.append(report)
+            _publish_rollup(unique, hits, set(report.failures))
+            if report.failures and strict:
+                raise next(iter(report.failures.values()))
+        else:
+            _publish_rollup(unique, hits, set())
+        return results
 
 
 # -- drivers ------------------------------------------------------------------

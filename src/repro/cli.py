@@ -505,7 +505,9 @@ def _cmd_store(args) -> int:
 
 
 def _cmd_storechaos(args) -> int:
-    from repro.faultinject import run_store_chaos
+    # Not through the package: each crash-storm writer runs this module
+    # with ``-m``, which must not find it imported already.
+    from repro.faultinject.storechaos import run_store_chaos
 
     code = 0
     for name in args.names:

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from repro import settings as _settings
 from repro.compress.codec import CodecConfig
 from repro.core.costmodel import CostModel
 from repro.core.descriptor import BufferStrategy, RestoreStubScheme
@@ -37,38 +36,31 @@ class SquashConfig:
     text_base: int = TEXT_BASE
     #: Codec variant name from :data:`repro.compress.codec.
     #: CODEC_VARIANTS` ("" keeps the explicit :attr:`codec` object).
-    #: Resolution order at encode time: this field, then the
-    #: ``REPRO_CODEC_VARIANT`` setting, then :attr:`codec`; unknown
+    #: A squash, sweep or job writes the ``REPRO_CODEC_VARIANT``
+    #: setting in here where it starts (:meth:`with_default_variant`),
+    #: so the field is the whole codec choice from then on; unknown
     #: names warn once and fall back to ``baseline``.
     codec_variant: str = ""
-
-    def with_theta(self, theta: float) -> "SquashConfig":
-        return replace(self, theta=theta)
 
     def with_buffer_bound(self, nbytes: int) -> "SquashConfig":
         return replace(self, cost=self.cost.with_buffer_bound(nbytes))
 
-    def variant_keyed(self) -> "SquashConfig":
-        """This configuration as a memo or cache key: with the
-        ``REPRO_CODEC_VARIANT`` setting in :attr:`codec_variant` when
-        its own is empty and the setting is not, so squashes under
-        different variants never share a key.  It squashes exactly like
-        this configuration, and without the setting it is this one."""
-        if self.codec_variant:
+    def with_default_variant(self, variant: str) -> "SquashConfig":
+        """This configuration with *variant* (the ``REPRO_CODEC_VARIANT``
+        setting) in :attr:`codec_variant` when its own is empty: what
+        it squashes as, and so its memo and cache key.  Squashes under
+        different variants never share a key, and with no variant set
+        it is this configuration."""
+        if self.codec_variant or not variant:
             return self
-        variant = _settings.current_value("codec_variant")
-        return replace(self, codec_variant=variant) if variant else self
+        return replace(self, codec_variant=variant)
 
     def effective_codec(self) -> CodecConfig:
         """The :class:`CodecConfig` the encoder actually uses:
-        :attr:`codec_variant` when set, else the ``REPRO_CODEC_VARIANT``
-        setting, else the explicit :attr:`codec` object."""
+        :attr:`codec_variant` when set, else the explicit :attr:`codec`
+        object."""
         from repro.compress.codec import resolve_codec_variant
 
-        variant = self.codec_variant or _settings.current_value(
-            "codec_variant"
-        )
-        if variant:
-            return resolve_codec_variant(variant)
+        if self.codec_variant:
+            return resolve_codec_variant(self.codec_variant)
         return self.codec
-

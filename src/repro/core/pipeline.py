@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro import settings as _settings
 from repro.core.classify import classify_sites
 from repro.core.coldcode import identify_cold_blocks
 from repro.core.config import SquashConfig
@@ -211,7 +212,11 @@ def squash_program(
     baseline layout across cells) passing it skips the baseline's
     address pass, which validates *program* but encodes nothing.
     """
-    config = config or SquashConfig()
+    # The REPRO_CODEC_VARIANT setting is read here, once; every stage
+    # then reads the configuration alone.
+    config = (config or SquashConfig()).with_default_variant(
+        _settings.current().codec_variant
+    )
     info = RewriteInfo()
     report = StageReport()
     with report.stage("cold") as counters:

@@ -33,10 +33,6 @@ from repro.faultinject.chaossweep import (
     chaos_cells,
     run_chaos_sweep,
 )
-from repro.faultinject.storechaos import (
-    StoreChaosReport,
-    run_store_chaos,
-)
 from repro.faultinject.servechaos import (
     SCENARIOS as SERVE_CHAOS_SCENARIOS,
     ServeChaosReport,
@@ -78,8 +74,6 @@ __all__ = [
     "ChaosSweepReport",
     "chaos_cells",
     "run_chaos_sweep",
-    "StoreChaosReport",
-    "run_store_chaos",
     "SERVE_CHAOS_SCENARIOS",
     "ServeChaosReport",
     "run_serve_chaos",

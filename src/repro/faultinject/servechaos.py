@@ -49,6 +49,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 
+from repro import settings as _settings
 from repro.errors import JobExpired, ServiceOverloaded, SquashError
 from repro.faultinject import chaos
 from repro.faultinject.chaossweep import _env
@@ -456,7 +457,7 @@ def _run_sigkill(report: ServeChaosReport, root: pathlib.Path,
                  scale: float) -> None:
     from repro.service import JobJournal, ServiceClient
 
-    env = dict(os.environ)
+    env = dict(_settings._ENVIRON)
     env.update(
         REPRO_CACHE_DIR=str(root),
         REPRO_SERVICE_WORKERS="1",

@@ -92,16 +92,13 @@ class SupervisorConfig:
     breaker_threshold: int = 8
 
     @classmethod
-    def from_settings(
-        cls, resolved: "_settings.Settings | None" = None
-    ) -> "SupervisorConfig":
+    def from_settings(cls) -> "SupervisorConfig":
         """The config the resolved :class:`repro.settings.Settings`
         describes (``REPRO_CELL_DEADLINE``, ``REPRO_CELL_RETRIES``,
         ``REPRO_CELL_BACKOFF``, ``REPRO_BREAKER_THRESHOLD`` feed it;
         malformed values fall back silently — resilience knobs must
         never be a new way to crash)."""
-        if resolved is None:
-            resolved = _settings.current()
+        resolved = _settings.current()
         return cls(
             deadline=resolved.cell_deadline,
             retry=RetryPolicy(

@@ -256,11 +256,8 @@ class ServiceConfig:
     journal: bool = True
 
     @classmethod
-    def from_settings(
-        cls, resolved: "_settings.Settings | None" = None
-    ) -> "ServiceConfig":
-        if resolved is None:
-            resolved = _settings.current()
+    def from_settings(cls) -> "ServiceConfig":
+        resolved = _settings.current()
         return cls(
             queue_depth=resolved.service_queue_depth,
             workers=resolved.service_workers,

@@ -15,10 +15,19 @@ with a fixed precedence:
    silently rather than crash);
 3. **declared defaults** — the field defaults below.
 
-Call :func:`current` for the resolved snapshot.  Resolution re-reads
-the environment on every call, so tests that ``monkeypatch.setenv`` a
-knob keep working unchanged; an installed override shadows the
-environment for the duration of its ``with`` block only.
+Call :func:`current` for the resolved snapshot.  Each
+:func:`use_settings` block is a frame that resolves its snapshot once,
+on entry, and :func:`current` returns the innermost open frame's
+snapshot; outside every frame it re-reads the environment on each
+call, so tests that ``monkeypatch.setenv`` a knob keep working.  A unit
+of work opens a frame where it starts (a sweep's ``compute_cells``, a
+service job, a squash in a worker process), an empty one when it has
+nothing to override, so the reads below it cost a lookup instead of a
+parse of every knob.  An empty frame inside another reuses the outer
+snapshot; one with overrides applies them to it.  A ``REPRO_*`` change
+made while a frame is open is therefore seen only after it closes:
+never open one around code that edits the environment and then calls
+the store or the engine.  Frames are per thread.
 
 Raw ``os.environ[`` access outside this module is flagged by lint
 (``ruff`` TID251); everything else calls :func:`current` and reads a
@@ -266,90 +275,50 @@ ENV_KNOBS: dict[str, tuple[str, Callable[[str], Any]]] = {
 # chaos harness swaps it to propagate armed fault specs to workers.
 _ENVIRON = os.environ
 
-#: Per-thread stack of partial overrides installed by
-#: :func:`use_settings`; later entries win.  Thread-local because the
-#: job service scopes ``cell_deadline`` per executing job from
+#: Per-thread stack of the snapshots resolved by the open
+#: :func:`use_settings` frames, innermost last.  Thread-local because
+#: the job service scopes ``cell_deadline`` per executing job from
 #: concurrent worker threads — a shared stack would let one thread pop
 #: another's frame.
-_OVERRIDES = threading.local()
+_FRAMES = threading.local()
 
 
-def _overrides_stack() -> list[dict[str, Any]]:
-    stack = getattr(_OVERRIDES, "stack", None)
+def _frames() -> list[Settings]:
+    stack = getattr(_FRAMES, "stack", None)
     if stack is None:
-        stack = _OVERRIDES.stack = []
+        stack = _FRAMES.stack = []
     return stack
-
-
-#: What :func:`_parse_env` returns for a value that reads as unset, and
-#: for one that does not parse.
-_UNSET = object()
-_INVALID = object()
-
-
-def _parse_env(parse: Callable[[str], Any], raw: str) -> Any:
-    """*raw*, the value of a knob's set variable, read with the knob's
-    *parse*: :data:`_UNSET`, :data:`_INVALID` or the value."""
-    if raw == "":
-        # Historical rule: an empty value reads as unset, except for
-        # booleans where "" counts among the falsy spellings.
-        if parse in (_parse_bool, _parse_strict_bool):
-            return False
-        return _UNSET
-    try:
-        return parse(raw)
-    except ValueError:
-        return _INVALID
 
 
 def from_env() -> Settings:
     """Settings resolved from environment variables and defaults only
-    (no installed overrides)."""
+    (no frame)."""
     values: dict[str, Any] = {}
     invalid: set[str] = set()
     for field_name, (env_name, parse) in ENV_KNOBS.items():
         raw = _ENVIRON.get(env_name)
         if raw is None:
             continue
-        value = _parse_env(parse, raw)
-        if value is _INVALID:
+        if raw == "":
+            # Historical rule: an empty value reads as unset, except for
+            # booleans where "" counts among the falsy spellings.
+            if parse in (_parse_bool, _parse_strict_bool):
+                values[field_name] = False
+            continue
+        try:
+            values[field_name] = parse(raw)
+        except ValueError:
             invalid.add(env_name)
-        elif value is not _UNSET:
-            values[field_name] = value
     if invalid:
         values["invalid"] = frozenset(invalid)
     return Settings(**values)
 
 
 def current() -> Settings:
-    """The resolved settings snapshot: overrides > env > defaults."""
-    settings = from_env()
-    stack = _overrides_stack()
-    if stack:
-        merged: dict[str, Any] = {}
-        for layer in stack:
-            merged.update(layer)
-        settings = replace(settings, **merged)
-    return settings
-
-
-def current_value(name: str) -> Any:
-    """``getattr(current(), name)``, resolving that one field alone:
-    the innermost override that sets it, else its environment variable
-    (read by :func:`_parse_env`, as :func:`from_env` reads it), else
-    its default.  For lookups on hot paths, where parsing every knob
-    would dominate."""
-    for layer in reversed(_overrides_stack()):
-        if name in layer:
-            return layer[name]
-    env_name, parse = ENV_KNOBS[name]
-    raw = _ENVIRON.get(env_name)
-    if raw is not None:
-        value = _parse_env(parse, raw)
-        if value is not _UNSET and value is not _INVALID:
-            return value
-    # A field's default is its class attribute.
-    return getattr(Settings, name)
+    """The resolved snapshot: the innermost open frame's, else
+    environment > defaults, read now."""
+    stack = _frames()
+    return stack[-1] if stack else from_env()
 
 
 def effective_bench_workers(settings: Settings | None = None) -> int:
@@ -369,11 +338,15 @@ def effective_bench_workers(settings: Settings | None = None) -> int:
 
 @contextmanager
 def use_settings(**overrides: Any) -> Iterator[Settings]:
-    """Install partial *overrides* for the duration of the block.
+    """Open a settings frame for the duration of the block.
 
-    Overrides shadow both the environment and the defaults — this is
-    the programmatic equivalent of exporting the matching ``REPRO_*``
-    variables, with types checked at the dataclass boundary::
+    The frame resolves its snapshot once, on entry: the enclosing
+    frame's snapshot (outside every frame, the environment over the
+    defaults) with *overrides* applied, and :func:`current` returns it
+    until the block exits.  Overrides shadow both the environment and
+    the defaults — this is the programmatic equivalent of exporting the
+    matching ``REPRO_*`` variables, with types checked at the dataclass
+    boundary::
 
         with settings.use_settings(vm_watchdog=10_000, region_cache=False):
             ...
@@ -386,8 +359,12 @@ def use_settings(**overrides: Any) -> Iterator[Settings]:
         raise TypeError(
             f"unknown settings field(s): {', '.join(sorted(unknown))}"
         )
-    _overrides_stack().append(dict(overrides))
+    snapshot = current()
+    if overrides:
+        snapshot = replace(snapshot, **overrides)
+    stack = _frames()
+    stack.append(snapshot)
     try:
-        yield current()
+        yield snapshot
     finally:
-        _overrides_stack().pop()
+        stack.pop()

@@ -619,20 +619,33 @@ def test_unknown_variant_warns_once_and_falls_back():
     codec_mod._VARIANT_WARNED.discard(name)
 
 
-def test_effective_codec_precedence():
+def test_effective_codec_precedence(mini_program, mini_profile):
+    """The config's own variant, then the ``REPRO_CODEC_VARIANT``
+    setting, then the explicit codec object.  The setting is written
+    into the config where a squash starts, so ``effective_codec`` reads
+    the config's fields alone."""
     from repro import settings
     from repro.core.config import SquashConfig
+    from repro.core.pipeline import squash_program
 
     assert SquashConfig().effective_codec() == codec_variant("baseline")
+    keyed = SquashConfig().with_default_variant("ctx1")
+    assert keyed.effective_codec() == codec_variant("ctx1")
+    # The explicit config field wins over the setting.
+    pinned = SquashConfig(codec_variant="baseline")
+    assert pinned.with_default_variant("ctx1") is pinned
+    assert SquashConfig().with_default_variant("") == SquashConfig()
     with settings.use_settings(codec_variant="ctx1"):
-        assert (
-            SquashConfig().effective_codec() == codec_variant("ctx1")
+        assert SquashConfig().effective_codec() == codec_variant("baseline")
+        squashed = squash_program(
+            mini_program, mini_profile, SquashConfig(theta=1.0)
         )
-        # The explicit config field wins over the settings knob.
-        assert (
-            SquashConfig(codec_variant="baseline").effective_codec()
-            == codec_variant("baseline")
-        )
+    assert squashed.config.codec_variant == "ctx1"
+    explicit = squash_program(
+        mini_program, mini_profile,
+        SquashConfig(theta=1.0, codec_variant="ctx1"),
+    )
+    assert squashed.file_bytes() == explicit.file_bytes()
 
 
 # -- CodecModel fault kinds --------------------------------------------------

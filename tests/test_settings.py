@@ -127,27 +127,135 @@ class TestPrecedence:
             with settings.use_settings(not_a_knob=1):
                 pass
 
-    @pytest.mark.parametrize("raw", [None, "", "0", "1", "7", "0.5", "x"])
-    def test_current_value_is_the_field_of_current(self, monkeypatch, raw):
-        """Each field resolved alone equals the full snapshot's, for
-        unset, empty, numeric and malformed variables, under no
-        override, one override and nested ones."""
-        for env_name in ALL_KNOB_VARS:
-            if raw is not None:
-                monkeypatch.setenv(env_name, raw)
 
-        def agree():
-            resolved = settings.current()
-            for name in settings.ENV_KNOBS:
-                assert settings.current_value(name) == getattr(
-                    resolved, name
-                ), (name, raw)
+class TestFrames:
+    """A ``use_settings`` frame resolves its snapshot once, on entry."""
 
-        agree()
-        with settings.use_settings(codec_variant="ctx1", cell_retries=4):
-            agree()
-            with settings.use_settings(cell_retries=6, region_cache=False):
-                agree()
+    def test_frame_keeps_its_snapshot_until_it_closes(self, monkeypatch):
+        with settings.use_settings() as resolved:
+            monkeypatch.setenv("REPRO_VM_WATCHDOG", "77")
+            assert settings.current() is resolved
+            assert settings.current().vm_watchdog == 0
+        assert settings.current().vm_watchdog == 77
+
+    def test_empty_frame_reuses_the_outer_snapshot(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "5")
+        with settings.use_settings(vm_watchdog=3) as outer:
+            with settings.use_settings() as inner:
+                assert inner is outer
+            with settings.use_settings(cell_backoff=0.5) as nested:
+                assert nested.cell_backoff == 0.5
+                assert nested.vm_watchdog == 3
+                assert nested.cell_retries == 5
+
+    def test_nested_override_wins_inside_a_unit(self, monkeypatch):
+        """A frame opened inside a ``compute_cells`` call wins inside
+        it; the call's own snapshot holds around it."""
+        from repro.analysis import parallel
+        from repro.core.config import SquashConfig
+
+        seen = []
+
+        def cell(kind, name, scale, config):
+            seen.append(settings.current().cell_retries)
+            with settings.use_settings(cell_retries=9):
+                seen.append(settings.current().cell_retries)
+            seen.append(settings.current().cell_retries)
+            return {"footprint_total": 1, "baseline_words": 2,
+                    "reduction": 0.5}
+
+        monkeypatch.setattr(parallel, "_compute_cell", cell)
+        monkeypatch.setenv("REPRO_CELL_RETRIES", "4")
+        parallel.compute_cells(
+            [("size", "probe", 0.1, SquashConfig())],
+            parallel=False, cache=False,
+        )
+        assert seen == [4, 9, 4]
+
+    def test_second_unit_sees_an_environment_change(
+        self, monkeypatch, tmp_path
+    ):
+        """Each ``compute_cells`` call resolves its own snapshot: a
+        cache root and codec variant exported between two calls reach
+        the second one's store and its cells."""
+        from repro.analysis import parallel
+        from repro.core.config import SquashConfig
+
+        variants = []
+
+        def cell(kind, name, scale, config):
+            variants.append(config.codec_variant)
+            return {"footprint_total": 1, "baseline_words": 2,
+                    "reduction": 0.5}
+
+        monkeypatch.setattr(parallel, "_compute_cell", cell)
+        probe = ("size", "probe", 0.1, SquashConfig())
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "a"))
+        parallel.compute_cells([probe], parallel=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "b"))
+        monkeypatch.setenv("REPRO_CODEC_VARIANT", "ctx1")
+        parallel.compute_cells([probe], parallel=False)
+        assert variants == ["", "ctx1"]
+        keyed = ("size", "probe", 0.1, SquashConfig(codec_variant="ctx1"))
+        monkeypatch.delenv("REPRO_CODEC_VARIANT")
+        assert parallel.cell_path(tmp_path / "a", probe).exists()
+        assert parallel.cell_path(tmp_path / "b", keyed).exists()
+        assert not parallel.cell_path(tmp_path / "b", probe).exists()
+
+    def test_no_thread_sees_another_threads_frame(self):
+        import threading
+
+        # Every thread reads while every frame is open.
+        barrier = threading.Barrier(3, timeout=10)
+        seen = {}
+
+        def framed(name, watchdog):
+            with settings.use_settings(vm_watchdog=watchdog):
+                barrier.wait()
+                seen[name] = settings.current().vm_watchdog
+                barrier.wait()
+
+        def bare():
+            barrier.wait()
+            seen["bare"] = settings.current().vm_watchdog
+            barrier.wait()
+
+        threads = [
+            threading.Thread(target=framed, args=("a", 11)),
+            threading.Thread(target=framed, args=("b", 22)),
+            threading.Thread(target=bare),
+        ]
+        with settings.use_settings(vm_watchdog=33):
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            assert settings.current().vm_watchdog == 33
+        assert seen == {"a": 11, "b": 22, "bare": 0}
+
+    def test_invalid_value_warnings_fire_inside_a_unit(
+        self, monkeypatch, tmp_path
+    ):
+        from repro.analysis import parallel
+        from repro.core.config import SquashConfig
+
+        monkeypatch.setattr(
+            parallel, "_compute_cell",
+            lambda kind, name, scale, config: {
+                "footprint_total": 1, "baseline_words": 2,
+                "reduction": 0.5,
+            },
+        )
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_BENCH_WORKERS", "many")
+        monkeypatch.setenv("REPRO_STORE_RETRIES", "lots")
+        with pytest.warns(RuntimeWarning) as caught:
+            parallel.compute_cells(
+                [("size", "probe", 0.1, SquashConfig())], parallel=False
+            )
+        messages = " ".join(str(warning.message) for warning in caught)
+        assert "REPRO_BENCH_WORKERS" in messages
+        assert "REPRO_STORE_RETRIES" in messages
 
 
 class TestConsumers:

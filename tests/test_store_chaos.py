@@ -212,3 +212,19 @@ class TestStormSchedule:
         }
         sizes = {size for _, size in mine}
         assert len(sizes) > 1 and all(512 <= size <= 1536 for size in sizes)
+
+
+def test_writer_module_runs_without_a_runtime_warning(tmp_path):
+    """Each crash-storm writer runs ``-m repro.faultinject.storechaos``:
+    the package must not have imported that module first (``runpy``
+    warns when it finds it in ``sys.modules``)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(
+        pathlib.Path(__file__).resolve().parent.parent / "src"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.faultinject.storechaos", str(tmp_path / "store"), "1", "0"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
