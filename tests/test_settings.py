@@ -229,7 +229,8 @@ class TestFrames:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=10)
+                assert not thread.is_alive()
             assert settings.current().vm_watchdog == 33
         assert seen == {"a": 11, "b": 22, "bare": 0}
 
