@@ -35,7 +35,7 @@ def main() -> None:
     )
     print(
         f"profile: {bench.profile.tot_instr_ct} dynamic instructions; "
-        f"{len(bench.profile.never_executed)} of "
+        f"{list(bench.profile.counts.values()).count(0)} of "
         f"{len(bench.profile.counts)} blocks never executed"
     )
 

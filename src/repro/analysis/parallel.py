@@ -138,13 +138,31 @@ def canonical(value):
 CELL_KEY_CACHE_SIZE = 1024
 
 
+class _Cell(tuple):
+    """A cell that computes its hash once.  A configuration hashes
+    through Python-level dataclass and ``Enum`` hashes, and one sweep
+    call keys several dicts and sets by each cell.  It pickles as a
+    plain tuple: str hashes differ between processes."""
+
+    def __new__(cls, cell: Cell) -> "_Cell":
+        self = super().__new__(cls, cell)
+        self.hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self) -> int:
+        return self.hash
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 @lru_cache(maxsize=CELL_KEY_CACHE_SIZE)
-def _cell_key(cell: Cell) -> str:
-    """The cache key of *cell*, whose configuration already names the
-    codec variant in effect (see :func:`_keyed`), so a cell squashed
-    under one ``REPRO_CODEC_VARIANT`` never answers a sweep under
-    another.  Built once per cell per process."""
-    kind, name, scale, config = cell
+def _cell_key(cell: Cell, variant: str = "") -> str:
+    """The cache key of *cell* under the codec *variant* setting (see
+    :func:`_keyed`), so a cell squashed under one
+    ``REPRO_CODEC_VARIANT`` never answers a sweep under another.  Built
+    once per cell per process."""
+    kind, name, scale, config = _keyed(cell, variant)
     payload = json.dumps(
         {
             "kind": kind,
@@ -167,7 +185,7 @@ def _keyed(cell: Cell, variant: str) -> Cell:
 def _cell_digest(kind: str, name: str, scale: float, config: SquashConfig) -> str:
     """The cache key of a cell under the codec variant in effect."""
     variant = _settings.current().codec_variant
-    return _cell_key((kind, name, scale, config.with_default_variant(variant)))
+    return _cell_key((kind, name, scale, config), variant)
 
 
 def _stage_bundle(name: str, scale: float):
@@ -396,12 +414,13 @@ def compute_cells(
         store = get_store(root)
         digests: dict[tuple[str, str, float, SquashConfig], str] = {}
         tracer = get_tracer()
-        unique = list(dict.fromkeys(cells))
+        # Each cell is hashed here once, for every dict and set below.
+        unique = list(dict.fromkeys(map(_Cell, cells)))
         hits: set = set()
         variant = resolved.codec_variant
 
         for cell in unique:
-            digest = _cell_key(_keyed(cell, variant))
+            digest = _cell_key(cell, variant)
             digests[cell] = digest
             if cache:
                 try:
@@ -517,10 +536,16 @@ def grid_rows(
     """The rows of a size or time sweep, in :func:`grid_cells` order,
     from its resolved cell *results*."""
     rows = []
+    # One lookup per distinct cell: paper θs may map to one θ of ours.
+    values: dict[tuple[str, float], dict] = {}
     for name in names:
         for theta_paper in thetas:
             theta = map_theta(theta_paper)
-            value = results[(kind, name, scale, SquashConfig(theta=theta))]
+            value = values.get((name, theta))
+            if value is None:
+                value = values[name, theta] = results[
+                    (kind, name, scale, SquashConfig(theta=theta))
+                ]
             if kind == "size":
                 rows.append(SizeRow(
                     name=name,

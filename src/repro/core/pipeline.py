@@ -21,7 +21,7 @@ per-stage wall-time/counter report on the result; ``repro squash
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro import settings as _settings
 from repro.core.classify import classify_sites
@@ -41,6 +41,7 @@ from repro.pipeline.manager import StageReport
 from repro.program.image import LoadedImage
 from repro.program.layout import assign_addresses
 from repro.program.program import Program
+from repro.vm import machine as _vm
 from repro.vm.machine import Machine
 from repro.vm.profiler import Profile
 
@@ -77,6 +78,10 @@ class SquashResult:
     config: SquashConfig
     #: Per-stage wall time and counters for this squash.
     stage_report: StageReport | None = None
+    #: The profile's count of each text block it entered at least
+    #: ``TRANSLATE_AFTER`` times, by image address: the VM translates
+    #: these on their first entry (host time only; never saved).
+    hot_heads: dict[int, int] = field(default_factory=dict)
 
     @property
     def reduction(self) -> float:
@@ -100,6 +105,7 @@ class SquashResult:
             self.image,
             input_words=input_words,
             services=runtime.services(),
+            hot_heads=self.hot_heads,
             **machine_kwargs,
         )
         return machine, runtime
@@ -274,6 +280,12 @@ def squash_program(
             plan.ctx, layout, classified.plans, blob, config
         )
         counters["image_words"] = len(image.memory)
+    hot = _vm.TRANSLATE_AFTER
+    hot_heads = {
+        addr: count
+        for addr, label in image.block_heads.items()
+        if (count := profile.counts.get(label, 0)) >= hot
+    }
 
     if baseline_words is None:
         baseline_words = baseline_code_words(
@@ -287,4 +299,5 @@ def squash_program(
         baseline_words=baseline_words,
         config=config,
         stage_report=report,
+        hot_heads=hot_heads,
     )

@@ -74,7 +74,6 @@ __all__ = [
     "RuntimeStats",
     "StubAreaOverflow",
     "clear_region_decode_cache",
-    "region_cache_default",
     "region_decode_cache_info",
 ]
 
@@ -82,12 +81,6 @@ __all__ = [
 #: ``repro metrics`` reports them alongside every other component.
 _METRICS = get_registry()
 
-
-def region_cache_default() -> bool:
-    """Default for the cross-runtime region decode cache;
-    ``REPRO_REGION_CACHE=0`` (or ``region_cache=False`` via
-    :mod:`repro.settings`) disables it."""
-    return _settings.current().region_cache
 
 #: Entries kept in the region decode cache before the oldest is evicted.
 REGION_CACHE_MAX_ENTRIES = 4096
@@ -196,11 +189,16 @@ class SquashRuntime:
         self._expanded_cache: dict[int, tuple[list[int], int, int]] = {}
         # Encoded entry jumps by buffer offset.
         self._entry_jumps: dict[int, int] = {}
+        # One settings snapshot for the run: REPRO_REGION_CACHE=0
+        # disables the cross-runtime cache by default, and
+        # REPRO_DECODE_BACKEND picks every region decode's backend.
+        resolved = _settings.current()
         self._region_cache_enabled = (
-            region_cache_default()
+            resolved.region_cache
             if region_cache is None
             else bool(region_cache)
         )
+        self._decode_backend = resolved.decode_backend
         self._tracer = get_tracer()
         self._blob_digest: bytes | None = None
         self._image_verified = False
@@ -510,7 +508,9 @@ class SquashRuntime:
         desc = self.desc
         if not self._region_cache_enabled:
             stream = _MemWords(machine, desc.stream_addr, desc.stream_words)
-            items, bits = codec.decode_region(stream, bit_offset)
+            items, bits = codec.decode_region(
+                stream, bit_offset, backend=self._decode_backend
+            )
             return tuple(items), bits
         key = (self._blob_fingerprint(machine), bit_offset)
         cached = _REGION_DECODE_CACHE.get(key)
@@ -539,7 +539,9 @@ class SquashRuntime:
                 ts=machine.cycles, bit_offset=bit_offset,
             )
         stream = _MemWords(machine, desc.stream_addr, desc.stream_words)
-        items, bits = codec.decode_region(stream, bit_offset)
+        items, bits = codec.decode_region(
+            stream, bit_offset, backend=self._decode_backend
+        )
         items = tuple(items)
         _REGION_DECODE_CACHE[key] = (items, bits, _entry_seal(items, bits))
         while len(_REGION_DECODE_CACHE) > REGION_CACHE_MAX_ENTRIES:

@@ -13,16 +13,25 @@ This models the paper's software decompressor, whose code occupies real
 space in the image but whose execution we simulate (see DESIGN.md).
 
 Block translation: :meth:`Machine.run` interprets one instruction per
-step, and after :data:`TRANSLATE_AFTER` entries at a pc it translates
+step, and on the :data:`TRANSLATE_AFTER`-th entry at a pc it translates
 the superblock starting there into one generated Python function: a
 trace that follows direct ``br``/``bsr`` targets and, behind a guard,
 the ``ret`` of a ``bsr`` it followed, and runs a branch back to its own
-entry as a loop inside the function.  A superblock starts only when
-one whole pass fits the step and watchdog budgets, starts another pass
-only when that fits too, and stops before any load or store that would
-fault, so every fault, budget trip, cycle count and block count comes
-out of the step body exactly as in a run that translates nothing.  The
-step body is the oracle the translated code is tested against
+entry as a loop inside the function.  An entry is an arrival where a
+trace can start: after a branch, jump, call, return, system op, service
+or superblock exit.  A straight-line instruction (ALU, ``ldw``,
+``stw``, ``lda``, ``ldah``) falls through into the next one in the step
+body, counting nothing, unless a live translation starts there.  The
+blocks a profile entered at least ``TRANSLATE_AFTER`` times may be
+given to the machine (``hot_heads``); their counts start one short of
+the threshold, so they translate on their first entry.
+
+A superblock starts only when one whole pass fits the step and
+watchdog budgets, starts another pass only when that fits too, and
+stops before any load or store that would fault, so every fault,
+budget trip, cycle count and block count comes out of the step body
+exactly as in a run that translates nothing.  The step body is the
+oracle the translated code is tested against
 (``tests/test_vm_translate.py``; DESIGN.md §10).
 """
 
@@ -30,7 +39,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro import settings as _settings
 from repro.errors import WatchdogExpired
@@ -54,7 +63,9 @@ _SERVICE_WATCHDOG_COST = 64
 #: about as much as interpreting a few hundred instructions, and a
 #: linked trace is longer than a block: translating on the 16th entry
 #: cost 9% more VM time on ``squash_run``'s programs than on the 32nd,
-#: and the 48th and 64th cost 2-6% less.
+#: and the 48th and 64th cost 2-6% less.  Counting only arrivals by a
+#: transfer, with profile-hot blocks seeded, the 32nd cost 7% more than
+#: the 48th, and the 64th and 96th were no better.
 TRANSLATE_AFTER = 48
 
 #: Most instructions one superblock spans.  Compile time grows with the
@@ -163,6 +174,9 @@ _SYS_READ, _SYS_WRITE = int(SysOp.READ), int(SysOp.WRITE)
 _SYS_IN_BLOCK = frozenset({int(SysOp.NOP), _SYS_READ, _SYS_WRITE})
 #: Unconditional branches and jumps: each ends the superblock it is in.
 _TRANSFERS = frozenset({_OP_BR, _OP_BSR, _OP_JMP, _OP_JSR, _OP_RET})
+#: Straight-line instructions: each goes on at the next word, so no
+#: trace starts after one unless a live translation starts there.
+_STRAIGHT = frozenset({_OP_OPR, _OP_OPI, _OP_LDW, _OP_STW, _OP_LDA, _OP_LDAH})
 
 #: Taken-conditions of the conditional branches over the register
 #: ``{a}``, each the expression the step body evaluates.
@@ -412,6 +426,12 @@ class Machine:
         ``REPRO_VM_WATCHDOG`` from the environment; 0 disables the
         guard.  The watchdog never touches the cycle model — a guarded
         run is cycle-identical to an unguarded one.
+    hot_heads:
+        Entries already seen, by pc: a profile's count of each block it
+        found hot.  The entry count of a pc, keyed by the word there
+        now, starts at that count, at most ``TRANSLATE_AFTER`` - 1, so
+        a hot block translates on its first entry.  Only host time
+        depends on it.
     """
 
     def __init__(
@@ -423,6 +443,7 @@ class Machine:
         services: dict[int, Callable[["Machine"], None]] | None = None,
         count_blocks: bool = False,
         watchdog: int | None = None,
+        hot_heads: Mapping[int, int] | None = None,
     ):
         self.image = image
         mem_size = image.end + heap_words + stack_words
@@ -471,7 +492,12 @@ class Machine:
         self._fills: dict[int, tuple[object, list[int]]] = {}
         self._stash: dict[object, tuple[int, list[int], list]] = {}
         self._kept: dict[tuple[int, int], list[_Block]] = {}
-        self._heat: dict[tuple[int, int], int] = {}
+        start = TRANSLATE_AFTER - 1
+        self._heat: dict[tuple[int, int], int] = {
+            (pc, self.mem[pc]): min(count, start)
+            for pc, count in (hot_heads or {}).items()
+            if 0 <= pc < mem_size and pc not in self.services
+        }
 
     # -- service/runtime helpers -------------------------------------------
 
@@ -530,11 +556,6 @@ class Machine:
         if not 0 <= addr < len(self.mem):
             raise MemoryFault(f"service load from {addr:#x}", self.pc)
         return self.mem[addr]
-
-    @property
-    def stack_depth(self) -> int:
-        """Words of stack currently in use."""
-        return len(self.mem) - self.regs[30]
 
     # -- block translation ---------------------------------------------------
 
@@ -781,13 +802,17 @@ class Machine:
         Each loop iteration runs one instruction in the step body, or
         one service, then chains translated superblocks while the next
         pc has one whose whole pass fits the budgets; a superblock is
-        given the instructions left and reports those it ran.  The
-        first instruction of a run takes the step body.  After a
-        service, a direct ``br`` at the pc it left (the runtime
-        buffer's entry jump, or the ``br`` after a CreateStub call)
-        runs at once, and chaining goes on from its target; a service
-        that left sp below the lowest seen hands the next instruction
-        to the step body, whose per-step ``min_sp`` check then sees it.
+        given the instructions left and reports those it ran.  A
+        straight-line instruction goes on to the next step at once
+        when no translation starts at the next pc, so entries are
+        counted only after branches, jumps, system ops, services and
+        superblock exits.  The first instruction of a run takes the
+        step body.  After a service, a direct ``br`` at the pc it left
+        (the runtime buffer's entry jump, or the ``br`` after a
+        CreateStub call) runs at once, and chaining goes on from its
+        target; a service that left sp below the lowest seen hands the
+        next instruction to the step body, whose per-step ``min_sp``
+        check then sees it.
         """
         mem = self.mem
         regs = self.regs
@@ -797,6 +822,7 @@ class Machine:
         at = self._at
         kept = self._kept
         heat = self._heat
+        straight = _STRAIGHT
         translate_after = TRANSLATE_AFTER
         mem_len = len(mem)
         heap_base = self.heap_base
@@ -1044,6 +1070,10 @@ class Machine:
                         )
                     if regs[30] < min_sp:
                         min_sp = regs[30]
+                    if op in straight and (pc >= mem_len or at[pc] is None):
+                        # Control fell through, and only a transfer or
+                        # a service counts an entry.
+                        continue
                 while 0 <= pc < mem_len:
                     block = at[pc]
                     if block is None:

@@ -37,11 +37,6 @@ class Profile:
         """Block weight: instruction count times execution frequency."""
         return self.counts.get(label, 0) * self.sizes.get(label, 0)
 
-    @property
-    def never_executed(self) -> set[str]:
-        """Labels of blocks never executed in the profiling run."""
-        return {label for label, count in self.counts.items() if count == 0}
-
     def scaled(self, factor: float) -> "Profile":
         """A copy with all counts scaled (for sensitivity experiments)."""
         counts = {k: int(v * factor) for k, v in self.counts.items()}

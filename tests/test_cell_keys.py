@@ -1,4 +1,5 @@
-"""Cell keys are pinned literally, and built once per cell per process.
+"""Cell keys are pinned literally, and built once per cell per process;
+a warm sweep hashes each cell once per call.
 
 A change that shifted every key would turn every existing store cold
 without failing a test that only compares keys with one another
@@ -6,8 +7,11 @@ without failing a test that only compares keys with one another
 the key memo and are compared byte for byte.
 """
 
+import pickle
+
 from repro import settings
 from repro.analysis import parallel
+from repro.analysis.experiments import FIG6_THETAS
 from repro.core.config import SquashConfig
 
 SCALE = 0.15
@@ -58,3 +62,47 @@ def test_warm_lookup_builds_no_canonical_form(monkeypatch):
     assert parallel._cell_key.cache_info().maxsize == (
         parallel.CELL_KEY_CACHE_SIZE
     )
+
+
+def test_a_warm_sweep_hashes_each_cell_once(monkeypatch, tmp_path):
+    """A warm ``compute_cells`` call hashes each cell's configuration
+    once, and ``grid_rows`` each distinct cell once (Figure 6's paper
+    θ 1e-2 and 1 map to one cell)."""
+    monkeypatch.setattr(
+        parallel, "_compute_cell",
+        lambda kind, name, scale, config: {
+            "footprint_total": 1, "baseline_words": 2,
+            "reduction": config.theta,
+        },
+    )
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    names = ("probe", "other")
+    parallel.compute_cells(
+        parallel.grid_cells("size", names, SCALE, FIG6_THETAS),
+        parallel=False,
+    )
+    cells = parallel.grid_cells("size", names, SCALE, FIG6_THETAS)
+    distinct = len(set(cells))
+    assert distinct < len(cells)
+    hashes = []
+    real = SquashConfig.__hash__
+    monkeypatch.setattr(
+        SquashConfig, "__hash__", lambda self: hashes.append(1) or real(self)
+    )
+    results = parallel.compute_cells(cells, parallel=False)
+    assert len(hashes) == len(cells)
+    assert parallel.last_sweep_rollup()["cache_hits"] == distinct
+    hashes.clear()
+    rows = parallel.grid_rows("size", names, SCALE, FIG6_THETAS, results)
+    assert len(hashes) == distinct
+    assert [row.reduction for row in rows] == [
+        cell[3].theta for cell in cells
+    ]
+
+
+def test_a_hashed_cell_pickles_as_a_plain_tuple():
+    cell = ("size", "adpcm", SCALE, SquashConfig(theta=1.0))
+    hashed = parallel._Cell(cell)
+    assert hashed == cell and hash(hashed) == hash(cell)
+    thawed = pickle.loads(pickle.dumps(hashed))
+    assert type(thawed) is tuple and thawed == cell

@@ -299,6 +299,32 @@ class TestConsumers:
         assert resolve_decode_backend() == "table"
 
 
+    def test_squashed_run_resolves_settings_once(self, monkeypatch):
+        """Outside every frame, a squashed run at θ = 1 decodes many
+        regions, yet parses the environment only for its runtime and
+        its machine's watchdog."""
+        import repro.api as api
+        from repro.core.runtime import clear_region_decode_cache
+        from repro.obs.trace import get_tracer
+        from repro.workloads.mediabench import mediabench_program
+
+        result = api.squash_benchmark(
+            "adpcm", 0.1, api.SquashConfig(theta=1.0)
+        )
+        inputs = mediabench_program("adpcm", 0.1).timing_input
+        get_tracer()  # process-wide, resolved on first use
+        clear_region_decode_cache()
+        parses = []
+        from_env = settings.from_env
+        monkeypatch.setattr(
+            settings, "from_env", lambda: parses.append(1) or from_env()
+        )
+        machine, runtime = result.make_machine(inputs)
+        machine.run()
+        assert runtime.stats.decompressions > 10
+        assert len(parses) <= 2
+
+
 class TestEffectiveBenchWorkers:
     def test_explicit_setting_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_WORKERS", "6")

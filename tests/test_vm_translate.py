@@ -175,10 +175,11 @@ def _prepared(name: str, seed: int, scale: float):
     count_blocks=st.booleans(),
     max_steps=st.integers(1, RUN_STEPS),
     watchdog=st.just(0) | st.integers(1, RUN_STEPS),
+    hot_seed=st.none() | st.integers(0, 1 << 16),
 )
 def test_translated_runs_match_the_step_interpreter(
     name, seed, scale, squashed, theta, strategy, damage, damage_seed,
-    count_blocks, max_steps, watchdog,
+    count_blocks, max_steps, watchdog, hot_seed,
 ):
     program, image, profile, inputs = _prepared(name, seed, scale)
     descriptor = None
@@ -196,17 +197,37 @@ def test_translated_runs_match_the_step_interpreter(
     elif damage is not None and descriptor is not None and descriptor.regions:
         spec = plan_fault(damage, descriptor, rng, image)
         image, descriptor = apply_fault(image, descriptor, spec)
+    hot_heads = (
+        None if hot_seed is None
+        else _drawn_hot_heads(random.Random(hot_seed), image, descriptor)
+    )
 
     def make_machine():
         runtime = SquashRuntime(descriptor) if descriptor is not None else None
         machine = Machine(
             image, input_words=inputs, count_blocks=count_blocks,
             services=runtime.services() if runtime is not None else None,
-            watchdog=watchdog,
+            watchdog=watchdog, hot_heads=hot_heads,
         )
         return machine, runtime
 
     _assert_modes_agree(make_machine, max_steps)
+
+
+def _drawn_hot_heads(rng, image, descriptor) -> dict[int, int]:
+    """Seeded entry counts, below and above ``TRANSLATE_AFTER``, at
+    block heads, at any image word (most in the middle of a block), in
+    the runtime buffer and at trap addresses, and outside memory."""
+    heads = sorted(image.block_heads)
+    pcs = rng.sample(heads, min(20, len(heads)))
+    pcs += [rng.randrange(image.base, image.end) for _ in range(20)]
+    pcs += [-1, image.end + (1 << 20)]
+    if descriptor is not None:
+        buffer = descriptor.buffer_base
+        pcs += [rng.randrange(buffer, buffer + descriptor.buffer_words)
+                for _ in range(10)]
+        pcs += [descriptor.decomp_base + rng.randrange(32) for _ in range(2)]
+    return {pc: rng.randrange(100) for pc in pcs}
 
 
 def test_trap_addresses_are_never_counted_or_translated(monkeypatch):
@@ -891,3 +912,111 @@ def test_regions_alternating_in_the_buffer(strategy):
     else:
         assert oracle["stats"]["decompressions"] > 100
         assert sum(reinstated) > 0
+
+
+# -- where entries are counted ------------------------------------------------
+
+#: The default threshold (the module fixture pins 1 for these tests).
+DEFAULT_AFTER = MODES[2]
+
+#: A loop entered by falling through from its first instruction: the
+#: head at 0x101 is arrived at once from ``addi``, then by its back edge.
+_FALL_INTO_LOOP = "\n".join([
+    "addi r31, 100, r7",
+    "loop:",
+    "subi r7, 1, r7",
+    "bne r7, loop",
+    "halt",
+])
+
+
+def _stopped(machine: Machine, max_steps: int) -> Machine:
+    """*machine* after a run stopped by a budget of *max_steps*."""
+    with pytest.raises(FuelExhausted):
+        machine.run(max_steps=max_steps)
+    return machine
+
+
+def test_loop_head_counts_only_arrivals_by_its_back_edge():
+    """The head is reached once by a straight-line step, which counts
+    no entry, so it translates on its ``TRANSLATE_AFTER``-th arrival by
+    the back edge, after 1 + 2 * ``TRANSLATE_AFTER`` steps."""
+    image = _raw_image(_FALL_INTO_LOOP)
+    head = image.base + 1
+    with _translate_after(DEFAULT_AFTER):
+        before = _stopped(Machine(image), 2 * DEFAULT_AFTER - 1)
+        after = _stopped(Machine(image), 2 * DEFAULT_AFTER + 1)
+    assert before._at[head] is None
+    assert before._heat == {(head, image.memory[1]): DEFAULT_AFTER - 1}
+    assert after._at[head] is not None
+
+
+def test_seeded_head_is_live_after_its_first_entry():
+    """A head seeded with a hot profile count translates on its first
+    arrival by a transfer; unseeded, it is still cold there."""
+    image = _raw_image("br loop\n" + _FALL_INTO_LOOP.split("\n", 1)[1])
+    head = image.base + 1
+    with _translate_after(DEFAULT_AFTER):
+        seeded = _stopped(Machine(image, hot_heads={head: 500}), 1)
+        plain = _stopped(Machine(image), 1)
+    assert seeded._at[head] is not None
+    assert plain._at[head] is None
+
+
+def test_seeded_heads_translate_nothing_in_step_only_mode(monkeypatch):
+    """With translation off, a machine seeded at every word runs the
+    step interpreter alone, and its run equals an unseeded one's."""
+    translated = []
+    monkeypatch.setattr(
+        Machine, "_translate", lambda self, entry: translated.append(entry)
+    )
+    image = _raw_image(_FALL_INTO_LOOP)
+    hot = {pc: 10**6 for pc in range(image.base, image.end)}
+    with _translate_after(STEP_ONLY):
+        seeded = _observe(lambda: (Machine(image, hot_heads=hot), None),
+                          RUN_STEPS)
+        plain = _observe(lambda: (Machine(image), None), RUN_STEPS)
+    assert translated == []
+    assert seeded == plain
+
+
+def test_straight_line_step_chains_into_a_live_translation(monkeypatch):
+    """After the inner loop's head is translated, each later outer pass
+    arrives at ``outer`` by a side exit, runs its one ``addi`` in the
+    step body and falls through into the inner loop's translation
+    without stepping through it."""
+    image = _raw_image("\n".join([
+        "addi r31, 3, r8",
+        "outer:",
+        "addi r31, 60, r7",
+        "inner:",
+        "subi r7, 1, r7",
+        "bne r7, inner",
+        "subi r8, 1, r8",
+        "bne r8, outer",
+        "halt",
+    ]))
+    inner = image.base + 2
+    calls: list[tuple[int, int]] = []
+    install = Machine._install
+
+    def counted(self, block):
+        run = block[0]
+
+        def call(limit):
+            # No watchdog, so the steps done are the budget less limit.
+            next_pc, done = run(limit)
+            calls.append((RUN_STEPS - limit, done))
+            return next_pc, done
+
+        return install(self, (call, *block[1:]))
+
+    monkeypatch.setattr(Machine, "_install", counted)
+    with _translate_after(DEFAULT_AFTER):
+        machine = Machine(image, watchdog=0)
+        machine.run(max_steps=RUN_STEPS)
+    assert [pc for pc, block in enumerate(machine._at) if block] == [inner]
+    # One call per outer pass; between two, only the ``addi`` stepped.
+    assert len(calls) == 3
+    for (start, done), (later, _) in zip(calls, calls[1:]):
+        assert later - (start + done) == 1
