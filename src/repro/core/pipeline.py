@@ -280,11 +280,10 @@ def squash_program(
             plan.ctx, layout, classified.plans, blob, config
         )
         counters["image_words"] = len(image.memory)
-    hot = _vm.TRANSLATE_AFTER
     hot_heads = {
         addr: count
         for addr, label in image.block_heads.items()
-        if (count := profile.counts.get(label, 0)) >= hot
+        if (count := profile.counts.get(label, 0)) >= _vm.TRANSLATE_AFTER
     }
 
     if baseline_words is None:
